@@ -8,20 +8,18 @@ independent resultant oracle.
 """
 
 from .algebra import (INFINITY, BiPoly, Coeff, Rat, UniPoly, bipoly_compose,
-                      bipoly_exact_div, sylvester_det, uni_order)
+                      bipoly_exact_div, sylvester_det)
 from .chardata import (Branch, BranchInput, CharData, extract_characteristics,
                        in_lattice, validate_branch)
 from .errors import CurveLiftError
-from .implicitize import (LevelCertificate, LiftChain, base_equation, bench_chain,
-                          certify, implicitize_all, lift)
+from .implicitize import LevelCertificate, LiftChain, certify, implicitize_all, lift
 from .oracle import OracleResult, resultant_implicitize
-from .parametrize import (Parametrization, truncation, valuation, valuation_table)
+from .parametrize import Parametrization, truncation, valuation_table
 from .polygon import (PolygonDesc, SliceQuery, lattice_slice, mu, polygon_contains,
                       polygon_desc)
 from .semigroup import (IdentityReport, NormalForm, SemigroupDesc, conductor_bound,
-                        from_characteristics, generators, group_member,
-                        identity_suite, normal_form, recombine,
-                        scale_relation_check, semigroup_member)
+                        generators, group_member, identity_suite, normal_form,
+                        recombine, semigroup_member)
 from .weierstrass import (AdicDecomposition, adic_decompose, adic_reconstruct,
                           basis_decompose, basis_reconstruct, is_weierstrass,
                           weierstrass_divide)
@@ -30,19 +28,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITY", "BiPoly", "Coeff", "Rat", "UniPoly", "bipoly_compose",
-    "bipoly_exact_div", "sylvester_det", "uni_order",
+    "bipoly_exact_div", "sylvester_det",
     "Branch", "BranchInput", "CharData", "extract_characteristics",
     "in_lattice", "validate_branch",
     "CurveLiftError",
-    "LevelCertificate", "LiftChain", "base_equation", "bench_chain", "certify",
-    "implicitize_all", "lift",
+    "LevelCertificate", "LiftChain", "certify", "implicitize_all", "lift",
     "OracleResult", "resultant_implicitize",
-    "Parametrization", "truncation", "valuation", "valuation_table",
+    "Parametrization", "truncation", "valuation_table",
     "PolygonDesc", "SliceQuery", "lattice_slice", "mu", "polygon_contains",
     "polygon_desc",
     "IdentityReport", "NormalForm", "SemigroupDesc", "conductor_bound",
-    "from_characteristics", "generators", "group_member", "identity_suite",
-    "normal_form", "recombine", "scale_relation_check", "semigroup_member",
+    "generators", "group_member", "identity_suite", "normal_form", "recombine",
+    "semigroup_member",
     "AdicDecomposition", "adic_decompose", "adic_reconstruct", "basis_decompose",
     "basis_reconstruct", "is_weierstrass", "weierstrass_divide",
     "__version__",

@@ -16,7 +16,6 @@ callers must branch on it explicitly.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 Rat = Fraction
@@ -215,11 +214,6 @@ class UniPoly:
             return "UniPoly(0)"
         bits = [f"{v}*t^{e}" for e, v in sorted(self._c.items())]
         return "UniPoly(" + " + ".join(bits) + ")"
-
-
-def uni_order(p: UniPoly):
-    """Order of p: minimal exponent in the support, INFINITY for p = 0."""
-    return p.order()
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +424,18 @@ def bipoly_compose(f: BiPoly, xt: UniPoly, yt: UniPoly) -> UniPoly:
 
 
 class PowerChain:
-    """Grow-on-demand cache of the powers base**0, base**1, ...
+    """Grow-on-demand cache of the powers base**0, base**1, ..."""
 
-    The lock keeps concurrent growth consistent, so holders of a chain
-    (e.g. a shared parametrization) stay safe to use across threads.
-    """
-
-    __slots__ = ("_base", "_pows", "_lock")
+    __slots__ = ("_base", "_pows")
 
     def __init__(self, base, one):
         self._base = base
         self._pows = [one]
-        self._lock = threading.Lock()
 
     def get(self, n: int):
         pows = self._pows
-        if len(pows) <= n:
-            with self._lock:
-                while len(pows) <= n:
-                    pows.append(pows[-1] * self._base)
+        while len(pows) <= n:
+            pows.append(pows[-1] * self._base)
         return pows[n]
 
 

@@ -25,6 +25,7 @@ from math import gcd
 from .algebra import Coeff, UniPoly, _norm_coeff
 from .errors import (
     EmptySupportError,
+    InconsistentCharDataError,
     IntegerExponentError,
     NonPrimitiveError,
     TailOrderViolationError,
@@ -43,11 +44,14 @@ class CharData:
 
     def __post_init__(self):
         s = len(self.lambdas)
-        assert len(self.ks) == s and len(self.es) == s + 1
-        assert self.es[0] == 1 and self.es[-1] == self.k
-        for i, ki in enumerate(self.ks):
-            assert ki >= 2 and self.es[i + 1] == ki * self.es[i]
-        assert all(a < b for a, b in zip(self.lambdas, self.lambdas[1:]))
+        if not (len(self.ks) == s and len(self.es) == s + 1
+                and self.es[0] == 1 and self.es[-1] == self.k
+                and all(ki >= 2 and self.es[i + 1] == ki * self.es[i]
+                        for i, ki in enumerate(self.ks))
+                and all(a < b for a, b in zip(self.lambdas, self.lambdas[1:]))):
+            raise InconsistentCharDataError(
+                f"inconsistent characteristic data: k={self.k}, "
+                f"lambdas={self.lambdas}, ks={self.ks}, es={self.es}")
 
     @property
     def s(self) -> int:

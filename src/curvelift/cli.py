@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,8 @@ from pathlib import Path
 from .algebra import BiPoly, Coeff
 from .chardata import Branch, BranchInput, validate_branch
 from .errors import CurveFileError, CurveLiftError
-from .implicitize import DEFAULT_ORACLE_BOUND, LiftChain, bench_chain, implicitize_all
+from .implicitize import LiftChain, implicitize_all, lift_levels
+from .oracle import DEFAULT_ORACLE_BOUND
 from .polygon import polygon_desc
 from .semigroup import generators
 
@@ -229,18 +231,7 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
                 for rec in chain.logs[i - 1]],
         }
         if chain.certificates:
-            cert = chain.certificates[i - 1]
-            level["certificates"] = {
-                "pullback_zero": cert.pullback_zero,
-                "support_in_polygon": cert.support_in_polygon,
-                "apex_absent_in_delta": cert.apex_absent_in_delta,
-                "compact_face_present": cert.compact_face_present,
-                "monic_weierstrass": cert.monic_weierstrass,
-                "n_log_increasing": cert.n_log_increasing,
-                "n_log_in_semigroup": cert.n_log_in_semigroup,
-                "valuation_rows_ok": cert.valuation_rows_ok,
-                "oracle": cert.oracle,
-            }
+            level["certificates"] = chain.certificates[i - 1].checks()
         doc["levels"].append(level)
     if chain.table is not None:
         doc["valuation_table"] = [
@@ -262,6 +253,15 @@ def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def _levels(level: int, s: int):
+    """The levels a ``--level`` argument asks for: all of 1..s when it is 0."""
+    if not level:
+        return range(1, s + 1)
+    if not 1 <= level <= s:
+        raise CurveLiftError(f"level {level} out of range 1..{s}")
+    return [level]
+
 
 def cmd_validate(args) -> int:
     cf = load_curve(args.file)
@@ -309,9 +309,8 @@ def cmd_semigroup(args) -> int:
 def cmd_polygon(args) -> int:
     cf = load_curve(args.file)
     branch = branch_from_file(cf, lenient=args.lenient)
-    levels = [args.level] if args.level else range(1, branch.cd.s + 1)
     docs = []
-    for i in levels:
+    for i in _levels(args.level, branch.cd.s):
         pd = polygon_desc(branch, i)
         docs.append({
             "level": i,
@@ -343,13 +342,10 @@ def _chain_for(args, verify: bool) -> tuple[CurveFile, LiftChain]:
 def cmd_implicitize(args) -> int:
     verify = not args.no_verify
     cf, chain = _chain_for(args, verify)
-    if args.level:
-        if not 1 <= args.level <= chain.cd.s:
-            raise CurveLiftError(f"level {args.level} out of range 1..{chain.cd.s}")
+    levels = _levels(args.level, chain.cd.s)
     if args.json:
         print(json.dumps(chain_to_doc(cf, chain), indent=2))
     else:
-        levels = [args.level] if args.level else range(1, chain.cd.s + 1)
         for i in levels:
             print(f"f_{i} = {format_poly(chain.fs[i - 1])}")
         if not args.level:
@@ -376,11 +372,18 @@ def cmd_verify(args) -> int:
 
 
 def _bench_one(path: str) -> dict:
+    """Wall time of each level of a certificate-free chain run."""
     cf = load_curve(path)
     branch = branch_from_file(cf)
-    _, rec = bench_chain(branch, name=cf.name)
-    return {"name": rec.name, "k": rec.k, "levels": rec.levels,
-            "total_seconds": rec.total_seconds}
+    levels = []
+    t_start = t0 = time.perf_counter()
+    for i, (f_i, _, log) in enumerate(lift_levels(branch), start=1):
+        t1 = time.perf_counter()
+        levels.append({"level": i, "e": branch.cd.es[i], "iterations": len(log),
+                       "terms": len(f_i), "seconds": t1 - t0})
+        t0 = t1
+    return {"name": cf.name, "k": branch.k, "levels": levels,
+            "total_seconds": time.perf_counter() - t_start}
 
 
 def cmd_bench(args) -> int:

@@ -7,6 +7,10 @@ class CurveLiftError(Exception):
 
 # --- branch / characteristic data validation -------------------------------
 
+class InconsistentCharDataError(CurveLiftError):
+    """Characteristic data whose k, lambda, k_i and e_i chains disagree."""
+
+
 class EmptySupportError(CurveLiftError):
     """The parametrization has no terms."""
 

@@ -22,18 +22,17 @@ throughout.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 from .algebra import INFINITY, BiPoly, Coeff, PowerChain, UniPoly, coeff_div
 from .chardata import Branch
 from .errors import EmptySliceError, IterationBudgetError, OracleBoundError
+from .oracle import DEFAULT_ORACLE_BOUND, resultant_implicitize
 from .parametrize import ValuationTable, truncation, valuation_table
 from .polygon import SliceQuery, lattice_slice, polygon_contains, polygon_desc
 from .semigroup import generators, semigroup_member
 from .weierstrass import is_weierstrass
-
-DEFAULT_ORACLE_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,15 @@ class LevelCertificate:
     valuation_rows_ok: bool        # the level-i rows of the valuation table
     oracle: str                    # "match" | "mismatch" | "skipped"
 
+    def checks(self) -> dict[str, bool | str]:
+        """Every outcome but the level, in field order (the JSON key order)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "level"}
+
     @property
     def ok(self) -> bool:
-        return (self.pullback_zero and self.support_in_polygon
-                and self.apex_absent_in_delta and self.compact_face_present
-                and self.monic_weierstrass and self.n_log_increasing
-                and self.n_log_in_semigroup and self.valuation_rows_ok
-                and self.oracle in ("match", "skipped"))
+        checks = self.checks()
+        return checks.pop("oracle") in ("match", "skipped") and all(checks.values())
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     # slice data: sg = pullback orders, ls = pullback degrees of
     # x, f_0, ..., f_{i-1}; the bound encodes the support polygon
     sd = generators(cd, i)
-    sg = (sd.free,) + tuple(gam[0] for gam in sd.gamma)
+    sg = (sd.free, *sd.gamma)
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * pullbacks[0].degree()
 
@@ -167,11 +168,14 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     return g, delta, tuple(log)
 
 
-def base_equation(branch: Branch) -> BiPoly:
-    """The level-1 equation; for a tail-free first level this is exactly
-    y**k_1 - c_1**k_1 * x**(k_1*lambda_1)."""
-    f1, _, _ = lift(branch, (), 1)
-    return f1
+def lift_levels(branch: Branch, pivot_rule: str = "min"
+                ) -> Iterator[tuple[BiPoly, BiPoly, tuple[IterationRecord, ...]]]:
+    """Yield lift(branch, (f_1, ..., f_{i-1}), i) for i = 1, ..., s."""
+    fs: list[BiPoly] = []
+    for i in range(1, branch.cd.s + 1):
+        level = lift(branch, tuple(fs), i, pivot_rule=pivot_rule)
+        fs.append(level[0])
+        yield level
 
 
 def implicitize_all(branch: Branch, verify: bool = True,
@@ -180,16 +184,8 @@ def implicitize_all(branch: Branch, verify: bool = True,
     """Run the full chain f_1, ..., f_s; f_s is the reported approximation
     of the branch equation, with the same multiplicity and characteristic
     exponents. With ``verify`` the certificates are evaluated eagerly."""
-    fs: list[BiPoly] = []
-    deltas: list[BiPoly] = []
-    logs: list[tuple[IterationRecord, ...]] = []
-    for i in range(1, branch.cd.s + 1):
-        f_i, delta_i, log = lift(branch, tuple(fs), i, pivot_rule=pivot_rule)
-        fs.append(f_i)
-        deltas.append(delta_i)
-        logs.append(log)
-    chain = LiftChain(branch=branch, fs=tuple(fs), deltas=tuple(deltas),
-                      logs=tuple(logs))
+    fs, deltas, logs = zip(*lift_levels(branch, pivot_rule))
+    chain = LiftChain(branch=branch, fs=fs, deltas=deltas, logs=logs)
     if verify:
         chain = certify(chain, oracle_bound=oracle_bound)
     return chain
@@ -201,8 +197,6 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
     Recomputable from (branch, fs) alone except for the iteration-log
     checks, which are skipped when a level's log is empty.
     """
-    from .oracle import resultant_implicitize  # local import: oracle uses parametrize
-
     branch = chain.branch
     cd = branch.cd
     table = valuation_table(chain, branch)
@@ -262,40 +256,3 @@ def chain_from_polynomials(branch: Branch, fs) -> LiftChain:
         deltas.append(f - prev ** cd.ks[i - 1])
         prev = f
     return LiftChain(branch=branch, fs=fs, deltas=tuple(deltas), logs=())
-
-
-@dataclass
-class BenchRecord:
-    """Wall time and iteration counts of one full chain run."""
-
-    name: str
-    k: int
-    levels: list[dict] = field(default_factory=list)
-    total_seconds: float = 0.0
-
-
-def bench_chain(branch: Branch, name: str = "") -> tuple[LiftChain, BenchRecord]:
-    """Timed, certificate-free chain run for the benchmark command."""
-    rec = BenchRecord(name=name, k=branch.k)
-    fs: list[BiPoly] = []
-    deltas = []
-    logs = []
-    t_total = time.perf_counter()
-    for i in range(1, branch.cd.s + 1):
-        t0 = time.perf_counter()
-        f_i, delta_i, log = lift(branch, tuple(fs), i)
-        dt = time.perf_counter() - t0
-        fs.append(f_i)
-        deltas.append(delta_i)
-        logs.append(log)
-        rec.levels.append({
-            "level": i,
-            "e": branch.cd.es[i],
-            "iterations": len(log),
-            "terms": len(f_i),
-            "seconds": dt,
-        })
-    rec.total_seconds = time.perf_counter() - t_total
-    chain = LiftChain(branch=branch, fs=tuple(fs), deltas=tuple(deltas),
-                      logs=tuple(logs))
-    return chain, rec

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .algebra import BiPoly, Coeff, coeff_div, sylvester_det
 from .errors import OracleBoundError
-from .implicitize import DEFAULT_ORACLE_BOUND
 from .parametrize import Parametrization
+
+DEFAULT_ORACLE_BOUND = 12
 
 
 @dataclass(frozen=True)

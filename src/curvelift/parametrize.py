@@ -41,9 +41,6 @@ class Parametrization:
         self.e = e
         self._ypows = PowerChain(yt, UniPoly.one())
 
-    def y_power(self, b: int) -> UniPoly:
-        return self._ypows.get(b)
-
     def pullback(self, f: BiPoly) -> UniPoly:
         """The substitution f(t**e, yt(t)), expanded exactly."""
         by_beta: dict[int, list] = {}
@@ -86,28 +83,6 @@ def truncation(branch: Branch, i: int) -> Parametrization:
     assert g == 1, "truncation lost primitivity (corrupt branch)"
     assert min(yt) == int(cd.lambdas[0] * e_i), "truncation order drifted"
     return Parametrization(level=i, xt=UniPoly.t(e_i), yt=UniPoly(yt))
-
-
-def valuation(f: BiPoly, p: Parametrization, fast: bool = False):
-    """ord of the pullback of f along p; INFINITY iff the pullback is 0.
-
-    The default computes the full pullback: low-order cancellations are the
-    whole point of the elimination loop, so correctness beats micro-
-    optimization. ``fast`` enables an early-exit scheme that evaluates only
-    the minimal candidate coefficient and falls back to the full pullback
-    when that coefficient cancels.
-    """
-    if fast and not f.is_zero:
-        y_ord = p.yt.order()
-        cand = min(a * p.e + b * y_ord for a, b in f.support())
-        coeff = 0
-        for (a, b), v in f.terms():
-            shift = cand - a * p.e
-            if shift >= 0:
-                coeff += v * p.y_power(b).coeff(shift)
-        if coeff:
-            return cand
-    return p.valuation(f)
 
 
 @dataclass(frozen=True)
@@ -157,7 +132,7 @@ def valuation_table(chain: "LiftChain", branch: Branch) -> ValuationTable:
         e_j = cd.es[j]
         for i in range(1, j + 1):
             f_prev = BiPoly.y() if i == 1 else chain.fs[i - 2]
-            gamma_ij = sd.gamma[i - 1][0]
+            gamma_ij = sd.gamma[i - 1]
             e_lam = Fraction(e_j) * cd.lambdas[i - 1]
             assert e_lam.denominator == 1
             rows.append(TableRow(

@@ -1,7 +1,6 @@
-"""Value-semigroup toolkit, written for vectors in N_0^n.
+"""Value semigroup of a branch truncation: a numerical semigroup in N_0.
 
-The semigroup attached to characteristic exponents lambda_1, ..., lambda_i
-is generated by the free part e_i * u_1, ..., e_i * u_n together with
+At level i the value semigroup is generated by e_i together with
 
     gamma_1 = e_i * lambda_1,
     gamma_{j+1} = k_j * gamma_j - e_i * lambda_j + e_i * lambda_{j+1}.
@@ -12,103 +11,47 @@ the only reading that reproduces the reference generator sets
 
 Core facts used here:
 
-* the group spanned by the free part and gamma_1..gamma_j equals the
-  scaled exponent lattice, so membership is an integer-lattice test;
-* every group element has a unique representation with 0 <= beta_j < k_j
-  (the normal form), and elements componentwise above the conductor
-  substitute sum (k_j - 1) gamma_j have non-negative free part;
-* semigroup membership  <=>  the normal form has non-negative free part.
-
-The plane-curve pipeline uses n = 1 throughout; vectors are tuples of any
-dimension and scalars are accepted wherever n = 1.
+* the group spanned by e_i and gamma_1..gamma_j is d_j Z with
+  d_j = gcd(e_i, gamma_1, ..., gamma_j), so membership is a divisibility
+  test;
+* every group element has a unique representation
+  a = e_i * alpha + sum beta_j gamma_j with 0 <= beta_j < k_j (the normal
+  form): beta_j is the unique residue with a - beta_j * gamma_j divisible
+  by d_{j-1}; elements at or above the conductor substitute
+  sum (k_j - 1) gamma_j have alpha >= 0;
+* semigroup membership  <=>  the normal form has alpha >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .chardata import CharData
 from .errors import NonIntegralGeneratorError, NotInGroupError
 
-IntVec = tuple[int, ...]
 
-
-def _as_vec(a, dim: int) -> IntVec:
-    if isinstance(a, tuple):
-        v = a
-    elif isinstance(a, list):
-        v = tuple(a)
-    else:
-        v = (a,)
-    if len(v) != dim or any(type(x) is not int for x in v):
-        raise ValueError(f"expected an integer vector of dimension {dim}, got {a!r}")
-    return v
-
-
-def _vadd(u: IntVec, v: IntVec) -> IntVec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vsub(u: IntVec, v: IntVec) -> IntVec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vscale(c: int, v: IntVec) -> IntVec:
-    return tuple(c * a for a in v)
-
-
-def _vpos(v: IntVec) -> bool:
-    """v > 0 in the componentwise partial order: v >= 0 and v != 0."""
-    return all(a >= 0 for a in v) and any(v)
-
-
-def _vge(u: IntVec, v: IntVec) -> bool:
-    return all(a >= b for a, b in zip(u, v))
+def _check_int(a) -> int:
+    if type(a) is not int:
+        raise TypeError(f"expected an int, got {a!r}")
+    return a
 
 
 @dataclass(frozen=True)
 class SemigroupDesc:
-    """Generators of the value semigroup at one truncation level."""
+    """Generators (free; gamma_1, ..., gamma_level) at one truncation level."""
 
-    dim: int
     level: int
-    free: int                 # the free part is free * u_1, ..., free * u_n
-    gamma: tuple[IntVec, ...]
+    free: int                 # e_level
+    gamma: tuple[int, ...]
     ks: tuple[int, ...]       # caps k_1, ..., k_level
     es: tuple[int, ...]       # e_0, ..., e_level
-    lambdas: tuple[tuple[Fraction, ...], ...]
+    lambdas: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        assert len(self.gamma) == self.level == len(self.ks) == len(self.lambdas)
-        assert len(self.es) == self.level + 1 and self.es[-1] == self.free
-
-    def generators_list(self) -> list:
-        """[free, gamma_1, ...] as scalars (n = 1) or vectors."""
-        if self.dim == 1:
-            return [self.free] + [g[0] for g in self.gamma]
-        return [self.free] + list(self.gamma)
-
-
-def _gamma_chain(scale: int, lambdas, ks, dim: int) -> tuple[IntVec, ...]:
-    """gamma_1..gamma_i at the given scale, via the fixed-scale recurrence."""
-    gammas = []
-    prev = None
-    for j, lam in enumerate(lambdas):
-        lam_scaled = tuple(Fraction(c) * scale for c in lam)
-        if any(f.denominator != 1 for f in lam_scaled):
-            raise NonIntegralGeneratorError(
-                f"{scale} * lambda_{j + 1} is not an integer vector")
-        lam_int = tuple(int(f) for f in lam_scaled)
-        if j == 0:
-            g = lam_int
-        else:
-            prev_lam = tuple(int(Fraction(c) * scale) for c in lambdas[j - 1])
-            g = _vadd(_vsub(_vscale(ks[j - 1], prev), prev_lam), lam_int)
-        gammas.append(g)
-        prev = g
-    return tuple(gammas)
+    def generators_list(self) -> list[int]:
+        """[free, gamma_1, ..., gamma_level]."""
+        return [self.free, *self.gamma]
 
 
 def generators(cd: CharData, i: int) -> SemigroupDesc:
@@ -116,197 +59,82 @@ def generators(cd: CharData, i: int) -> SemigroupDesc:
     if not 1 <= i <= cd.s:
         raise IndexError(f"level {i} out of range 1..{cd.s}")
     e_i = cd.es[i]
-    lambdas = tuple((lam,) for lam in cd.lambdas[:i])
-    gamma = _gamma_chain(e_i, lambdas, cd.ks[:i], 1)
+    gamma: list[int] = []
+    prev_lam = 0
+    for j, lam in enumerate(cd.lambdas[:i]):
+        lam_e = lam * e_i
+        if lam_e.denominator != 1:
+            raise NonIntegralGeneratorError(
+                f"{e_i} * lambda_{j + 1} is not an integer")
+        lam_e = int(lam_e)
+        gamma.append(lam_e if j == 0 else cd.ks[j - 1] * gamma[-1] - prev_lam + lam_e)
+        prev_lam = lam_e
     return SemigroupDesc(
-        dim=1, level=i, free=e_i, gamma=gamma,
-        ks=cd.ks[:i], es=cd.es[: i + 1], lambdas=lambdas)
+        level=i, free=e_i, gamma=tuple(gamma),
+        ks=cd.ks[:i], es=cd.es[: i + 1], lambdas=cd.lambdas[:i])
 
 
-def from_characteristics(lambdas) -> SemigroupDesc:
-    """Build a SemigroupDesc from characteristic exponent vectors.
-
-    Works in any dimension; each k_i is found as the smallest positive
-    multiplier taking lambda_i into the previous exponent lattice. Intended
-    for constructing general-dimension test data.
-    """
-    lams = [tuple(Fraction(c) for c in (lam if isinstance(lam, (tuple, list)) else (lam,)))
-            for lam in lambdas]
-    if not lams:
-        raise ValueError("need at least one characteristic exponent")
-    dim = len(lams[0])
-    if any(len(lam) != dim for lam in lams):
-        raise ValueError("exponent vectors have mixed dimensions")
-    for a, b in zip(lams, lams[1:]):
-        if not (all(x <= y for x, y in zip(a, b)) and a != b):
-            raise ValueError("characteristic exponents must strictly increase")
-    ks = []
-    for i, lam in enumerate(lams):
-        # clear all denominators at once: den * M_{i-1} is an integer lattice
-        den = lcm(*(c.denominator for v in lams[: i + 1] for c in v))
-        gens = [tuple(den * int(j == t) for t in range(dim)) for j in range(dim)]
-        gens += [tuple(int(c * den) for c in prev) for prev in lams[:i]]
-        ech = _echelon(gens, dim)
-        lam_int = tuple(int(c * den) for c in lam)
-        for m in range(1, den + 1):
-            if _reduces_to_zero(ech, _vscale(m, lam_int), dim):
-                if m == 1:
-                    raise ValueError(
-                        f"lambda_{i + 1} already lies in the previous lattice")
-                ks.append(m)
-                break
-        else:
-            raise ValueError("no multiplier found; exponents are inconsistent")
-    es = [1]
-    for ki in ks:
-        es.append(es[-1] * ki)
-    k = es[-1]
-    gamma = _gamma_chain(k, lams, ks, dim)
-    return SemigroupDesc(dim=dim, level=len(lams), free=k, gamma=gamma,
-                         ks=tuple(ks), es=tuple(es), lambdas=tuple(lams))
+def _group_gcd(sd: SemigroupDesc, upto: int) -> int:
+    """d with d Z = the group spanned by free and gamma_1..gamma_upto."""
+    return gcd(sd.free, *sd.gamma[:upto])
 
 
-# ---------------------------------------------------------------------------
-# integer lattice membership (row echelon over Z)
-# ---------------------------------------------------------------------------
-
-def _echelon(gens: list[IntVec], dim: int) -> dict[int, list[int]]:
-    """Integer row echelon of the lattice spanned by gens.
-
-    Returns a map pivot-column -> row whose leading nonzero entry sits at
-    that column. Rows are combined with extended gcds, so the row set spans
-    the same lattice.
-    """
-    ech: dict[int, list[int]] = {}
-    stack = [list(g) for g in gens]
-    while stack:
-        row = stack.pop()
-        c = next((j for j, v in enumerate(row) if v), None)
-        while c is not None and c in ech:
-            a, b = ech[c][c], row[c]
-            if b % a == 0:
-                q = b // a
-                row = [rv - q * ev for rv, ev in zip(row, ech[c])]
-            else:
-                g, x, y = _xgcd(a, b)
-                comb = [x * ev + y * rv for ev, rv in zip(ech[c], row)]
-                row = [(a // g) * rv - (b // g) * ev for ev, rv in zip(ech[c], row)]
-                ech[c] = comb
-            c = next((j for j, v in enumerate(row) if v), None)
-        if c is not None:
-            if row[c] < 0:
-                row = [-v for v in row]
-            ech[c] = row
-    return ech
-
-
-def _xgcd(a: int, b: int):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
-def _reduces_to_zero(ech: dict[int, list[int]], v: IntVec, dim: int) -> bool:
-    r = list(v)
-    for c in range(dim):
-        if r[c]:
-            row = ech.get(c)
-            if row is None or r[c] % row[c]:
-                return False
-            q = r[c] // row[c]
-            r = [rv - q * ev for rv, ev in zip(r, row)]
-    return not any(r)
-
-
-def _group_gens(sd: SemigroupDesc, upto: int) -> list[IntVec]:
-    units = [tuple(sd.free * int(j == t) for t in range(sd.dim))
-             for j in range(sd.dim)]
-    return units + list(sd.gamma[:upto])
-
-
-def group_member(a, sd: SemigroupDesc, upto: int | None = None) -> bool:
+def group_member(a: int, sd: SemigroupDesc, upto: int | None = None) -> bool:
     """Membership of a in the group spanned by the free part and
     gamma_1..gamma_upto (defaults to the full level)."""
     upto = sd.level if upto is None else upto
-    v = _as_vec(a, sd.dim)
-    ech = _echelon(_group_gens(sd, upto), sd.dim)
-    return _reduces_to_zero(ech, v, sd.dim)
+    return _check_int(a) % _group_gcd(sd, upto) == 0
 
 
 @dataclass(frozen=True)
 class NormalForm:
-    alpha: IntVec
+    alpha: int
     betas: tuple[int, ...]
 
 
-def normal_form(a, sd: SemigroupDesc, upto: int | None = None) -> NormalForm:
+def normal_form(a: int, sd: SemigroupDesc, upto: int | None = None) -> NormalForm:
     """The unique representation a = free * alpha + sum beta_j * gamma_j
-    with 0 <= beta_j <= k_j - 1 (alpha an integer vector).
+    with 0 <= beta_j <= k_j - 1.
 
     Found constructively: peel the top generator by locating the unique
     residue beta_j with a - beta_j * gamma_j in the previous group, then
-    recurse; the base case divides componentwise by the free scale.
+    recurse; the base case divides by the free part.
     """
     upto = sd.level if upto is None else upto
-    v = _as_vec(a, sd.dim)
+    v = _check_int(a)
     betas = []
     for j in range(upto, 0, -1):
-        ech = _echelon(_group_gens(sd, j - 1), sd.dim)
-        for b in range(sd.ks[j - 1]):
-            if _reduces_to_zero(ech, _vsub(v, _vscale(b, sd.gamma[j - 1])), sd.dim):
-                betas.append(b)
-                v = _vsub(v, _vscale(b, sd.gamma[j - 1]))
-                break
-        else:
+        d = _group_gcd(sd, j - 1)
+        g = sd.gamma[j - 1]
+        b = next((b for b in range(sd.ks[j - 1]) if (v - b * g) % d == 0), None)
+        if b is None:
             raise NotInGroupError(f"{a!r} is not in the level-{upto} group")
-    if any(c % sd.free for c in v):
+        betas.append(b)
+        v -= b * g
+    if v % sd.free:
         raise NotInGroupError(f"{a!r} is not in the level-{upto} group")
-    alpha = tuple(c // sd.free for c in v)
-    return NormalForm(alpha=alpha, betas=tuple(reversed(betas)))
+    return NormalForm(alpha=v // sd.free, betas=tuple(reversed(betas)))
 
 
-def recombine(nf: NormalForm, sd: SemigroupDesc) -> IntVec:
+def recombine(nf: NormalForm, sd: SemigroupDesc) -> int:
     """Inverse of normal_form."""
-    v = _vscale(sd.free, nf.alpha)
-    for b, g in zip(nf.betas, sd.gamma):
-        v = _vadd(v, _vscale(b, g))
-    return v
+    return sd.free * nf.alpha + sum(b * g for b, g in zip(nf.betas, sd.gamma))
 
 
-def semigroup_member(a, sd: SemigroupDesc, upto: int | None = None) -> bool:
+def semigroup_member(a: int, sd: SemigroupDesc, upto: int | None = None) -> bool:
     """Membership in the semigroup (non-negative combinations only)."""
     try:
         nf = normal_form(a, sd, upto)
     except NotInGroupError:
         return False
-    return all(c >= 0 for c in nf.alpha)
+    return nf.alpha >= 0
 
 
-def conductor_bound(sd: SemigroupDesc, upto: int | None = None) -> IntVec:
-    """sum (k_j - 1) * gamma_j: above it, group membership implies
+def conductor_bound(sd: SemigroupDesc, upto: int | None = None) -> int:
+    """sum (k_j - 1) * gamma_j: from it on, group membership implies
     semigroup membership (the conductor substitute)."""
     upto = sd.level if upto is None else upto
-    v = tuple(0 for _ in range(sd.dim))
-    for j in range(upto):
-        v = _vadd(v, _vscale(sd.ks[j] - 1, sd.gamma[j]))
-    return v
-
-
-def scale_relation_check(sd_top: SemigroupDesc, sd_sub: SemigroupDesc) -> bool:
-    """gamma_j(top) == (e_top / e_sub) * gamma_j(sub) for all j <= sub level."""
-    i = sd_sub.level
-    if i > sd_top.level or sd_top.ks[:i] != sd_sub.ks:
-        return False
-    if sd_top.free % sd_sub.free:
-        return False
-    ratio = sd_top.free // sd_sub.free
-    return all(sd_top.gamma[j] == _vscale(ratio, sd_sub.gamma[j]) for j in range(i))
+    return sum((k - 1) * g for k, g in zip(sd.ks[:upto], sd.gamma[:upto]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +166,17 @@ def identity_suite(sd: SemigroupDesc) -> IdentityReport:
     s = sd.level
     alt = []
     for i in range(s):  # identity for gamma_{i+1}
-        lam = tuple(Fraction(c) * sd.free for c in sd.lambdas[i])
-        if any(f.denominator != 1 for f in lam):
-            alt.append(False)
-            continue
-        rhs = tuple(int(f) for f in lam)
-        for j in range(i):
-            rhs = _vadd(rhs, _vscale(sd.ks[j] - 1, sd.gamma[j]))
-        alt.append(sd.gamma[i] == rhs)
+        lam = sd.lambdas[i] * sd.free
+        alt.append(lam.denominator == 1
+                   and sd.gamma[i] == int(lam) + conductor_bound(sd, i))
     growth = []
     power = []
     for i in range(1, s + 1):
-        kg = _vscale(sd.ks[i - 1], sd.gamma[i - 1])
-        growth.append(_vpos(_vsub(kg, conductor_bound(sd, i))))
+        kg = sd.ks[i - 1] * sd.gamma[i - 1]
+        growth.append(kg > conductor_bound(sd, i))
         power.append(semigroup_member(kg, sd, upto=i - 1))
-    cross = []
-    if s >= 2:
-        for i in range(1, s):
-            d = _vsub(_vscale(sd.es[i - 1], sd.gamma[s - 1]),
-                      _vscale(sd.es[s - 1], sd.gamma[i - 1]))
-            cross.append(_vpos(d))
+    cross = [sd.es[i - 1] * sd.gamma[s - 1] - sd.es[s - 1] * sd.gamma[i - 1] > 0
+             for i in range(1, s)]
     return IdentityReport(
         alt_generator=tuple(alt), growth=tuple(growth),
         power_membership=tuple(power), cross_positivity=tuple(cross))

@@ -119,30 +119,13 @@ def brute_semigroup_1d(gens: list[int], limit: int) -> list[bool]:
     return reach
 
 
-def brute_semigroup_nd(gens: list[tuple[int, ...]], box: tuple[int, ...]) -> set:
-    """All non-negative combinations of generator vectors inside the box."""
-    reach = {tuple(0 for _ in box)}
-    frontier = list(reach)
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = tuple(a + b for a, b in zip(v, g))
-            if all(a <= m for a, m in zip(w, box)) and w not in reach:
-                reach.add(w)
-                frontier.append(w)
-    return reach
-
-
-def brute_capped_forms(a, sd: SemigroupDesc, upto: int | None = None):
+def brute_capped_forms(a: int, sd: SemigroupDesc, upto: int | None = None):
     """All (alpha, betas) with capped betas representing a; the normal form
     is unique, so this should have length one for group members."""
     upto = sd.level if upto is None else upto
-    vec = a if isinstance(a, tuple) else (a,)
     sols = []
     for betas in product(*[range(kj) for kj in sd.ks[:upto]]):
-        r = list(vec)
-        for b, gam in zip(betas, sd.gamma):
-            r = [x - b * g for x, g in zip(r, gam)]
-        if all(x % sd.free == 0 for x in r):
-            sols.append((tuple(x // sd.free for x in r), betas))
+        r = a - sum(b * g for b, g in zip(betas, sd.gamma))
+        if r % sd.free == 0:
+            sols.append((r // sd.free, betas))
     return sols

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from curvelift import (INFINITY, BiPoly, UniPoly, bipoly_compose, bipoly_exact_div,
-                       sylvester_det, uni_order)
+                       sylvester_det)
 from helpers import naive_det, rand_bipoly, rand_unipoly
 
 
 def test_uni_order_basic():
-    assert uni_order(UniPoly({3: 1, 5: 2})) == 3
-    assert uni_order(UniPoly.zero()) is INFINITY
+    assert UniPoly({3: 1, 5: 2}).order() == 3
+    assert UniPoly.zero().order() is INFINITY
 
 
 def test_uni_order_of_pullback():
@@ -18,7 +18,7 @@ def test_uni_order_of_pullback():
     f = BiPoly({(0, 2): 1, (3, 0): -1})
     p = bipoly_compose(f, UniPoly.t(6), UniPoly({9: 1, 10: 1}))
     assert p == UniPoly({19: 2, 20: 1})
-    assert uni_order(p) == 19
+    assert p.order() == 19
 
 
 def test_infinity_comparisons():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,19 @@ def test_split_roundtrip():
     for i, (c, phi) in enumerate(zip(cs, phis), start=1):
         rebuilt = rebuilt + UniPoly.t(int(b.cd.lambdas[i - 1] * b.k), c) + phi
     assert rebuilt == total
+
+
+def test_chardata_rejects_inconsistent_chains_under_optimize():
+    # es must run 1, k_1, k_1*k_2, ... up to k; a bare assert would vanish under -O
+    code = ("from fractions import Fraction\n"
+            "from curvelift.chardata import CharData\n"
+            "from curvelift.errors import InconsistentCharDataError\n"
+            "try:\n"
+            "    CharData(k=4, lambdas=(Fraction(3, 2),), ks=(2,), es=(1,))\n"
+            "except InconsistentCharDataError:\n"
+            "    print('rejected')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    assert out.stdout == "rejected\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -120,3 +121,37 @@ def test_json_output_deterministic(capsys):
 def test_error_exit_code(capsys):
     code = main(["validate", str(CORPUS / "missing.curve")])
     assert code == 2
+
+
+def test_polygon_level_out_of_range(capsys):
+    for level in ("5", "-1"):
+        code = main(["polygon", str(CORPUS / "cusp.curve"), "--level", level])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: level {level} out of range 1..1"]
+
+
+# SHA-256 of the stdout of ``curvelift verify FILE --json`` per corpus curve;
+# any change to an f_i, a certificate or the JSON layout moves a digest.
+VERIFY_JSON_SHA256 = {
+    "cubic-tail.curve": "09013627ce0534cb0ce5a6615d54ac91c8fefcbd18f44c4bb783e707e7f390cb",
+    "cusp.curve": "e02ac855631dfa8bf5fe06f4064785420cabf88cfafcaae6b047ba7e7db2b991",
+    "intro-689.curve": "995c1a9a372d502d102c90e3c5b29bbf05515705c1a8504b349c1d8d15e3b426",
+    "nonic.curve": "b38df26788cd299be85417ddb8e10995edc70ab8e4a4d83658ea4fa34e6d60a1",
+    "octic-three-level.curve": "61b95fd0a49d8a1c5746add55c180fe11f0188bd60b9794e73185b23e12948c4",
+    "paper-ex1.curve": "900b8f01e1dba87f6801f4198036200fccd7dd4bb7860449a9cfac5e597394b5",
+    "paper-ex2.curve": "2d7511b5c663af9a6e8179a2b7af7a67633adf196df7d59b0b7c4155b451ba36",
+    "paper-ex3.curve": "766f83d261bb29057f2fd7193f5abc81a987e70ade745c0317cb976709a156aa",
+    "quartic-deep.curve": "f30bcd175188ad9cbc0e300eb578f15f18b43a234518e77cb75e7af6d9a16575",
+    "quartic.curve": "4517962c93544ba705a474c41bd660452f51d2d0d5b623d30cf6aac6ea6a877a",
+    "rational-coeffs.curve": "3ab380bb050241e5f1422afb3110288a7727d8878e119f8244936f7217eb6c8d",
+    "tails-weighted.curve": "497f6a67e41e0d4fe1467670864239adc13106770dc7f8de81220db2db44b08e",
+}
+
+
+def test_verify_json_bytes_pinned(capsys):
+    assert sorted(p.name for p in CORPUS.glob("*.curve")) == sorted(VERIFY_JSON_SHA256)
+    for name, digest in VERIFY_JSON_SHA256.items():
+        code, out = run(capsys, "verify", str(CORPUS / name), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvelift import (BiPoly, BranchInput, base_equation, certify, generators,
-                       implicitize_all, lift, resultant_implicitize,
+from curvelift import (BiPoly, BranchInput, certify, generators, implicitize_all,
+                       lift, resultant_implicitize,
                        semigroup_member, truncation, validate_branch)
 from curvelift.implicitize import chain_from_polynomials
 from helpers import rand_branch
@@ -13,14 +13,14 @@ F1 = BiPoly({(0, 2): 1, (3, 0): -1})
 
 
 def test_base_equation_closed_forms(cusp, branch12):
-    assert base_equation(cusp) == F1
-    assert base_equation(branch12) == F1
+    assert lift(cusp, (), 1)[0] == F1
+    assert lift(branch12, (), 1)[0] == F1
     # rational coefficient: y^2 - c^2 x^3
     b = validate_branch(BranchInput.from_terms(2, {3: Fraction(2, 3)}))
-    assert base_equation(b) == BiPoly({(0, 2): 1, (3, 0): -Fraction(4, 9)})
+    assert lift(b, (), 1)[0] == BiPoly({(0, 2): 1, (3, 0): -Fraction(4, 9)})
     # lambda_1 = p/q tail-free: y^q - c^q x^p
     b2 = validate_branch(BranchInput.from_terms(5, {7: 2}))
-    assert base_equation(b2) == BiPoly({(0, 5): 1, (7, 0): -32})
+    assert lift(b2, (), 1)[0] == BiPoly({(0, 5): 1, (7, 0): -32})
 
 
 def test_lift_reference_level2(branch12):

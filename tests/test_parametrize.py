@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvelift import (INFINITY, BiPoly, UniPoly, bipoly_compose, generators,
-                       implicitize_all, semigroup_member, truncation, valuation,
+                       implicitize_all, semigroup_member, truncation,
                        valuation_table)
 from helpers import rand_bipoly, rand_branch
 
@@ -31,14 +31,14 @@ def test_truncation_keeps_tails(branch6_tails):
 def test_valuation_reference_values(branch12):
     f1 = BiPoly({(0, 2): 1, (3, 0): -1})
     p2 = truncation(branch12, 2)
-    assert valuation(f1, p2) == 19
+    assert p2.valuation(f1) == 19
     delta2 = BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})
     f2 = f1 ** 3 + delta2
     p3 = truncation(branch12, 3)
-    assert valuation(f2, p3) == 117
-    assert valuation(f2, p2) is INFINITY
+    assert p3.valuation(f2) == 117
+    assert p2.valuation(f2) is INFINITY
     # level ordering is not monotone: the level-1 value of f_2 is finite
-    assert valuation(f2, truncation(branch12, 1)) == 19
+    assert truncation(branch12, 1).valuation(f2) == 19
 
 
 def test_monomial_valuation(branch12):
@@ -48,7 +48,7 @@ def test_monomial_valuation(branch12):
         lam1 = branch12.cd.lambdas[0]
         for a, b in ((1, 0), (0, 1), (3, 2), (5, 7)):
             expect = a * e_i + b * int(e_i * lam1)
-            assert valuation(BiPoly.monomial(a, b), p) == expect
+            assert p.valuation(BiPoly.monomial(a, b)) == expect
 
 
 def test_pullback_matches_generic_compose(branch6_tails):
@@ -78,13 +78,13 @@ def test_valuation_additivity_random():
         b = rand_branch(rng, max_levels=2, max_k=9)
         p = truncation(b, rng.randint(1, b.cd.s))
         f, g = rand_bipoly(rng, 4, 4), rand_bipoly(rng, 4, 4)
-        vf, vg = valuation(f, p), valuation(g, p)
-        vfg = valuation(f * g, p)
+        vf, vg = p.valuation(f), p.valuation(g)
+        vfg = p.valuation(f * g)
         if vf is INFINITY or vg is INFINITY:
             assert vfg is INFINITY
         else:
             assert vfg == vf + vg
-        vs = valuation(f + g, p)
+        vs = p.valuation(f + g)
         assert vs is INFINITY or vf is INFINITY or vg is INFINITY \
             or vs >= min(vf, vg)
         if vf is not INFINITY and vg is not INFINITY and vf != vg:
@@ -99,7 +99,7 @@ def test_finite_valuations_in_semigroup_random():
         p = truncation(b, i)
         sd = generators(b.cd, i)
         f = rand_bipoly(rng, 4, 4)
-        v = valuation(f, p)
+        v = p.valuation(f)
         if v is not INFINITY:
             assert semigroup_member(v, sd)
 
@@ -109,7 +109,7 @@ def test_x_polynomial_scaling_law():
     for _ in range(100):
         b = rand_branch(rng, max_levels=3, max_k=12)
         g = BiPoly({(rng.randint(0, 5), 0): rng.randint(1, 4) for _ in range(3)})
-        vals = [valuation(g, truncation(b, j)) for j in range(1, b.cd.s + 1)]
+        vals = [truncation(b, j).valuation(g) for j in range(1, b.cd.s + 1)]
         for i in range(b.cd.s):
             for j in range(i, b.cd.s):
                 e_i, e_j = b.cd.es[i + 1], b.cd.es[j + 1]
@@ -120,16 +120,3 @@ def test_chain_valuation_table_certified(branch6_tails):
     chain = implicitize_all(branch6_tails, verify=True)
     assert chain.table is not None and chain.table.ok
 
-
-def test_fast_valuation_agrees_with_full():
-    rng = random.Random(0xD4)
-    for _ in range(300):
-        b = rand_branch(rng, max_levels=2, max_k=9)
-        p = truncation(b, rng.randint(1, b.cd.s))
-        f = rand_bipoly(rng, 4, 4)
-        assert valuation(f, p, fast=True) == valuation(f, p)
-    # a cancelling pair exercises the fallback
-    b = rand_branch(random.Random(1), max_levels=1)
-    p = truncation(b, 1)
-    f = BiPoly({(0, 1): 1}) - BiPoly({(0, 1): 1, (9, 9): 1})
-    assert valuation(f, p, fast=True) == valuation(f, p)

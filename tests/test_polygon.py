@@ -92,7 +92,7 @@ def test_lattice_slice_matches_naive_random():
 
 def test_slice_tuples_hit_exact_valuation(branch12):
     # every returned tuple's basis product has pullback order exactly n
-    from curvelift import implicitize_all, valuation
+    from curvelift import implicitize_all
     chain = implicitize_all(branch12, verify=False)
     i = 2
     p = truncation(branch12, i)
@@ -101,4 +101,4 @@ def test_slice_tuples_hit_exact_valuation(branch12):
                    bound=6 * p.yt.degree())
     for alpha, b0, b1 in lattice_slice(q):
         prod = BiPoly.monomial(alpha, b0) * chain.fs[0] ** b1
-        assert valuation(prod, p) == 57
+        assert p.valuation(prod) == 57

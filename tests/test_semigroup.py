@@ -1,14 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from curvelift import (conductor_bound, extract_characteristics,
-                       from_characteristics, generators, group_member,
-                       identity_suite, normal_form, recombine,
-                       scale_relation_check, semigroup_member)
+from curvelift import (conductor_bound, extract_characteristics, generators,
+                       group_member, identity_suite, normal_form, recombine,
+                       semigroup_member)
 from curvelift.errors import NotInGroupError
-from helpers import brute_capped_forms, brute_semigroup_1d, brute_semigroup_nd, rand_branch
+from helpers import brute_capped_forms, brute_semigroup_1d, rand_branch
 
 
 def cd_of(k, support):
@@ -26,37 +24,24 @@ def test_generators_reference_sets():
     assert generators(cd3, 2).generators_list() == [6, 8, 25]
 
 
-def test_scale_relation():
-    cd = cd_of(12, {18, 20, 23})
-    top = generators(cd, 3)
-    assert scale_relation_check(top, generators(cd, 2))
-    assert scale_relation_check(top, generators(cd, 1))
-    assert scale_relation_check(top, top)
-    cd2 = cd_of(6, {9, 16})
-    assert scale_relation_check(generators(cd2, 2), generators(cd2, 1))
-    # different characteristic data must not pass
-    assert not scale_relation_check(generators(cd_of(6, {8, 9}), 2),
-                                    generators(cd2, 1))
-
-
 def test_normal_form_reference_values():
     sd = generators(cd_of(6, {9, 16}), 2)          # (6; 9, 25), caps (2, 3)
     nf = normal_form(75, sd)
-    assert nf.alpha == (11,) and nf.betas == (1, 0)
-    assert brute_capped_forms(75, sd) == [((11,), (1, 0))]
+    assert nf.alpha == 11 and nf.betas == (1, 0)
+    assert brute_capped_forms(75, sd) == [(11, (1, 0))]
 
-    nf = normal_form(sd.gamma[0][0], sd)           # a = gamma_1
-    assert nf.alpha == (0,) and nf.betas == (1, 0)
+    nf = normal_form(sd.gamma[0], sd)              # a = gamma_1
+    assert nf.alpha == 0 and nf.betas == (1, 0)
 
 
 def test_normal_form_conductor_window_689():
     sd = generators(cd_of(6, {8, 9}), 2)           # (6; 8, 25), caps (3, 2)
-    c = conductor_bound(sd)[0]
+    c = conductor_bound(sd)
     assert c == 2 * 8 + 1 * 25 == 41
     nf = normal_form(41, sd)
-    assert nf.alpha == (0,) and nf.betas == (2, 1)
+    assert nf.alpha == 0 and nf.betas == (2, 1)
     for a in range(41, 242):
-        assert normal_form(a, sd).alpha[0] >= 0
+        assert normal_form(a, sd).alpha >= 0
         assert semigroup_member(a, sd)
 
 
@@ -66,7 +51,7 @@ def test_group_and_semigroup_membership():
     sd2 = generators(cd_of(12, {18, 20, 23}), 2)   # (6; 9, 19)
     assert semigroup_member(25, sd2)
     with pytest.raises(NotInGroupError):
-        normal_form((1,), generators(cd_of(6, {9, 16}), 1), upto=0)
+        normal_form(1, generators(cd_of(6, {9, 16}), 1), upto=0)
 
 
 def test_semigroup_member_matches_brute_force_689():
@@ -87,7 +72,7 @@ def test_identity_suite_reference():
     rep2 = identity_suite(sd2)
     assert rep2.ok
     # (D) with i = 1: e_0*gamma_2 - e_1*gamma_1 = 25 - 18 = 7 > 0
-    assert sd2.es[0] * sd2.gamma[1][0] - sd2.es[1] * sd2.gamma[0][0] == 7
+    assert sd2.es[0] * sd2.gamma[1] - sd2.es[1] * sd2.gamma[0] == 7
 
 
 def test_identity_suite_alt_generator_at_base():
@@ -95,48 +80,8 @@ def test_identity_suite_alt_generator_at_base():
     for k, sup in ((12, {18, 20, 23}), (6, {8, 9}), (30, {36, 45, 50})):
         cd = cd_of(k, sup)
         sd = generators(cd, cd.s)
-        assert sd.gamma[0][0] == int(cd.lambdas[0] * sd.free)
+        assert sd.gamma[0] == int(cd.lambdas[0] * sd.free)
         assert identity_suite(sd).ok
-
-
-# --- general dimension ------------------------------------------------------
-
-N2_FAMILIES = [
-    # lambda vectors, expected caps
-    (((Fraction(3, 2), Fraction(1, 2)), (Fraction(7, 4), Fraction(3, 4))), (2, 2)),
-    (((Fraction(5, 3), Fraction(1, 3)), (Fraction(11, 6), Fraction(1, 2))), (3, 6)),
-]
-
-
-@pytest.mark.parametrize("lams,caps", N2_FAMILIES)
-def test_dimension_two_descriptor(lams, caps):
-    sd = from_characteristics(lams)
-    assert sd.dim == 2 and sd.ks == caps
-    assert identity_suite(sd).ok
-
-
-@pytest.mark.parametrize("lams,caps", N2_FAMILIES)
-def test_dimension_two_membership_and_normal_form(lams, caps):
-    rng = random.Random(0xC0)
-    sd = from_characteristics(lams)
-    gens = [(sd.free, 0), (0, sd.free)] + list(sd.gamma)
-    box = (90, 90)
-    reach = brute_semigroup_nd(gens, box)
-    for _ in range(300):
-        v = (rng.randint(0, box[0]), rng.randint(0, box[1]))
-        assert semigroup_member(v, sd) == (v in reach)
-        if group_member(v, sd):
-            nf = normal_form(v, sd)
-            assert recombine(nf, sd) == v
-            assert all(0 <= b < kj for b, kj in zip(nf.betas, sd.ks))
-            assert brute_capped_forms(v, sd) == [(nf.alpha, nf.betas)]
-
-
-def test_from_characteristics_dimension_one_agrees():
-    cd = cd_of(12, {18, 20, 23})
-    sd = from_characteristics([(lam,) for lam in cd.lambdas])
-    assert sd.generators_list() == generators(cd, 3).generators_list()
-    assert sd.ks == cd.ks
 
 
 def test_normal_form_roundtrip_random():
@@ -146,9 +91,9 @@ def test_normal_form_roundtrip_random():
         sd = generators(b.cd, rng.randint(1, b.cd.s))
         a = sd.free * rng.randint(-4, 8)
         for g, w in zip(sd.gamma, range(sd.level)):
-            a += rng.randint(-3, 5) * g[0]
+            a += rng.randint(-3, 5) * g
         nf = normal_form(a, sd)
-        assert recombine(nf, sd) == (a,)
+        assert recombine(nf, sd) == a
         assert all(0 <= bb < kj for bb, kj in zip(nf.betas, sd.ks))
         assert brute_capped_forms(a, sd) == [(nf.alpha, nf.betas)]
 
@@ -158,8 +103,15 @@ def test_conductor_window_random():
     for _ in range(200):
         b = rand_branch(rng, max_levels=2, max_k=9)
         sd = generators(b.cd, b.cd.s)
-        c = conductor_bound(sd)[0]
-        top = c + sd.free * max(g[0] for g in sd.gamma)
+        c = conductor_bound(sd)
+        top = c + sd.free * max(sd.gamma)
         for a in range(c, top + 1):
             if group_member(a, sd):
                 assert semigroup_member(a, sd)
+
+
+def test_membership_rejects_tuples():
+    sd = generators(cd_of(6, {9, 16}), 2)
+    for fn in (normal_form, semigroup_member, group_member):
+        with pytest.raises(TypeError):
+            fn((75,), sd)
