@@ -57,6 +57,14 @@ def _norm_coeff(c) -> Coeff:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _norm_values(c: dict) -> dict:
+    """Collapse the integral fractions among c's values to int, in place."""
+    for key, v in c.items():
+        if type(v) is not int and v.denominator == 1:
+            c[key] = v.numerator
+    return c
+
+
 def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     """Exact a/b over the rationals."""
     if not b:
@@ -82,7 +90,7 @@ class UniPoly:
         for e, v in items:
             if type(e) is not int or e < 0:
                 raise ValueError(f"exponent must be a non-negative int, got {e!r}")
-            v = c.get(e, 0) + _norm_coeff(v)
+            v = _norm_coeff(c.get(e, 0) + _norm_coeff(v))
             if v:
                 c[e] = v
             else:
@@ -153,7 +161,7 @@ class UniPoly:
         for e, v in b.items():
             w = out.get(e, 0) + v
             if w:
-                out[e] = w
+                out[e] = _norm_coeff(w)
             else:
                 del out[e]
         return UniPoly._raw(out)
@@ -165,7 +173,7 @@ class UniPoly:
         for e, v in other._c.items():
             w = out.get(e, 0) - v
             if w:
-                out[e] = w
+                out[e] = _norm_coeff(w)
             else:
                 del out[e]
         return UniPoly._raw(out)
@@ -186,7 +194,7 @@ class UniPoly:
                         out[e] = w
                     else:
                         del out[e]
-            return UniPoly._raw(out)
+            return UniPoly._raw(_norm_values(out))
         if isinstance(other, (int, Fraction)):
             s = _norm_coeff(other)
             if not s:
@@ -233,7 +241,7 @@ class BiPoly:
             if type(a) is not int or type(b) is not int or a < 0 or b < 0:
                 raise ValueError(f"exponent pair must be non-negative ints, got {key!r}")
             key = (a, b)
-            v = c.get(key, 0) + _norm_coeff(v)
+            v = _norm_coeff(c.get(key, 0) + _norm_coeff(v))
             if v:
                 c[key] = v
             else:
@@ -339,7 +347,7 @@ class BiPoly:
         for k, v in b.items():
             w = out.get(k, 0) + v
             if w:
-                out[k] = w
+                out[k] = _norm_coeff(w)
             else:
                 del out[k]
         return BiPoly._raw(out)
@@ -351,7 +359,7 @@ class BiPoly:
         for k, v in other._c.items():
             w = out.get(k, 0) - v
             if w:
-                out[k] = w
+                out[k] = _norm_coeff(w)
             else:
                 del out[k]
         return BiPoly._raw(out)
@@ -372,7 +380,7 @@ class BiPoly:
                         out[k] = w
                     else:
                         del out[k]
-            return BiPoly._raw(out)
+            return BiPoly._raw(_norm_values(out))
         if isinstance(other, (int, Fraction)):
             s = _norm_coeff(other)
             if not s:

@@ -10,14 +10,15 @@ exponent lattices
 
     M_i = Z + Z*lambda_1 + ... + Z*lambda_i = (1/e_i) Z.
 
-The remaining terms split into per-level tails phi_i constrained to
+The remaining terms split into per-level tails phi_i with
 ord(phi_i) > k*lambda_i, deg(phi_i) < k*lambda_{i+1} and
-Supp(phi_i) in k*M_i.
+Supp(phi_i) in k*M_i. These hold by construction: split_tails files each
+tail term strictly between k*lambda_i and k*lambda_{i+1}, and a term that
+is not a gcd drop is divisible by k/e_i, so it lies in k*M_i.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -29,7 +30,6 @@ from .errors import (
     IntegerExponentError,
     NonPrimitiveError,
     TailOrderViolationError,
-    TailOutsideLatticeError,
 )
 
 
@@ -162,51 +162,16 @@ def split_tails(cd: CharData, terms):
     return tuple(cs), tuple(UniPoly(d) for d in phis)
 
 
-def check_tail_split(cd: CharData, cs, phis, lenient: bool = False) -> None:
-    """Verify a per-level split against the tail conditions.
-
-    Checks, for each level i: c_i != 0; every tail exponent lies in
-    k*M_i; ord(phi_i) > k*lambda_i; and deg(phi_i) < k*lambda_{i+1} for
-    i < s. With ``lenient`` the degree-window violation only warns (such
-    a split can be repaired by re-splitting into later tails).
-    """
-    k = cd.k
-    if len(cs) != cd.s or len(phis) != cd.s:
-        raise ValueError("split has wrong number of levels")
-    for i in range(1, cd.s + 1):
-        if not cs[i - 1]:
-            raise ValueError(f"vanishing leading coefficient c_{i}")
-        phi = phis[i - 1]
-        if phi.is_zero:
-            continue
-        klam = cd.lambdas[i - 1] * k
-        for e, _ in phi.terms():
-            if not in_lattice(Fraction(e, k), i, cd):
-                raise TailOutsideLatticeError(
-                    f"tail exponent {e} at level {i} is outside k*M_{i}")
-        if phi.order() <= klam:
-            raise TailOrderViolationError(
-                f"ord(phi_{i}) = {phi.order()} <= k*lambda_{i} = {klam}")
-        if i < cd.s:
-            klam_next = cd.lambdas[i] * k
-            if phi.degree() >= klam_next:
-                msg = (f"deg(phi_{i}) = {phi.degree()} >= "
-                       f"k*lambda_{i + 1} = {klam_next}")
-                if lenient:
-                    warnings.warn(msg + " (lenient: re-split into later tails)")
-                else:
-                    raise TailOrderViolationError(msg)
-
-
-def validate_branch(b: BranchInput, lenient: bool = False) -> Branch:
+def validate_branch(b: BranchInput) -> Branch:
     """Validate a raw parametrization and derive its characteristic data.
 
-    Rejects terms with exponent divisible by k (the normalized coordinates
-    carry no integer-exponent monomials) and non-primitive inputs; then
-    extracts CharData, derives the split and re-checks the tail conditions.
+    Re-runs BranchInput.from_terms, so an instance built directly gets the
+    same checks. Rejects terms with exponent divisible by k (the normalized
+    coordinates carry no integer-exponent monomials) and non-primitive
+    inputs; then extracts CharData and derives the split, which meets the
+    tail conditions by construction.
     """
-    if not b.terms:
-        raise EmptySupportError("the parametrization has no terms")
+    b = BranchInput.from_terms(b.k, b.terms)
     for e, _ in b.terms:
         if e % b.k == 0:
             raise IntegerExponentError(
@@ -214,5 +179,4 @@ def validate_branch(b: BranchInput, lenient: bool = False) -> Branch:
                 f"monomials must be removed by a coordinate change")
     cd = extract_characteristics(b.k, [e for e, _ in b.terms])
     cs, phis = split_tails(cd, b.terms)
-    check_tail_split(cd, cs, phis, lenient=lenient)
     return Branch(k=b.k, terms=b.terms, cd=cd, cs=cs, phis=phis)

@@ -124,8 +124,8 @@ def load_curve(path) -> CurveFile:
     return cf
 
 
-def branch_from_file(cf: CurveFile, lenient: bool = False) -> Branch:
-    return validate_branch(BranchInput.from_terms(cf.k, cf.terms), lenient=lenient)
+def branch_from_file(cf: CurveFile) -> Branch:
+    return validate_branch(BranchInput.from_terms(cf.k, cf.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def _levels(level: int, s: int):
 
 def cmd_validate(args) -> int:
     cf = load_curve(args.file)
-    branch = branch_from_file(cf, lenient=args.lenient)
+    branch = branch_from_file(cf)
     cd = branch.cd
     if args.json:
         doc = {
@@ -292,7 +292,7 @@ def cmd_validate(args) -> int:
 
 def cmd_semigroup(args) -> int:
     cf = load_curve(args.file)
-    branch = branch_from_file(cf, lenient=args.lenient)
+    branch = branch_from_file(cf)
     cd = branch.cd
     if args.json:
         doc = {"name": cf.name,
@@ -308,7 +308,7 @@ def cmd_semigroup(args) -> int:
 
 def cmd_polygon(args) -> int:
     cf = load_curve(args.file)
-    branch = branch_from_file(cf, lenient=args.lenient)
+    branch = branch_from_file(cf)
     docs = []
     for i in _levels(args.level, branch.cd.s):
         pd = polygon_desc(branch, i)
@@ -332,10 +332,8 @@ def cmd_polygon(args) -> int:
 
 def _chain_for(args, verify: bool) -> tuple[CurveFile, LiftChain]:
     cf = load_curve(args.file)
-    branch = branch_from_file(cf, lenient=getattr(args, "lenient", False))
-    chain = implicitize_all(branch, verify=verify,
-                            oracle_bound=getattr(args, "oracle_bound",
-                                                 DEFAULT_ORACLE_BOUND))
+    branch = branch_from_file(cf)
+    chain = implicitize_all(branch, verify=verify, oracle_bound=args.oracle_bound)
     return cf, chain
 
 
@@ -418,8 +416,6 @@ def main(argv=None) -> int:
 
     def add_common(p, oracle=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--lenient", action="store_true",
-                       help="warn instead of failing on tail-window violations")
         if oracle:
             p.add_argument("--no-verify", action="store_true",
                            help="skip certificate evaluation")

@@ -24,10 +24,6 @@ class IntegerExponentError(CurveLiftError):
     normalization that removes integer-exponent monomials."""
 
 
-class TailOutsideLatticeError(CurveLiftError):
-    """A tail term's exponent lies outside the lattice of its level."""
-
-
 class TailOrderViolationError(CurveLiftError):
     """A tail violates the order/degree window of its level."""
 
@@ -56,7 +52,12 @@ class DegreeOutOfRangeError(CurveLiftError):
     """deg_y of the input is too large for the requested decomposition."""
 
 
-# --- elimination loop -------------------------------------------------------
+# --- internal invariants and the elimination loop ---------------------------
+
+class InvariantError(CurveLiftError):
+    """An internal consistency check failed: corrupt data or a bug. Raised
+    instead of asserting, so the check also runs under ``python -O``."""
+
 
 class EmptySliceError(CurveLiftError):
     """The lattice slice is empty while the valuation is still finite;

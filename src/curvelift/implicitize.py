@@ -1,6 +1,6 @@
 """The elimination driver: lift defining equations level by level.
 
-Level i starts from g = f_{i-1}**k_i, whose pullback along the level-i
+Level i starts from g = f_{i-1}**k_i, whose pullback u along the level-i
 truncation has finite order n. Every surviving order is a value-semigroup
 member, so the slice enumeration returns basis tuples
 (alpha, beta_0, ..., beta_{i-1}) whose products
@@ -8,16 +8,16 @@ member, so the slice enumeration returns basis tuples
     P = x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}
 
 hit order n exactly; adding a * P with the unique coefficient a that kills
-the t**n term strictly raises the order. The loop ends when the pullback
-vanishes identically, which the support bound forces after finitely many
-steps. The result, normalized monic in y, is the level-i equation f_i; it
-is unique up to a scalar, so the choice of slice element (lexicographically
-smallest by default) cannot change it.
+the t**n term strictly raises the order. Only u, n and the slice decide
+anything, so the loop runs on the pullback alone and logs each (n, P, a);
+it ends when u vanishes, which the support bound forces after finitely
+many steps. The log is a basis decomposition of delta_i, summed once at
+the end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so the choice of
+slice element (lexicographically smallest by default) cannot change it.
 
 On the first iteration the tuple (0, ..., 0, k_i) is excluded: it is g
-itself. The correction delta_i = f_i - f_{i-1}**k_i never touches the apex
-(0, e_i) - any other slice tuple has order above e_i - so f_i stays monic
-throughout.
+itself. Any other slice tuple has order above e_i, so delta_i never
+touches the apex (0, e_i) and f_i is monic by construction.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from dataclasses import dataclass, fields
 
 from .algebra import INFINITY, BiPoly, Coeff, PowerChain, UniPoly, coeff_div
 from .chardata import Branch
-from .errors import EmptySliceError, IterationBudgetError, OracleBoundError
+from .errors import (EmptySliceError, InvariantError, IterationBudgetError,
+                     OracleBoundError)
 from .oracle import DEFAULT_ORACLE_BOUND, resultant_implicitize
 from .parametrize import ValuationTable, truncation, valuation_table
 from .polygon import SliceQuery, lattice_slice, polygon_contains, polygon_desc
 from .semigroup import generators, semigroup_member
-from .weierstrass import is_weierstrass
+from .weierstrass import basis_reconstruct, is_weierstrass
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1}.
 
     ``pivot_rule`` picks the slice element to solve for: "min" the
-    lexicographically smallest (default), "max" the largest. The final
-    monic f_i does not depend on the rule.
+    lexicographically smallest (default), "max" the largest. The monic
+    f_i does not depend on the rule.
     """
     cd = branch.cd
     if not 1 <= i <= cd.s:
@@ -108,13 +109,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     if pivot_rule not in ("min", "max"):
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     k_i = cd.ks[i - 1]
-    e_i = cd.es[i]
     p = truncation(branch, i)
 
-    # basis data: f_0 = y, then the previous chain polynomials
-    basis: list[BiPoly] = [BiPoly.y()] + [fs[l] for l in range(i - 1)]
-    pullbacks = [p.pullback(f) for f in basis]
-    bi_pows = [PowerChain(f, BiPoly.one()) for f in basis]
+    # pullbacks of the basis: f_0 = y, then the previous chain polynomials
+    pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs[:i - 1])]
     uni_pows = [PowerChain(u, UniPoly.one()) for u in pullbacks]
 
     # slice data: sg = pullback orders, ls = pullback degrees of
@@ -124,12 +122,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * pullbacks[0].degree()
 
-    g = bi_pows[-1].get(k_i)
     u = uni_pows[-1].get(k_i)
 
     budget = bound - p.e * int(p.e * cd.lambdas[0]) + 1
     log: list[IterationRecord] = []
-    first = True
     while True:
         n = u.order()
         if n is INFINITY:
@@ -138,7 +134,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
             raise IterationBudgetError(
                 f"level {i}: more than {budget} iterations; internal error")
         query = SliceQuery(n=n, sg=sg, ls=ls, bound=bound)
-        exclude = ((0,) * i + (k_i,)) if first else None
+        exclude = None if log else (0,) * i + (k_i,)
         slab = lattice_slice(query, exclude=exclude)
         if not slab:
             raise EmptySliceError(
@@ -147,25 +143,24 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
 
         alpha, betas = pivot[0], pivot[1:]
         u_p = UniPoly.t(p.e * alpha)
-        g_p = BiPoly.x(alpha) if alpha else BiPoly.one()
         for l, b in enumerate(betas):
             if b:
                 u_p = u_p * uni_pows[l].get(b)
-                g_p = g_p * bi_pows[l].get(b)
         p_n = u_p.coeff(n)
-        assert p_n, "basis product must hit order n exactly"
+        if not p_n:
+            raise InvariantError(
+                f"level {i}: basis product {pivot} misses order {n}")
         a = coeff_div(-u.coeff(n), p_n)
-        g = g + g_p * a
         u = u + u_p * a
         log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
-        first = False
 
-    lead = g.coeff((0, e_i))
-    assert lead, "apex coefficient vanished; internal error"
-    if lead != 1:
-        g = g * coeff_div(1, lead)
-    delta = g - bi_pows[-1].get(k_i)
-    return g, delta, tuple(log)
+    # f_{i-1}**k_i comes from the same power cache the log's products use
+    bi_pows = [PowerChain(f, BiPoly.one()) for f in fs[:i - 1]]
+    delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], bi_pows)
+    f_i = (bi_pows[-1].get(k_i) if bi_pows else BiPoly.y(k_i)) + delta
+    if f_i.coeff((0, p.e)) != 1:
+        raise InvariantError(f"level {i}: f_{i} is not monic at (0, {p.e})")
+    return f_i, delta, tuple(log)
 
 
 def lift_levels(branch: Branch, pivot_rule: str = "min"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BiPoly, Coeff, coeff_div, sylvester_det
-from .errors import OracleBoundError
+from .errors import InvariantError, OracleBoundError
 from .parametrize import Parametrization
 
 DEFAULT_ORACLE_BOUND = 12
@@ -68,7 +68,9 @@ def resultant_implicitize(p: Parametrization,
     qc[0] = qc.get(0, BiPoly.zero()) + BiPoly.y()
     det = sylvester_det(sylvester_matrix(pc, qc))
     unit = det.coeff((0, e))
-    assert unit, "resultant is not monic-normalizable; internal error"
+    if not unit:
+        raise InvariantError("resultant is not monic-normalizable")
     monic = det if unit == 1 else det * coeff_div(1, unit)
-    assert p.pullback(monic).is_zero, "resultant does not vanish on the branch"
+    if not p.pullback(monic).is_zero:
+        raise InvariantError("resultant does not vanish on the branch")
     return OracleResult(monic=monic, unit=unit, raw=det)

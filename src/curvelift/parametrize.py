@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import BiPoly, PowerChain, UniPoly
 from .chardata import Branch
+from .errors import InvariantError
 from .semigroup import generators
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,9 +37,10 @@ class Parametrization:
         self.level = level
         self.xt = xt
         self.yt = yt
-        (e, c), = xt.terms()
-        assert c == 1, "xt must be a monic monomial t**e"
-        self.e = e
+        terms = list(xt.terms())
+        if len(terms) != 1 or terms[0][1] != 1:
+            raise InvariantError(f"xt must be a monic monomial t**e, got {xt!r}")
+        self.e = terms[0][0]
         self._ypows = PowerChain(yt, UniPoly.one())
 
     def pullback(self, f: BiPoly) -> UniPoly:
@@ -80,8 +82,10 @@ def truncation(branch: Branch, i: int) -> Parametrization:
     g = e_i
     for q in yt:
         g = gcd(g, q)
-    assert g == 1, "truncation lost primitivity (corrupt branch)"
-    assert min(yt) == int(cd.lambdas[0] * e_i), "truncation order drifted"
+    if g != 1:
+        raise InvariantError(f"level {i} truncation lost primitivity (corrupt branch)")
+    if min(yt) != int(cd.lambdas[0] * e_i):
+        raise InvariantError(f"level {i} truncation order drifted (corrupt branch)")
     return Parametrization(level=i, xt=UniPoly.t(e_i), yt=UniPoly(yt))
 
 
@@ -134,7 +138,8 @@ def valuation_table(chain: "LiftChain", branch: Branch) -> ValuationTable:
             f_prev = BiPoly.y() if i == 1 else chain.fs[i - 2]
             gamma_ij = sd.gamma[i - 1]
             e_lam = Fraction(e_j) * cd.lambdas[i - 1]
-            assert e_lam.denominator == 1
+            if e_lam.denominator != 1:
+                raise InvariantError(f"e_{j}*lambda_{i} = {e_lam} is not an integer")
             rows.append(TableRow(
                 i=i, j=j,
                 value=p.valuation(f_prev),

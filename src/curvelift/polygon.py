@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chardata import Branch
+from .errors import InvariantError
 
 
 def mu(branch: Branch, i: int) -> Fraction:
@@ -39,7 +40,8 @@ def mu(branch: Branch, i: int) -> Fraction:
         return cd.lambdas[i - 1]
     e_i, k = cd.es[i], cd.k
     q, r = divmod(phi.degree() * e_i, k)
-    assert r == 0, "tail degree outside the level lattice"
+    if r:
+        raise InvariantError(f"level {i} tail degree outside the level lattice")
     return Fraction(q, e_i)
 
 
@@ -92,9 +94,11 @@ class SliceQuery:
     bound: int
 
     def __post_init__(self):
-        assert len(self.sg) == len(self.ls)
-        assert all(w > 0 for w in self.sg)
-        assert all(l >= w for w, l in zip(self.sg, self.ls))
+        if not (len(self.sg) == len(self.ls) and all(w > 0 for w in self.sg)
+                and all(l >= w for w, l in zip(self.sg, self.ls))):
+            raise InvariantError(
+                f"slice weights need len(sg) == len(ls) and 0 < sg <= ls, "
+                f"got sg={self.sg}, ls={self.ls}")
 
 
 def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None

@@ -10,14 +10,15 @@ of it sit two decompositions used throughout the elimination machinery:
 * the full basis decomposition flattening g into exact rational multiples
   of  x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}.
 
-Both are unique, and both reconstruct their input exactly.
+Both are unique, and both reconstruct their input exactly; lift sums its
+iteration log, a list of basis terms, into delta_i with basis_reconstruct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BiPoly, Coeff
+from .algebra import BiPoly, Coeff, PowerChain
 from .errors import DegreeOutOfRangeError, DegreeTooSmallError, NotWeierstrassError
 
 
@@ -153,13 +154,17 @@ def basis_decompose(g: BiPoly, chain, i: int) -> list[BasisTerm]:
     return terms
 
 
-def basis_reconstruct(terms: list[BasisTerm], chain, i: int) -> BiPoly:
+def basis_reconstruct(terms: list[BasisTerm], fs) -> BiPoly:
+    """Sum c * x**alpha * y**beta_0 * f_1**beta_1 * ... over the terms. ``fs``
+    holds f_1, ..., f_{i-1}, or PowerChains over them whose powers the caller
+    shares; c scales each product last, keeping it out of the convolutions."""
+    pows = [f if isinstance(f, PowerChain) else PowerChain(f, BiPoly.one())
+            for f in fs]
     total = BiPoly.zero()
     for c, exps in terms:
-        alpha, beta0 = exps[0], exps[1]
-        prod = BiPoly.monomial(alpha, beta0, c)
-        for l, b in enumerate(exps[2:], start=1):
+        prod = BiPoly.monomial(exps[0], exps[1])
+        for l, b in enumerate(exps[2:]):
             if b:
-                prod = prod * chain.fs[l - 1] ** b
-        total = total + prod
+                prod = prod * pows[l].get(b)
+        total = total + prod * c
     return total

@@ -119,7 +119,7 @@ def suite_division_roundtrips(seed=0x57, cases=200):
             dec = adic_decompose(h, chain, i)
             assert adic_reconstruct(dec, chain) == h
             terms = basis_decompose(h, chain, i)
-            assert basis_reconstruct(terms, chain, i) == h
+            assert basis_reconstruct(terms, chain.fs[:i - 1]) == h
 
 
 def suite_increasing_orders(seed=0x58, cases=200):

@@ -3,15 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from curvelift import BranchInput, extract_characteristics, in_lattice, validate_branch
-from curvelift.chardata import check_tail_split, split_tails
-from curvelift.errors import (EmptySupportError, IntegerExponentError,
-                              NonPrimitiveError, TailOrderViolationError,
-                              TailOutsideLatticeError)
+from curvelift.chardata import split_tails
+from curvelift.errors import EmptySupportError, IntegerExponentError, NonPrimitiveError
 from curvelift.algebra import UniPoly
 from helpers import rand_branch
 
@@ -88,20 +87,12 @@ def test_validate_rejects_integer_exponent():
         validate_branch(BranchInput.from_terms(4, {6: 1, 8: 1}))
 
 
-def test_check_tail_split_rejects_doctored_splits():
-    cd = extract_characteristics(6, {9, 16})
-    # exponent 14 is not in 6*M_1 = 3Z
-    with pytest.raises(TailOutsideLatticeError):
-        check_tail_split(cd, (1, 1), (UniPoly({14: 1}), UniPoly.zero()))
-    # tail at level 1 reaching past k*lambda_2 = 16 violates the window
-    with pytest.raises(TailOrderViolationError):
-        check_tail_split(cd, (1, 1), (UniPoly({21: 1}), UniPoly.zero()))
-    with pytest.warns(UserWarning):
-        check_tail_split(cd, (1, 1), (UniPoly({21: 1}), UniPoly.zero()),
-                         lenient=True)
-    # ord(phi_1) <= k*lambda_1 = 9
-    with pytest.raises(TailOrderViolationError):
-        check_tail_split(cd, (1, 1), (UniPoly({9: 1}), UniPoly.zero()))
+def test_validate_checks_directly_built_input():
+    # BranchInput(...) skips from_terms; a zero c_i or a repeated exponent
+    # must still be rejected before the lift
+    for k, terms in ((2, ((3, 0),)), (6, ((9, 1), (10, 0))), (2, ((3, 1), (3, 2)))):
+        with pytest.raises(ValueError):
+            validate_branch(BranchInput(k=k, terms=terms))
 
 
 def test_product_of_ks_is_k_random():
@@ -142,8 +133,17 @@ def test_split_roundtrip():
     assert rebuilt == total
 
 
+def _run_optimized(code: str) -> str:
+    """stdout of ``code`` run under ``python -O``, where bare asserts vanish."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    return out.stdout
+
+
 def test_chardata_rejects_inconsistent_chains_under_optimize():
-    # es must run 1, k_1, k_1*k_2, ... up to k; a bare assert would vanish under -O
+    # es must run 1, k_1, k_1*k_2, ... up to k
     code = ("from fractions import Fraction\n"
             "from curvelift.chardata import CharData\n"
             "from curvelift.errors import InconsistentCharDataError\n"
@@ -151,8 +151,54 @@ def test_chardata_rejects_inconsistent_chains_under_optimize():
             "    CharData(k=4, lambdas=(Fraction(3, 2),), ks=(2,), es=(1,))\n"
             "except InconsistentCharDataError:\n"
             "    print('rejected')\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
-                         check=True)
-    assert out.stdout == "rejected\n"
+    assert _run_optimized(code) == "rejected\n"
+
+
+def test_slice_query_rejects_bad_weights_under_optimize():
+    # a zero weight would make the slice enumeration divide by zero
+    code = ("from curvelift.polygon import SliceQuery\n"
+            "from curvelift.errors import InvariantError\n"
+            "try:\n"
+            "    SliceQuery(n=5, sg=(2, 0), ls=(2, 3), bound=9)\n"
+            "except InvariantError:\n"
+            "    print('rejected')\n")
+    assert _run_optimized(code) == "rejected\n"
+
+
+def test_validated_branches_meet_tail_conditions():
+    # the tail conditions are not re-checked after the split: they must hold
+    # by construction on every branch validate_branch accepts
+    rng = random.Random(0xB3)
+    accepted = 0
+    for _ in range(5000):
+        k = rng.randint(2, 12)
+        exps = rng.sample(range(1, 4 * k), rng.randint(1, 5))
+        raw = BranchInput.from_terms(k, {m: rng.choice((-2, -1, 1, F(3, 2)))
+                                         for m in exps})
+        try:
+            b = validate_branch(raw)
+        except (IntegerExponentError, NonPrimitiveError):
+            assert any(m % k == 0 for m in exps) or gcd(k, *exps) > 1
+            continue
+        accepted += 1
+        terms = dict(raw.terms)
+        # characteristic exponents m_i and e_i, read off the running gcd
+        g, chars, es = k, [], [1]
+        for m in sorted(exps):
+            if gcd(g, m) < g:
+                chars.append(m)
+                es.append(k // gcd(g, m))
+                g = gcd(g, m)
+        assert [int(lam * k) for lam in b.cd.lambdas] == chars
+        rebuilt = {}
+        for i, (c, phi) in enumerate(zip(b.cs, b.phis), start=1):
+            assert c != 0 and c == terms[chars[i - 1]]
+            rebuilt[chars[i - 1]] = c
+            for m, v in phi.terms():
+                assert (m * es[i]) % k == 0          # m/k in M_i = (1/e_i) Z
+                assert m > chars[i - 1]              # ord(phi_i) > k*lambda_i
+                if i < len(chars):
+                    assert m < chars[i]              # deg(phi_i) < k*lambda_{i+1}
+                rebuilt[m] = v
+        assert rebuilt == terms                      # the split is a partition
+    assert accepted > 1000

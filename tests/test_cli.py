@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import BiPoly, certify
-from curvelift.cli import doc_rebuild, format_poly, main, parse_curve_text
+from curvelift import BiPoly, basis_reconstruct, certify
+from curvelift.cli import (doc_rebuild, format_poly, main, parse_curve_text,
+                           parse_rational, poly_from_doc)
 from curvelift.errors import CurveFileError
 from curvelift.implicitize import chain_from_polynomials
 
@@ -155,3 +156,20 @@ def test_verify_json_bytes_pinned(capsys):
         code, out = run(capsys, "verify", str(CORPUS / name), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_json_iteration_log_replays(capsys):
+    # the emitted log is a replayable record: summing its basis terms gives
+    # delta_i, and f_{i-1}**k_i + delta_i gives f_i
+    for path in sorted(CORPUS.glob("*.curve")):
+        code, out = run(capsys, "verify", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        fs = [poly_from_doc(level["f"]) for level in doc["levels"]]
+        for i, level in enumerate(doc["levels"], start=1):
+            terms = [(parse_rational(it["coeff"]), tuple(it["pivot"]))
+                     for it in level["iterations"]]
+            delta = poly_from_doc(level["delta"])
+            assert basis_reconstruct(terms, fs[:i - 1]) == delta, (path.name, i)
+            prev = BiPoly.y() if i == 1 else fs[i - 2]
+            assert prev ** doc["ks"][i - 1] + delta == fs[i - 1], (path.name, i)

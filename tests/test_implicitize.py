@@ -104,3 +104,15 @@ def test_random_chains_certify():
         b = rand_branch(rng, max_levels=3, max_k=12)
         chain = implicitize_all(b, verify=True)
         assert chain.ok, (b.k, b.terms)
+
+
+def test_coefficients_are_normalized_random():
+    # algebra's invariant: an integral value is stored as int, never Fraction(n, 1)
+    rng = random.Random(0x11)
+    for _ in range(30):
+        b = rand_branch(rng, max_levels=3, max_k=12)
+        chain = implicitize_all(b, verify=False)
+        for poly in chain.fs + chain.deltas:
+            for _, c in poly.terms():
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
+                    (b.k, b.terms, c)

@@ -1,6 +1,26 @@
+import importlib
+import runpy
+from pathlib import Path
+
 import curvelift
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_all_exports_resolve():
     missing = [name for name in curvelift.__all__ if not hasattr(curvelift, name)]
     assert missing == []
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench wraps these names to trace a run; a renamed or deleted one
+    # would only fail there, under --trace 1
+    entry_points = runpy.run_path(str(SPANS))["ENTRY_POINTS"]
+    assert entry_points
+    for mod_name, attr, _ in entry_points:
+        module = importlib.import_module(f"curvelift.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr, None)), attr

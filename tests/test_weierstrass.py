@@ -154,7 +154,7 @@ def test_basis_reference_example():
     chain = chain12()
     terms = basis_decompose(DELTA2, chain, 2)
     assert terms == [(-2, (5, 1, 1)), (-8, (8, 1, 0)), (1, (10, 0, 0))]
-    assert basis_reconstruct(terms, chain, 2) == DELTA2
+    assert basis_reconstruct(terms, chain.fs[:1]) == DELTA2
     assert basis_decompose(BiPoly.y(), chain, 2) == [(1, (0, 1, 0))]
 
 
@@ -169,7 +169,7 @@ def test_basis_caps_and_roundtrip_random():
         if not g.is_zero and g.deg_y() >= e_i:
             continue
         terms = basis_decompose(g, chain, i)
-        assert basis_reconstruct(terms, chain, i) == g
+        assert basis_reconstruct(terms, chain.fs[:i - 1]) == g
         for _, exps in terms:
             assert len(exps) == i + 1
             assert exps[1] < cd.es[1]
