@@ -1,13 +1,28 @@
 """Exact arithmetic kernel: rationals, sparse polynomials, determinants.
 
-Coefficients are exact rationals. Integral values are stored as plain
-``int`` and everything else as ``fractions.Fraction``; the two mix freely
-under Python's numeric tower, and the integer fast path matters in the
-elimination loop. Polynomials are immutable sparse maps from exponents to
-nonzero coefficients:
+Coefficients are exact rationals: integral values are plain ``int`` and
+everything else is ``fractions.Fraction``; the two mix freely under
+Python's numeric tower. ``terms()`` and ``coeff()`` of both polynomial
+types return values of that form. Polynomials are immutable.
 
-* ``UniPoly``: exponent ``e >= 0``  ->  coefficient   (polynomials in t)
-* ``BiPoly``:  pair ``(a, b)``      ->  coefficient   (a = x-power, b = y-power)
+``BiPoly`` is a sparse map from pairs ``(a, b)`` (a = x-power, b =
+y-power) to nonzero coefficients, stored in that form.
+
+``UniPoly`` (polynomials in t) stores one denominator ``_d > 0`` and a
+map ``_c`` from exponents ``e >= 0`` to nonzero integer numerators; the
+coefficient of t**e is ``_c[e] / _d``. The form is canonical:
+``gcd(_d, *_c.values()) == 1`` and zero is ``({}, 1)``, so equal
+polynomials have equal fields. ``+`` and ``-`` rescale the numerators to
+the lcm of the two denominators, scalar ``*`` scales numerators and
+denominator, and each reduces once with one ``gcd``. A product
+of two polynomials is one bigint multiply (Kronecker substitution): each
+side's numerators become the base-2**w digits of one signed int, and the
+digits of the product are the product's numerators. A product
+coefficient sums at most ``m = min(len(a), len(b))`` terms, each below
+``2**(bits(max|a|) + bits(max|b|))``, so with ``w = bits(max|a|) +
+bits(max|b|) + bits(m) + 1`` every digit lies strictly between
+``-2**(w-1)`` and ``2**(w-1)``: it never overflows into its neighbour,
+and the digits are read back exactly.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -17,6 +32,7 @@ callers must branch on it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 Coeff = int | Fraction
@@ -80,28 +96,43 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Sparse exact polynomial in a single variable t."""
+    """Sparse exact polynomial in a single variable t, stored as an integer
+    map over one denominator (see the module docstring)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, terms=()):
-        c = {}
+        acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for e, v in items:
             if type(e) is not int or e < 0:
                 raise ValueError(f"exponent must be a non-negative int, got {e!r}")
-            v = _norm_coeff(c.get(e, 0) + _norm_coeff(v))
-            if v:
-                c[e] = v
-            else:
-                c.pop(e, None)
-        self._c = c
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(
+                    f"coefficient must be int or Fraction, got {type(v).__name__}")
+            acc[e] = acc.get(e, 0) + v
+        d = lcm(*(v.denominator for v in acc.values()))
+        self._c = {e: v.numerator * (d // v.denominator)
+                   for e, v in acc.items() if v}
+        self._d = d
 
     @classmethod
-    def _raw(cls, c: dict) -> "UniPoly":
+    def _raw(cls, c: dict, d: int = 1) -> "UniPoly":
         p = object.__new__(cls)
         p._c = c
+        p._d = d
         return p
+
+    @classmethod
+    def _reduced(cls, c: dict, d: int) -> "UniPoly":
+        """The canonical form of c/d: c's nonzero values and d > 0 share no
+        factor."""
+        if d != 1:
+            g = gcd(d, *c.values())
+            if g != 1:
+                c = {e: v // g for e, v in c.items()}
+                d //= g
+        return cls._raw(c, d)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -114,22 +145,20 @@ class UniPoly:
     @classmethod
     def t(cls, exp: int = 1, coeff: Coeff = 1) -> "UniPoly":
         """The monomial coeff * t**exp."""
-        coeff = _norm_coeff(coeff)
-        if not coeff:
-            return cls.zero()
-        if exp < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({exp: coeff})
+        return cls({exp: coeff})
 
     @property
     def is_zero(self) -> bool:
         return not self._c
 
     def terms(self):
-        return self._c.items()
+        d = self._d
+        if d == 1:
+            return self._c.items()
+        return {e: coeff_div(v, d) for e, v in self._c.items()}.items()
 
     def coeff(self, e: int) -> Coeff:
-        return self._c.get(e, 0)
+        return coeff_div(self._c.get(e, 0), self._d)
 
     def order(self):
         """Minimal exponent with nonzero coefficient; INFINITY for 0."""
@@ -141,7 +170,8 @@ class UniPoly:
         return max(self._c)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self._c == other._c
+        return (isinstance(other, UniPoly) and self._d == other._d
+                and self._c == other._c)
 
     __hash__ = None
 
@@ -149,57 +179,45 @@ class UniPoly:
         return bool(self._c)
 
     def __neg__(self):
-        return UniPoly._raw({e: -v for e, v in self._c.items()})
+        return UniPoly._raw({e: -v for e, v in self._c.items()}, self._d)
+
+    def _combine(self, other, sign: int) -> "UniPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        a, da = self._c, self._d
+        b, db = other._c, other._d
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = {e: v * ma for e, v in a.items()} if ma != 1 else dict(a)
+        for e, v in b.items():
+            w = out.get(e, 0) + v * mb
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+        return UniPoly._reduced(out, da * ma)
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for e, v in b.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = _norm_coeff(w)
-            else:
-                del out[e]
-        return UniPoly._raw(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = dict(self._c)
-        for e, v in other._c.items():
-            w = out.get(e, 0) - v
-            if w:
-                out[e] = _norm_coeff(w)
-            else:
-                del out[e]
-        return UniPoly._raw(out)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             a, b = self._c, other._c
             if not a or not b:
                 return UniPoly.zero()
-            if len(a) > len(b):
-                a, b = b, a
-            out = {}
-            for e1, v1 in a.items():
-                for e2, v2 in b.items():
-                    e = e1 + e2
-                    w = out.get(e, 0) + v1 * v2
-                    if w:
-                        out[e] = w
-                    else:
-                        del out[e]
-            return UniPoly._raw(_norm_values(out))
+            return UniPoly._reduced(_kronecker_mul(a, b), self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            s = _norm_coeff(other)
-            if not s:
+            if not other:
                 return UniPoly.zero()
-            return UniPoly._raw({e: _norm_coeff(v * s) for e, v in self._c.items()})
+            s, sd = other.numerator, other.denominator
+            return UniPoly._reduced({e: v * s for e, v in self._c.items()},
+                                    self._d * sd)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -220,8 +238,62 @@ class UniPoly:
     def __repr__(self):
         if not self._c:
             return "UniPoly(0)"
-        bits = [f"{v}*t^{e}" for e, v in sorted(self._c.items())]
+        bits = [f"{v}*t^{e}" for e, v in sorted(self.terms())]
         return "UniPoly(" + " + ".join(bits) + ")"
+
+
+def _kronecker_mul(a: dict, b: dict) -> dict:
+    """The product of two nonzero integer polynomials {exponent: value},
+    as one bigint multiply (Kronecker substitution). Each side is packed
+    from its lowest exponent up; the digit width w, rounded up to whole
+    bytes, is the bound derived in the module docstring."""
+    lo_a, lo_b = min(a), min(b)
+    n_a, n_b = max(a) - lo_a + 1, max(b) - lo_b + 1
+    bits = (max(map(abs, a.values())).bit_length()
+            + max(map(abs, b.values())).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    z = _pack(a, lo_a, n_a, width) * _pack(b, lo_b, n_b, width)
+    return _unpack(z, lo_a + lo_b, n_a + n_b - 1, width)
+
+
+def _pack(c: dict, lo: int, n: int, width: int) -> int:
+    """Sum of c[e] * 256**(width * (e - lo)): the positive and the
+    negative values go into two byte strings, one int each."""
+    pos = bytearray(n * width)
+    neg = None
+    for e, v in c.items():
+        i = (e - lo) * width
+        if v > 0:
+            pos[i:i + width] = v.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(n * width)
+            neg[i:i + width] = (-v).to_bytes(width, "little")
+    z = int.from_bytes(pos, "little")
+    return z if neg is None else z - int.from_bytes(neg, "little")
+
+
+def _unpack(z: int, lo: int, n: int, width: int) -> dict:
+    """The n signed base-256**width digits of z, as {lo + k: digit}
+    without the zero digits; the inverse of _pack."""
+    raw = z.to_bytes(n * width, "little", signed=True)
+    half = 1 << (8 * width - 1)
+    base = half << 1
+    from_bytes = int.from_bytes
+    out = {}
+    borrow = 0
+    for k in range(n):
+        i = k * width
+        v = from_bytes(raw[i:i + width], "little") + borrow
+        if v >= half:
+            v -= base
+            borrow = 1
+        else:
+            borrow = 0
+        if v:
+            out[lo + k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -417,8 +417,6 @@ def main(argv=None) -> int:
     def add_common(p, oracle=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if oracle:
-            p.add_argument("--no-verify", action="store_true",
-                           help="skip certificate evaluation")
             p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
                            help="max level degree for the resultant oracle")
 
@@ -441,6 +439,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("implicitize", help="compute the equation chain")
     p.add_argument("file")
     p.add_argument("--level", type=int, default=0)
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip certificate evaluation")
     add_common(p, oracle=True)
     p.set_defaults(func=cmd_implicitize)
 

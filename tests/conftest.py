@@ -3,6 +3,10 @@ from pathlib import Path
 
 import pytest
 
+# helpers and property_suites are plain modules, not test modules: without
+# this their asserts are not rewritten and ``python -O`` strips them
+pytest.register_assert_rewrite("property_suites", "helpers")
+
 from curvelift import BranchInput, certify, implicitize_all, validate_branch
 from curvelift.cli import branch_from_file, load_curve
 

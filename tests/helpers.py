@@ -81,6 +81,16 @@ def rand_unipoly(rng, max_exp=8, max_terms=4):
 # naive oracles
 # ---------------------------------------------------------------------------
 
+def naive_uni_mul(a: UniPoly, b: UniPoly) -> dict:
+    """Coefficients {exponent: nonzero value} of a*b by schoolbook
+    convolution over the exact coefficients."""
+    out = {}
+    for e1, v1 in a.terms():
+        for e2, v2 in b.terms():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
 def naive_det(m: list[list[BiPoly]]) -> BiPoly:
     """Cofactor expansion along the first row; fine up to ~7x7."""
     n = len(m)

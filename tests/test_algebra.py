@@ -5,7 +5,7 @@ import pytest
 
 from curvelift import (INFINITY, BiPoly, UniPoly, bipoly_compose, bipoly_exact_div,
                        sylvester_det)
-from helpers import naive_det, rand_bipoly, rand_unipoly
+from helpers import naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 
 def test_uni_order_basic():
@@ -59,6 +59,85 @@ def test_partial_y():
 def test_deg_y_sentinel():
     assert BiPoly.zero().deg_y() is INFINITY
     assert BiPoly({(2, 5): 1, (9, 1): 3}).deg_y() == 5
+
+
+def _wide_unipoly(rng):
+    """An operand for the multiply kernel: zero, one term, or a dense or
+    sparse span of up to 300 terms; heights up to 2**200, either sign,
+    integer or rational with several denominators."""
+    n = rng.choice((0, 1, 1, 2, 3, 7, 16, 40, 120, 300))
+    gap = rng.choice((1, 1, 2, 30, 1000) if n <= 40 else (1, 1, 2))
+    bits = rng.choice((1, 8, 64, 200))
+    dens = rng.choice(((1,), (1,), (2, 3), (1, 7, 12), (5, 1 << 70)))
+    terms, e = {}, rng.randint(0, 50)
+    for _ in range(n):
+        v = rng.randint(1, 1 << bits) * rng.choice((1, -1))
+        terms[e] = Fraction(v, rng.choice(dens))
+        e += rng.randint(1, gap)
+    return UniPoly(terms)
+
+
+def _edge_pairs():
+    """Products whose middle digits cancel to zero, borrow, or come
+    closest to the bound on the digit width."""
+    h = 1 << 200
+    q = Fraction(h, 3)
+    yield UniPoly({0: h, 1: h}), UniPoly({0: h, 1: -h})          # h^2 (1 - t^2)
+    yield UniPoly({0: q, 1: q}), UniPoly({0: Fraction(7, h + 1), 1: Fraction(-7, h + 1)})
+    yield UniPoly({0: 1, 1: -1}), UniPoly({0: 1, 1: -1})          # 1 - 2t + t^2
+    yield UniPoly({0: 1, 1: -1}), UniPoly({i: 1 for i in range(300)})  # 1 - t^300
+    g = 1 << 20                                                   # g^12 - t^12
+    yield UniPoly({0: g, 1: -1}), UniPoly({i: g ** (11 - i) for i in range(12)})
+    yield UniPoly({0: -h, 5: -h}), UniPoly({0: -h, 5: -h})
+    for j, k in ((2, 3), (4, 2), (4, 6), (8, 100)):
+        # 2**j - 1 terms of height 2**k - 1: the middle coefficient is over
+        # half the bound, and the bound's bits, 2k + j + 1, fill whole
+        # bytes but for the sign bit
+        full = UniPoly({i: (1 << k) - 1 for i in range((1 << j) - 1)})
+        yield full, full
+        yield full, -full
+
+
+def _assert_canonical(p):
+    for _, v in p.terms():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    assert UniPoly(dict(p.terms())) == p
+
+
+def test_uni_mul_matches_schoolbook_random():
+    rng = random.Random(0xA6)
+    pairs = list(_edge_pairs())
+    pairs += [(_wide_unipoly(rng), _wide_unipoly(rng)) for _ in range(150)]
+    scalars = (0, 1, -1, 3, 1 << 130, Fraction(1, 2), Fraction(-7, 6),
+               Fraction(3, 1 << 70))
+    for a, b in pairs:
+        ab = a * b
+        ref = naive_uni_mul(a, b)
+        assert dict(ab.terms()) == ref and len(ab.terms()) == len(ref)
+        assert ab == b * a
+        ca, cb = dict(a.terms()), dict(b.terms())
+        s = rng.choice(scalars)
+        a_s = a * s
+        assert dict(a_s.terms()) == {e: v * s for e, v in ca.items() if s}
+        assert s * a == a_s
+        keys = ca.keys() | cb.keys()
+        plus = {e: Fraction(ca.get(e, 0)) + cb.get(e, 0) for e in keys}
+        minus = {e: Fraction(ca.get(e, 0)) - cb.get(e, 0) for e in keys}
+        a_plus_b, a_minus_b = a + b, a - b
+        assert dict(a_plus_b.terms()) == {e: v for e, v in plus.items() if v}
+        assert dict(a_minus_b.terms()) == {e: v for e, v in minus.items() if v}
+        for p in (a, ab, a_s, a_plus_b, a_minus_b):
+            _assert_canonical(p)
+
+
+def test_uni_canonical_equality():
+    assert UniPoly({1: Fraction(1, 2)}) * 2 == UniPoly.t(1)
+    assert UniPoly({0: Fraction(1, 6)}) + UniPoly({0: Fraction(1, 3)}) == \
+        UniPoly.t(0, Fraction(1, 2))
+    p = UniPoly({0: Fraction(2, 3), 4: Fraction(-5, 9)})
+    assert (p - p) == UniPoly.zero() and (p * 0).is_zero
+    assert p * UniPoly.t(2, Fraction(9, 2)) == UniPoly({2: 3, 6: Fraction(-5, 2)})
+    assert type((p * 9).coeff(4)) is int
 
 
 def test_uni_order_additivity_random():

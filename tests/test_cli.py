@@ -132,6 +132,14 @@ def test_polygon_level_out_of_range(capsys):
         assert err.splitlines() == [f"error: level {level} out of range 1..1"]
 
 
+def test_verify_rejects_no_verify(capsys):
+    # verify always evaluates the certificates; only implicitize can skip them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(CORPUS / "cusp.curve"), "--no-verify"])
+    assert exc.value.code == 2
+    assert "--no-verify" in capsys.readouterr().err
+
+
 # SHA-256 of the stdout of ``curvelift verify FILE --json`` per corpus curve;
 # any change to an f_i, a certificate or the JSON layout moves a digest.
 VERIFY_JSON_SHA256 = {
