@@ -522,6 +522,8 @@ class PowerChain:
 # ---------------------------------------------------------------------------
 # exact division and fraction-free determinants
 # ---------------------------------------------------------------------------
+# The pipeline does not call these: the tests build the classical Sylvester
+# resultant from them, the reference the norm oracle is compared against.
 
 def _glex(key):
     """Graded-lex order key on (x-power, y-power), y before x."""

@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -388,11 +387,7 @@ def cmd_bench(args) -> int:
     paths = sorted(str(p) for p in Path(args.corpus).glob("*.curve"))
     if not paths:
         raise CurveFileError("no .curve files found", args.corpus)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_one, paths))
-    else:
-        results = [_bench_one(p) for p in paths]
+    results = [_bench_one(p) for p in paths]
     if args.json:
         print(json.dumps({"corpus": results}, indent=2))
     else:
@@ -451,7 +446,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="timed chain runs over a corpus directory")
     p.add_argument("corpus")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

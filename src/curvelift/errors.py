@@ -72,7 +72,7 @@ class IterationBudgetError(CurveLiftError):
 # --- oracle -----------------------------------------------------------------
 
 class OracleBoundError(CurveLiftError):
-    """Resultant oracle declined: Sylvester dimension above the configured
+    """Resultant oracle declined: level degree e above the configured
     bound."""
 
 

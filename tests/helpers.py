@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from curvelift import BiPoly, BranchInput, UniPoly, validate_branch
+from curvelift import (BiPoly, BranchInput, Coeff, UniPoly, sylvester_det,
+                       validate_branch)
+from curvelift.algebra import coeff_div
 from curvelift.polygon import SliceQuery
 from curvelift.semigroup import SemigroupDesc
 
@@ -104,6 +106,45 @@ def naive_det(m: list[list[BiPoly]]) -> BiPoly:
         term = m[0][j] * naive_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def sylvester_matrix(p_consts: dict[int, BiPoly], q_consts: dict[int, BiPoly]
+                     ) -> list[list[BiPoly]]:
+    """Sylvester matrix in t of two polynomials whose coefficients are
+    given as bivariate polynomials (maps t-power -> BiPoly)."""
+    dp = max(p_consts)
+    dq = max(q_consts)
+    size = dp + dq
+    zero = BiPoly.zero()
+    rows = []
+    for r in range(dq):
+        row = [zero] * size
+        for j in range(dp + 1):
+            row[r + j] = p_consts.get(dp - j, zero)
+        rows.append(row)
+    for r in range(dp):
+        row = [zero] * size
+        for j in range(dq + 1):
+            row[r + j] = q_consts.get(dq - j, zero)
+        rows.append(row)
+    return rows
+
+
+def sylvester_implicitize(p) -> tuple[BiPoly, Coeff, BiPoly]:
+    """(monic, unit, raw): the resultant of x - t**e and y - yt(t) with
+    respect to t as a fraction-free Sylvester determinant (raw), its
+    coefficient of y**e (unit) and raw / unit. The classical elimination
+    the norm oracle is compared against."""
+    e = p.e
+    # x - t**e: coefficient -1 at t**e, x at t**0
+    pc = {e: BiPoly.const(-1), 0: BiPoly.x()}
+    # y - yt(t): coefficient -c at each yt term, y at t**0
+    qc = {m: BiPoly.const(-c) for m, c in p.yt.terms()}
+    qc[0] = qc.get(0, BiPoly.zero()) + BiPoly.y()
+    raw = sylvester_det(sylvester_matrix(pc, qc))
+    unit = raw.coeff((0, e))
+    assert unit, "resultant is not monic-normalizable"
+    return raw * coeff_div(1, unit), unit, raw
 
 
 def naive_slice(q: SliceQuery) -> list[tuple[int, ...]]:

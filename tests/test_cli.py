@@ -92,6 +92,14 @@ def test_cmd_bench(capsys, tmp_path):
     assert "a" in out and "b" in out and "total" in out
 
 
+def test_bench_rejects_jobs(capsys, tmp_path):
+    # bench runs in one process; --jobs is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_json_roundtrip_reverifies_identically(capsys):
     code, out = run(capsys, "implicitize", str(CORPUS / "paper-ex2.curve"), "--json")
     assert code == 0
