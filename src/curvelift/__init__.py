@@ -7,8 +7,8 @@ certify the valuation identities they satisfy, and cross-check against an
 independent resultant oracle.
 """
 
-from .algebra import (INFINITY, BiPoly, Coeff, Rat, UniPoly, bipoly_compose,
-                      bipoly_exact_div, sylvester_det)
+from .algebra import (INFINITY, BiPoly, Coeff, Rat, UniPoly, bipoly_exact_div,
+                      sylvester_det)
 from .chardata import (Branch, BranchInput, CharData, extract_characteristics,
                        in_lattice, validate_branch)
 from .errors import CurveLiftError
@@ -27,8 +27,8 @@ from .weierstrass import (AdicDecomposition, adic_decompose, adic_reconstruct,
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY", "BiPoly", "Coeff", "Rat", "UniPoly", "bipoly_compose",
-    "bipoly_exact_div", "sylvester_det",
+    "INFINITY", "BiPoly", "Coeff", "Rat", "UniPoly", "bipoly_exact_div",
+    "sylvester_det",
     "Branch", "BranchInput", "CharData", "extract_characteristics",
     "in_lattice", "validate_branch",
     "CurveLiftError",

@@ -482,29 +482,9 @@ class BiPoly:
         return "BiPoly(" + " + ".join(bits) + ")"
 
 
-def bipoly_compose(f: BiPoly, xt: UniPoly, yt: UniPoly) -> UniPoly:
-    """Exact substitution f(xt(t), yt(t)), expanded over the rationals.
-
-    Ring homomorphism in f; powers of xt and yt are built along chains so
-    each power is computed once per call.
-    """
-    by_beta: dict[int, dict[int, Coeff]] = {}
-    for (a, b), v in f.terms():
-        by_beta.setdefault(b, {})[a] = v
-
-    xpows = PowerChain(xt, UniPoly.one())
-    ypows = PowerChain(yt, UniPoly.one())
-    total = UniPoly.zero()
-    for b in sorted(by_beta):
-        row = UniPoly.zero()
-        for a, v in sorted(by_beta[b].items()):
-            row = row + xpows.get(a) * v
-        total = total + row * ypows.get(b)
-    return total
-
-
 class PowerChain:
-    """Grow-on-demand cache of the powers base**0, base**1, ..."""
+    """Grow-on-demand cache of the powers base**0, base**1, ...; ``lift``
+    keeps one per basis pullback, reused by every iteration's product."""
 
     __slots__ = ("_base", "_pows")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -49,11 +50,18 @@ class CurveFile:
     notes: str = ""
 
 
+# an integer or p/q; Fraction alone also takes exponent notation, whose
+# cost grows without bound with the exponent ("1e-4000000" takes seconds)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Coeff:
+    if not _RATIONAL.fullmatch(text):
+        raise CurveFileError(f"bad rational {text!r}: write an integer or p/q")
     try:
         f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        raise CurveFileError(f"bad rational {text!r}: {exc}") from None
     return f.numerator if f.denominator == 1 else f
 
 
@@ -91,7 +99,7 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
             try:
                 exp = int(fields[0])
                 coeff = parse_rational(fields[1])
-            except ValueError as exc:
+            except (ValueError, CurveFileError) as exc:
                 raise CurveFileError(str(exc), path, lineno) from None
             if exp <= 0:
                 raise CurveFileError("exponent must be positive", path, lineno)

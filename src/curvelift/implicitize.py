@@ -154,10 +154,8 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
         u = u + u_p * a
         log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
 
-    # f_{i-1}**k_i comes from the same power cache the log's products use
-    bi_pows = [PowerChain(f, BiPoly.one()) for f in fs[:i - 1]]
-    delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], bi_pows)
-    f_i = (bi_pows[-1].get(k_i) if bi_pows else BiPoly.y(k_i)) + delta
+    delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], fs[:i - 1])
+    f_i = (fs[i - 2] if i > 1 else BiPoly.y()) ** k_i + delta
     if f_i.coeff((0, p.e)) != 1:
         raise InvariantError(f"level {i}: f_{i} is not monic at (0, {p.e})")
     return f_i, delta, tuple(log)
@@ -208,8 +206,6 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         support_ok = all(polygon_contains(key, pd) for key in f_i.support())
         apex_ok = (0, e_i) not in delta_i.support()
         face_ok = {(0, e_i), (int(e_i * cd.lambdas[0]), 0)} <= f_i.support()
-        pull_zero = p.pullback(f_i).is_zero
-
         log = chain.logs[i - 1] if i - 1 < len(chain.logs) else ()
         ns = [rec.n for rec in log]
         increasing = all(a < b for a, b in zip(ns, ns[1:]))
@@ -226,6 +222,8 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
                 oracle = "skipped"
         else:
             oracle = "skipped"
+        # on a match the oracle's self-check has pulled back f_i already
+        pull_zero = oracle == "match" or p.pullback(f_i).is_zero
 
         certs.append(LevelCertificate(
             level=i, pullback_zero=pull_zero, support_in_polygon=support_ok,

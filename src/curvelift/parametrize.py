@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .algebra import BiPoly, PowerChain, UniPoly
+from .algebra import BiPoly, UniPoly
 from .chardata import Branch
 from .errors import InvariantError
 from .semigroup import generators
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Parametrization:
     """One truncation level: xt = t**e, yt the truncated branch.
 
-    Immutable after construction; powers of yt are cached across pullbacks.
+    Immutable after construction, and it holds no cache.
     """
 
     def __init__(self, level: int, xt: UniPoly, yt: UniPoly):
@@ -41,16 +41,18 @@ class Parametrization:
         if len(terms) != 1 or terms[0][1] != 1:
             raise InvariantError(f"xt must be a monic monomial t**e, got {xt!r}")
         self.e = terms[0][0]
-        self._ypows = PowerChain(yt, UniPoly.one())
 
     def pullback(self, f: BiPoly) -> UniPoly:
-        """The substitution f(t**e, yt(t)), expanded exactly."""
-        by_beta: dict[int, list] = {}
+        """The substitution f(t**e, yt(t)), expanded exactly: the rows
+        sum_a c * t**(e*a) of each y-power b, summed by Horner's rule in yt."""
+        rows: dict[int, list] = {}
         for (a, b), v in f.terms():
-            by_beta.setdefault(b, []).append((a * self.e, v))
+            rows.setdefault(b, []).append((a * self.e, v))
         total = UniPoly.zero()
-        for b, shifts in sorted(by_beta.items()):
-            total = total + UniPoly(shifts) * self._ypows.get(b)
+        for b in range(max(rows, default=-1), -1, -1):
+            total = total * self.yt
+            if b in rows:
+                total = total + UniPoly(rows[b])
         return total
 
     def valuation(self, f: BiPoly):

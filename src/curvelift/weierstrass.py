@@ -10,15 +10,17 @@ of it sit two decompositions used throughout the elimination machinery:
 * the full basis decomposition flattening g into exact rational multiples
   of  x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}.
 
-Both are unique, and both reconstruct their input exactly; lift sums its
-iteration log, a list of basis terms, into delta_i with basis_reconstruct.
+Both are unique, and both reconstruct their input exactly by Horner's rule
+in f, forming no power of f; the basis reconstruction is the adic one
+applied level by level. lift sums its iteration log, a list of basis
+terms, into delta_i with basis_reconstruct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BiPoly, Coeff, PowerChain
+from .algebra import BiPoly, Coeff
 from .errors import DegreeOutOfRangeError, DegreeTooSmallError, NotWeierstrassError
 
 
@@ -111,13 +113,16 @@ def adic_decompose(g: BiPoly, chain, i: int) -> AdicDecomposition:
     return AdicDecomposition(level=i, coeffs=tuple(coeffs))
 
 
-def adic_reconstruct(dec: AdicDecomposition, chain) -> BiPoly:
-    f = _f_prev(chain, dec.level)
+def _horner(coeffs, f: BiPoly) -> BiPoly:
+    """sum_l coeffs[l] * f**l by Horner's rule."""
     total = BiPoly.zero()
-    for l, a in enumerate(dec.coeffs):
-        if not a.is_zero:
-            total = total + a * f ** l
+    for a in reversed(coeffs):
+        total = total * f + a
     return total
+
+
+def adic_reconstruct(dec: AdicDecomposition, chain) -> BiPoly:
+    return _horner(dec.coeffs, _f_prev(chain, dec.level))
 
 
 BasisTerm = tuple[Coeff, tuple[int, ...]]  # (coefficient, (alpha, beta_0, ..., beta_{i-1}))
@@ -155,16 +160,16 @@ def basis_decompose(g: BiPoly, chain, i: int) -> list[BasisTerm]:
 
 
 def basis_reconstruct(terms: list[BasisTerm], fs) -> BiPoly:
-    """Sum c * x**alpha * y**beta_0 * f_1**beta_1 * ... over the terms. ``fs``
-    holds f_1, ..., f_{i-1}, or PowerChains over them whose powers the caller
-    shares; c scales each product last, keeping it out of the convolutions."""
-    pows = [f if isinstance(f, PowerChain) else PowerChain(f, BiPoly.one())
-            for f in fs]
-    total = BiPoly.zero()
+    """Sum c * x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}
+    over the terms; ``fs`` holds the polynomials f_1, ..., f_{i-1}, and any
+    exponents are accepted. The terms are grouped by beta_{i-1}, each group
+    is rebuilt over f_1 .. f_{i-2}, and the groups are summed by Horner's
+    rule in f_{i-1}; at the bottom they are sums of x**alpha * y**beta_0."""
+    if not fs:
+        return BiPoly([(exps, c) for c, exps in terms])
+    groups: dict[int, list[BasisTerm]] = {}
     for c, exps in terms:
-        prod = BiPoly.monomial(exps[0], exps[1])
-        for l, b in enumerate(exps[2:]):
-            if b:
-                prod = prod * pows[l].get(b)
-        total = total + prod * c
-    return total
+        groups.setdefault(exps[-1], []).append((c, exps[:-1]))
+    coeffs = [basis_reconstruct(groups.get(l, []), fs[:-1])
+              for l in range(max(groups, default=-1) + 1)]
+    return _horner(coeffs, fs[-1])

@@ -93,6 +93,31 @@ def naive_uni_mul(a: UniPoly, b: UniPoly) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
+def naive_pullback(f: BiPoly, e: int, yt: UniPoly) -> UniPoly:
+    """f(t**e, yt(t)) expanded term by term: c * x**a * y**b becomes
+    c * t**(e*a) * yt**b, with yt**b built by schoolbook products."""
+    ypows = [{0: 1}]
+    total = {}
+    for (a, b), c in f.terms():
+        while len(ypows) <= b:
+            ypows.append(naive_uni_mul(UniPoly(ypows[-1]), yt))
+        for n, v in ypows[b].items():
+            total[e * a + n] = total.get(e * a + n, 0) + c * v
+    return UniPoly(total)
+
+
+def naive_basis_reconstruct(terms, fs) -> BiPoly:
+    """sum c * x**alpha * y**beta_0 * f_1**beta_1 * ... term by term, each
+    product formed in full."""
+    total = BiPoly.zero()
+    for c, (alpha, beta_0, *betas) in terms:
+        prod_ = BiPoly.monomial(alpha, beta_0, c)
+        for f, b in zip(fs, betas, strict=True):
+            prod_ = prod_ * f ** b
+        total = total + prod_
+    return total
+
+
 def naive_det(m: list[list[BiPoly]]) -> BiPoly:
     """Cofactor expansion along the first row; fine up to ~7x7."""
     n = len(m)

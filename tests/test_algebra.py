@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvelift import (INFINITY, BiPoly, UniPoly, bipoly_compose, bipoly_exact_div,
+from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, bipoly_exact_div,
                        sylvester_det)
 from helpers import naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
@@ -16,7 +16,7 @@ def test_uni_order_basic():
 def test_uni_order_of_pullback():
     # x = t^6, y = t^9 + t^10 pulled through y^2 - x^3 has order 19
     f = BiPoly({(0, 2): 1, (3, 0): -1})
-    p = bipoly_compose(f, UniPoly.t(6), UniPoly({9: 1, 10: 1}))
+    p = Parametrization(1, UniPoly.t(6), UniPoly({9: 1, 10: 1})).pullback(f)
     assert p == UniPoly({19: 2, 20: 1})
     assert p.order() == 19
 
@@ -31,11 +31,12 @@ def test_infinity_comparisons():
 
 def test_compose_cusp_vanishes():
     f = BiPoly({(0, 2): 1, (3, 0): -1})
-    assert bipoly_compose(f, UniPoly.t(2), UniPoly.t(3)).is_zero
+    assert Parametrization(1, UniPoly.t(2), UniPoly.t(3)).pullback(f).is_zero
 
 
 def test_compose_projection():
-    assert bipoly_compose(BiPoly.x(), UniPoly.t(6), UniPoly({7: 5})) == UniPoly.t(6)
+    p = Parametrization(1, UniPoly.t(6), UniPoly({7: 5}))
+    assert p.pullback(BiPoly.x()) == UniPoly.t(6)
 
 
 def test_coefficients_normalize_to_int():
@@ -159,10 +160,10 @@ def test_compose_is_ring_homomorphism_random():
     rng = random.Random(0xA2)
     for _ in range(200):
         f, g = rand_bipoly(rng, 4, 4), rand_bipoly(rng, 4, 4)
-        xt, yt = rand_unipoly(rng, 5, 3), rand_unipoly(rng, 5, 3)
-        cf, cg = bipoly_compose(f, xt, yt), bipoly_compose(g, xt, yt)
-        assert bipoly_compose(f * g, xt, yt) == cf * cg
-        assert bipoly_compose(f + g, xt, yt) == cf + cg
+        p = Parametrization(1, UniPoly.t(rng.randint(1, 5)), rand_unipoly(rng, 5, 3))
+        cf, cg = p.pullback(f), p.pullback(g)
+        assert p.pullback(f * g) == cf * cg
+        assert p.pullback(f + g) == cf + cg
 
 
 def test_exact_rational_cross_multiplication():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from curvelift.errors import CurveFileError
 from curvelift.implicitize import chain_from_polynomials
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+README = CORPUS.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -36,6 +38,19 @@ def test_parse_errors_carry_line_numbers():
         parse_curve_text("k: 6\nterm: 9 0\n")    # zero coefficient
     with pytest.raises(CurveFileError):
         parse_curve_text("k: 6\nnope\n")
+
+
+def test_parse_rejects_all_but_p_over_q(capsys, tmp_path):
+    for text in ("1e3", "0.5", "1_0", "1e-100000", "1/0", "2/-3"):
+        with pytest.raises(CurveFileError) as err:
+            parse_curve_text(f"k: 2\nterm: 3 {text}\n", path="f.curve")
+        assert "f.curve:2" in str(err.value)
+    cf = parse_curve_text("k: 6\nterm: 9 -2/3\nterm: 10 7\nterm: 11 +4/6\n")
+    assert cf.terms == [(9, Fraction(-2, 3)), (10, 7), (11, Fraction(2, 3))]
+    path = tmp_path / "big.curve"
+    path.write_text("k: 2\nterm: 3 1e-4000000\n")
+    assert main(["validate", str(path)]) == 2
+    assert "bad rational" in capsys.readouterr().err
 
 
 def test_format_poly_reference():
@@ -138,6 +153,27 @@ def test_polygon_level_out_of_range(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [f"error: level {level} out of range 1..1"]
+
+
+def _flags(text: str) -> set[str]:
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--help"}
+
+
+def test_readme_command_table_matches_parser(capsys):
+    # the README's command-line block names every subcommand and exactly
+    # the flags its parser takes
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1]: _flags(line.split("#", 1)[0])
+                  for line in block.splitlines() if line.startswith("curvelift ")}
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    subs = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    assert sorted(documented) == sorted(subs.split(","))
+    for sub, flags in documented.items():
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        assert _flags(capsys.readouterr().out) == flags, sub
 
 
 def test_verify_rejects_no_verify(capsys):

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from curvelift import (BiPoly, BranchInput, certify, generators, implicitize_all,
-                       lift, resultant_implicitize,
+from curvelift import (BiPoly, BranchInput, Parametrization, certify, generators,
+                       implicitize_all, lift, resultant_implicitize,
                        semigroup_member, truncation, validate_branch)
+from curvelift.cli import branch_from_file, load_curve
 from curvelift.implicitize import chain_from_polynomials
+from curvelift.oracle import DEFAULT_ORACLE_BOUND
 from helpers import rand_branch
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_base_equation_closed_forms(cusp, branch12):
@@ -116,3 +120,24 @@ def test_coefficients_are_normalized_random():
             for _, c in poly.terms():
                 assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
                     (b.k, b.terms, c)
+
+
+def test_certify_pulls_back_each_f_i_once(monkeypatch):
+    # on a "match" the oracle's self-check has pulled back f_i, and certify
+    # takes pullback_zero from it instead of a second pullback
+    branch = branch_from_file(load_curve(CORPUS / "paper-ex1.curve"))
+    assert max(branch.cd.es) <= DEFAULT_ORACLE_BOUND
+    chain = implicitize_all(branch, verify=False)
+    seen = []
+    pullback = Parametrization.pullback
+
+    def counting(self, f):
+        seen.append((self.level, f))
+        return pullback(self, f)
+
+    monkeypatch.setattr(Parametrization, "pullback", counting)
+    chain = certify(chain)
+    assert chain.ok
+    assert {c.oracle for c in chain.certificates} == {"match"}
+    for i, f_i in enumerate(chain.fs, start=1):
+        assert sum(level == i and f == f_i for level, f in seen) == 1, i

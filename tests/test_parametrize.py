@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvelift import (INFINITY, BiPoly, UniPoly, bipoly_compose, generators,
-                       implicitize_all, semigroup_member, truncation,
-                       valuation_table)
-from helpers import rand_bipoly, rand_branch
+from curvelift import (INFINITY, BiPoly, UniPoly, generators, implicitize_all,
+                       semigroup_member, truncation, valuation_table)
+from helpers import naive_pullback, rand_bipoly, rand_branch
 
 
 def test_truncation_reference_levels(branch12):
@@ -57,7 +56,19 @@ def test_pullback_matches_generic_compose(branch6_tails):
         p = truncation(branch6_tails, i)
         for _ in range(50):
             f = rand_bipoly(rng, 5, 5)
-            assert p.pullback(f) == bipoly_compose(f, p.xt, p.yt)
+            assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
+
+
+def test_naive_pullback_agrees_on_corpus(corpus_chains):
+    # zero, constants, and every f_i and d/dy f_i under every truncation
+    for branch, chain, _ in corpus_chains.values():
+        for j in range(1, branch.cd.s + 1):
+            p = truncation(branch, j)
+            polys = [BiPoly.zero(), BiPoly.one(), BiPoly.const(Fraction(-7, 3))]
+            for f_i in chain.fs:
+                polys += [f_i, f_i.partial_y()]
+            for f in polys:
+                assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
 
 
 def test_valuation_table_reference(branch12, chain12):

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from curvelift import (BiPoly, adic_decompose, adic_reconstruct, basis_decompose,
                        basis_reconstruct, is_weierstrass, truncation, weierstrass_divide)
 from curvelift.errors import DegreeOutOfRangeError, DegreeTooSmallError, NotWeierstrassError
-from helpers import rand_bipoly, rand_branch
+from helpers import naive_basis_reconstruct, rand_bipoly, rand_branch, rand_coeff
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})                       # y^2 - x^3
 DELTA2 = BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})      # with unit coefficients
@@ -182,6 +183,27 @@ def test_basis_caps_and_roundtrip_random():
         vals = [sg[0] * exps[0] + sum(sg[1 + l] * exps[1 + l] for l in range(i))
                 for _, exps in terms]
         assert len(set(vals)) == len(vals)
+
+
+def test_basis_reconstruct_matches_per_term_reference():
+    fs = chain12().fs
+    assert basis_reconstruct([], ()) == BiPoly.zero()
+    assert basis_reconstruct([], fs[:2]) == BiPoly.zero()
+    assert basis_reconstruct([(3, (2, 5))], ()) == BiPoly.monomial(2, 5, 3)
+    lone = [(Fraction(-2, 3), (1, 0, 0, 9))]     # a lone high power of f_2
+    assert basis_reconstruct(lone, fs[:2]) == naive_basis_reconstruct(lone, fs[:2])
+    with pytest.raises(ValueError):                # one exponent short
+        basis_reconstruct([(1, (0, 1, 0))], fs[:2])
+    rng = random.Random(0xF5)
+    for _ in range(150):
+        i = rng.randint(1, 3)
+        # betas up to 5 cross the caps beta_0 < 2, beta_1 < 3, beta_2 < 2, and
+        # a few terms leave gaps in the last exponent
+        terms = [(rand_coeff(rng), (rng.randint(0, 4),
+                                    *(rng.randint(0, 5) for _ in range(i))))
+                 for _ in range(rng.randint(0, 6))]
+        assert basis_reconstruct(terms, fs[:i - 1]) == \
+            naive_basis_reconstruct(terms, fs[:i - 1])
 
 
 def test_level1_valuation_collision_forces_multiple():
