@@ -5,24 +5,25 @@ everything else is ``fractions.Fraction``; the two mix freely under
 Python's numeric tower. ``terms()`` and ``coeff()`` of both polynomial
 types return values of that form. Polynomials are immutable.
 
-``BiPoly`` is a sparse map from pairs ``(a, b)`` (a = x-power, b =
-y-power) to nonzero coefficients, stored in that form.
-
-``UniPoly`` (polynomials in t) stores one denominator ``_d > 0`` and a
-map ``_c`` from exponents ``e >= 0`` to nonzero integer numerators; the
-coefficient of t**e is ``_c[e] / _d``. The form is canonical:
-``gcd(_d, *_c.values()) == 1`` and zero is ``({}, 1)``, so equal
-polynomials have equal fields. ``+`` and ``-`` rescale the numerators to
-the lcm of the two denominators, scalar ``*`` scales numerators and
-denominator, and each reduces once with one ``gcd``. A product
-of two polynomials is one bigint multiply (Kronecker substitution): each
-side's numerators become the base-2**w digits of one signed int, and the
-digits of the product are the product's numerators. A product
+``UniPoly`` (in t; keys are exponents ``e``) and ``BiPoly`` (in x and y;
+keys are pairs ``(a, b)``, a = x-power, b = y-power) share one form: one
+denominator ``_d > 0`` and a map ``_c`` from keys to nonzero integer
+numerators, so the coefficient at ``k`` is ``_c[k] / _d``. The form is
+canonical: ``gcd(_d, *_c.values()) == 1`` and zero is ``({}, 1)``, so
+equal polynomials have equal fields. ``+`` and ``-`` rescale the
+numerators to the lcm of the two denominators, scalar ``*`` scales
+numerators and denominator, and a product multiplies the denominators;
+each reduces once with one ``gcd``. Only the products differ. A
+``UniPoly`` product is one bigint multiply (Kronecker substitution):
+each side's numerators become the base-2**w digits of one signed int,
+and the digits of the product are the product's numerators. A product
 coefficient sums at most ``m = min(len(a), len(b))`` terms, each below
 ``2**(bits(max|a|) + bits(max|b|))``, so with ``w = bits(max|a|) +
 bits(max|b|) + bits(m) + 1`` every digit lies strictly between
 ``-2**(w-1)`` and ``2**(w-1)``: it never overflows into its neighbour,
-and the digits are read back exactly.
+and the digits are read back exactly. A ``BiPoly`` product is schoolbook
+over the numerators: its operands are sparse in two variables, so
+packing them into one int costs more than the term pairs it saves.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -73,14 +74,6 @@ def _norm_coeff(c) -> Coeff:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _norm_values(c: dict) -> dict:
-    """Collapse the integral fractions among c's values to int, in place."""
-    for key, v in c.items():
-        if type(v) is not int and v.denominator == 1:
-            c[key] = v.numerator
-    return c
-
-
 def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     """Exact a/b over the rationals."""
     if not b:
@@ -92,60 +85,55 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials in t
+# polynomials: integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
-class UniPoly:
-    """Sparse exact polynomial in a single variable t, stored as an integer
-    map over one denominator (see the module docstring)."""
+class _IntMapPoly:
+    """The canonical form both polynomial types share (see the module
+    docstring). A subclass sets ``_ONE_KEY``, checks its keys in ``_key``,
+    and defines its own ``__mul__``, which handles scalars by ``_scale``."""
 
     __slots__ = ("_c", "_d")
 
     def __init__(self, terms=()):
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for e, v in items:
-            if type(e) is not int or e < 0:
-                raise ValueError(f"exponent must be a non-negative int, got {e!r}")
+        for key, v in items:
+            key = self._key(key)
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(
                     f"coefficient must be int or Fraction, got {type(v).__name__}")
-            acc[e] = acc.get(e, 0) + v
+            acc[key] = acc.get(key, 0) + v
         d = lcm(*(v.denominator for v in acc.values()))
-        self._c = {e: v.numerator * (d // v.denominator)
-                   for e, v in acc.items() if v}
+        self._c = {k: v.numerator * (d // v.denominator)
+                   for k, v in acc.items() if v}
         self._d = d
 
     @classmethod
-    def _raw(cls, c: dict, d: int = 1) -> "UniPoly":
+    def _raw(cls, c: dict, d: int = 1):
         p = object.__new__(cls)
         p._c = c
         p._d = d
         return p
 
     @classmethod
-    def _reduced(cls, c: dict, d: int) -> "UniPoly":
+    def _reduced(cls, c: dict, d: int):
         """The canonical form of c/d: c's nonzero values and d > 0 share no
         factor."""
         if d != 1:
             g = gcd(d, *c.values())
             if g != 1:
-                c = {e: v // g for e, v in c.items()}
+                c = {k: v // g for k, v in c.items()}
                 d //= g
         return cls._raw(c, d)
 
     @classmethod
-    def zero(cls) -> "UniPoly":
+    def zero(cls):
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "UniPoly":
-        return cls._raw({0: 1})
-
-    @classmethod
-    def t(cls, exp: int = 1, coeff: Coeff = 1) -> "UniPoly":
-        """The monomial coeff * t**exp."""
-        return cls({exp: coeff})
+    def one(cls):
+        return cls._raw({cls._ONE_KEY: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -155,10 +143,94 @@ class UniPoly:
         d = self._d
         if d == 1:
             return self._c.items()
-        return {e: coeff_div(v, d) for e, v in self._c.items()}.items()
+        return {k: coeff_div(v, d) for k, v in self._c.items()}.items()
 
-    def coeff(self, e: int) -> Coeff:
-        return coeff_div(self._c.get(e, 0), self._d)
+    def coeff(self, key) -> Coeff:
+        return coeff_div(self._c.get(key, 0), self._d)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._d == other._d
+                and self._c == other._c)
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def __neg__(self):
+        return self._raw({k: -v for k, v in self._c.items()}, self._d)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        a, da = self._c, self._d
+        b, db = other._c, other._d
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = {k: v * ma for k, v in a.items()} if ma != 1 else dict(a)
+        for k, v in b.items():
+            w = out.get(k, 0) + v * mb
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        return self._reduced(out, da * ma)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def _scale(self, s):
+        """self * s for a scalar s; NotImplemented for anything else."""
+        if not isinstance(s, (int, Fraction)):
+            return NotImplemented
+        if not s:
+            return self.zero()
+        n = s.numerator
+        return self._reduced({k: v * n for k, v in self._c.items()},
+                             self._d * s.denominator)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials in t
+# ---------------------------------------------------------------------------
+
+class UniPoly(_IntMapPoly):
+    """Sparse exact polynomial in a single variable t, stored as an integer
+    map over one denominator and multiplied by Kronecker substitution (see
+    the module docstring)."""
+
+    __slots__ = ()
+    _ONE_KEY = 0
+
+    @staticmethod
+    def _key(e):
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponent must be a non-negative int, got {e!r}")
+        return e
+
+    @classmethod
+    def t(cls, exp: int = 1, coeff: Coeff = 1) -> "UniPoly":
+        """The monomial coeff * t**exp."""
+        return cls({exp: coeff})
 
     def order(self):
         """Minimal exponent with nonzero coefficient; INFINITY for 0."""
@@ -169,71 +241,15 @@ class UniPoly:
             raise ValueError("degree of the zero polynomial is undefined")
         return max(self._c)
 
-    def __eq__(self, other):
-        return (isinstance(other, UniPoly) and self._d == other._d
-                and self._c == other._c)
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __neg__(self):
-        return UniPoly._raw({e: -v for e, v in self._c.items()}, self._d)
-
-    def _combine(self, other, sign: int) -> "UniPoly":
-        """self + sign * other over the lcm of the two denominators."""
-        a, da = self._c, self._d
-        b, db = other._c, other._d
-        g = gcd(da, db)
-        ma, mb = db // g, sign * (da // g)
-        out = {e: v * ma for e, v in a.items()} if ma != 1 else dict(a)
-        for e, v in b.items():
-            w = out.get(e, 0) + v * mb
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        return UniPoly._reduced(out, da * ma)
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._combine(other, -1)
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             a, b = self._c, other._c
             if not a or not b:
                 return UniPoly.zero()
             return UniPoly._reduced(_kronecker_mul(a, b), self._d * other._d)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return UniPoly.zero()
-            s, sd = other.numerator, other.denominator
-            return UniPoly._reduced({e: v * s for e, v in self._c.items()},
-                                    self._d * sd)
-        return NotImplemented
+        return self._scale(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __repr__(self):
         if not self._c:
@@ -300,44 +316,24 @@ def _unpack(z: int, lo: int, n: int, width: int) -> dict:
 # bivariate polynomials in (x, y)
 # ---------------------------------------------------------------------------
 
-class BiPoly:
-    """Sparse exact polynomial in x and y; keys are (x-power, y-power)."""
+class BiPoly(_IntMapPoly):
+    """Sparse exact polynomial in x and y, stored as an integer map from
+    (x-power, y-power) over one denominator and multiplied by schoolbook
+    over the numerators (see the module docstring)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _ONE_KEY = (0, 0)
 
-    def __init__(self, terms=()):
-        c = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, v in items:
-            a, b = key
-            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
-                raise ValueError(f"exponent pair must be non-negative ints, got {key!r}")
-            key = (a, b)
-            v = _norm_coeff(c.get(key, 0) + _norm_coeff(v))
-            if v:
-                c[key] = v
-            else:
-                c.pop(key, None)
-        self._c = c
-
-    @classmethod
-    def _raw(cls, c: dict) -> "BiPoly":
-        f = object.__new__(cls)
-        f._c = c
-        return f
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls._raw({(0, 0): 1})
+    @staticmethod
+    def _key(key):
+        a, b = key
+        if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+            raise ValueError(f"exponent pair must be non-negative ints, got {key!r}")
+        return a, b
 
     @classmethod
     def const(cls, c: Coeff) -> "BiPoly":
-        c = _norm_coeff(c)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls({(0, 0): c})
 
     @classmethod
     def x(cls, a: int = 1) -> "BiPoly":
@@ -349,25 +345,10 @@ class BiPoly:
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: Coeff = 1) -> "BiPoly":
-        coeff = _norm_coeff(coeff)
-        if not coeff:
-            return cls.zero()
-        if a < 0 or b < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({(a, b): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def terms(self):
-        return self._c.items()
+        return cls({(a, b): coeff})
 
     def __len__(self):
         return len(self._c)
-
-    def coeff(self, key) -> Coeff:
-        return self._c.get(key, 0)
 
     def support(self) -> frozenset:
         return frozenset(self._c)
@@ -388,53 +369,13 @@ class BiPoly:
 
     def y_coefficient(self, b: int) -> dict:
         """The x-polynomial coefficient of y**b, as a dict a -> coeff."""
-        return {a: v for (a, bb), v in self._c.items() if bb == b}
+        d = self._d
+        return {a: coeff_div(v, d) for (a, bb), v in self._c.items() if bb == b}
 
     def partial_y(self) -> "BiPoly":
         """Formal partial derivative with respect to y (exponent shift)."""
-        out = {}
-        for (a, b), v in self._c.items():
-            if b:
-                out[(a, b - 1)] = _norm_coeff(v * b)
-        return BiPoly._raw(out)
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self._c == other._c
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __neg__(self):
-        return BiPoly._raw({k: -v for k, v in self._c.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for k, v in b.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = _norm_coeff(w)
-            else:
-                del out[k]
-        return BiPoly._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._c)
-        for k, v in other._c.items():
-            w = out.get(k, 0) - v
-            if w:
-                out[k] = _norm_coeff(w)
-            else:
-                del out[k]
-        return BiPoly._raw(out)
+        c = {(a, b - 1): v * b for (a, b), v in self._c.items() if b}
+        return BiPoly._reduced(c, self._d)
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
@@ -443,42 +384,23 @@ class BiPoly:
                 return BiPoly.zero()
             if len(a) > len(b):
                 a, b = b, a
+            b = list(b.items())
             out = {}
+            get = out.get
             for (a1, b1), v1 in a.items():
-                for (a2, b2), v2 in b.items():
+                for (a2, b2), v2 in b:
                     k = (a1 + a2, b1 + b2)
-                    w = out.get(k, 0) + v1 * v2
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
-            return BiPoly._raw(_norm_values(out))
-        if isinstance(other, (int, Fraction)):
-            s = _norm_coeff(other)
-            if not s:
-                return BiPoly.zero()
-            return BiPoly._raw({k: _norm_coeff(v * s) for k, v in self._c.items()})
-        return NotImplemented
+                    out[k] = get(k, 0) + v1 * v2
+            return BiPoly._reduced({k: v for k, v in out.items() if v},
+                                   self._d * other._d)
+        return self._scale(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __repr__(self):
         if not self._c:
             return "BiPoly(0)"
-        bits = [f"{v}*x^{a}*y^{b}" for (a, b), v in sorted(self._c.items())]
+        bits = [f"{v}*x^{a}*y^{b}" for (a, b), v in sorted(self.terms())]
         return "BiPoly(" + " + ".join(bits) + ")"
 
 
@@ -520,20 +442,20 @@ def bipoly_exact_div(num: BiPoly, den: BiPoly) -> BiPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
         return BiPoly.zero()
-    dterms = den._c
+    dterms = dict(den.terms())
     if len(dterms) == 1:
         ((da, db), dv), = dterms.items()
         out = {}
-        for (a, b), v in num._c.items():
+        for (a, b), v in num.terms():
             if a < da or b < db:
                 raise ArithmeticError("monomial does not divide a term")
             out[(a - da, b - db)] = coeff_div(v, dv)
-        return BiPoly._raw(out)
+        return BiPoly(out)
 
     dlead = max(dterms, key=_glex)
     dlv = dterms[dlead]
     da, db = dlead
-    rem = dict(num._c)
+    rem = dict(num.terms())
     quo = {}
     while rem:
         la, lb = lead = max(rem, key=_glex)
@@ -550,7 +472,7 @@ def bipoly_exact_div(num: BiPoly, den: BiPoly) -> BiPoly:
                 rem[k] = w
             else:
                 rem.pop(k, None)
-    return BiPoly._raw(quo)
+    return BiPoly(quo)
 
 
 def sylvester_det(rows: list[list[BiPoly]]) -> BiPoly:
@@ -577,8 +499,8 @@ def sylvester_det(rows: list[list[BiPoly]]) -> BiPoly:
             mi = m[i]
             for j in range(k, n):
                 e = mi[j]
-                if e._c:
-                    size = (len(e._c), _glex(max(e._c, key=_glex)))
+                if e:
+                    size = (len(e), _glex(max(e.support(), key=_glex)))
                     if best is None or size < best[0]:
                         best = (size, i, j)
         if best is None:
@@ -596,16 +518,16 @@ def sylvester_det(rows: list[list[BiPoly]]) -> BiPoly:
         for i in range(k + 1, n):
             mi = m[i]
             lik = mi[k]
-            if not lik._c:
+            if not lik:
                 if not piv_is_prev:
                     for j in range(k + 1, n):
-                        if mi[j]._c:
+                        if mi[j]:
                             mi[j] = bipoly_exact_div(piv * mi[j], prev)
             else:
                 mk = m[k]
                 for j in range(k + 1, n):
                     num = piv * mi[j] - lik * mk[j]
-                    mi[j] = bipoly_exact_div(num, prev) if num._c else num
+                    mi[j] = bipoly_exact_div(num, prev) if num else num
                 mi[k] = BiPoly.zero()
         prev = piv
     det = m[n - 1][n - 1]

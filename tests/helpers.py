@@ -93,6 +93,17 @@ def naive_uni_mul(a: UniPoly, b: UniPoly) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
+def naive_bi_mul(a: BiPoly, b: BiPoly) -> dict:
+    """Coefficients {(x-power, y-power): nonzero value} of a*b by schoolbook
+    products of the exact coefficients."""
+    out = {}
+    for (a1, b1), v1 in a.terms():
+        for (a2, b2), v2 in b.terms():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + Fraction(v1) * v2
+    return {k: v for k, v in out.items() if v}
+
+
 def naive_pullback(f: BiPoly, e: int, yt: UniPoly) -> UniPoly:
     """f(t**e, yt(t)) expanded term by term: c * x**a * y**b becomes
     c * t**(e*a) * yt**b, with yt**b built by schoolbook products."""

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, bipoly_exact_div,
                        sylvester_det)
-from helpers import naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
+from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 
 def test_uni_order_basic():
@@ -139,6 +140,105 @@ def test_uni_canonical_equality():
     assert (p - p) == UniPoly.zero() and (p * 0).is_zero
     assert p * UniPoly.t(2, Fraction(9, 2)) == UniPoly({2: 3, 6: Fraction(-5, 2)})
     assert type((p * 9).coeff(4)) is int
+
+
+def _wide_bipoly(rng):
+    """An operand for the bivariate kernel: zero, one term, or up to 40
+    terms; heights up to 2**200, either sign, integer or rational with
+    several denominators."""
+    n = rng.choice((0, 1, 2, 3, 6, 12, 40))
+    span = rng.choice((2, 4, 9))
+    bits = rng.choice((1, 8, 64, 200))
+    dens = rng.choice(((1,), (2, 3), (1, 7, 12), (5, 1 << 70)))
+    return BiPoly([((rng.randint(0, span), rng.randint(0, span)),
+                    Fraction(rng.randint(1, 1 << bits) * rng.choice((1, -1)),
+                             rng.choice(dens)))
+                   for _ in range(n)])
+
+
+def _assert_bi_canonical(p):
+    c, d = p._c, p._d
+    assert type(d) is int and d > 0
+    assert all(type(v) is int and v for v in c.values())
+    assert gcd(d, *c.values()) == 1
+    if not c:
+        assert d == 1
+    for _, v in p.terms():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    assert BiPoly(dict(p.terms())) == p
+    # the same polynomial by another route: each coefficient split in two
+    assert BiPoly([(k, w) for k, v in p.terms()
+                   for w in (Fraction(v) / 3, Fraction(v) * 2 / 3)]) == p
+
+
+def _ref(p) -> dict:
+    return {k: Fraction(v) for k, v in p.terms()}
+
+
+def _nonzero(c: dict) -> dict:
+    return {k: v for k, v in c.items() if v}
+
+
+def test_bi_ops_match_fraction_reference_random():
+    rng = random.Random(0xA7)
+    x, y = BiPoly.x(), BiPoly.y()
+    h = Fraction(1 << 200, 3)
+    pairs = [(x + y, x - y), (x * h + y, x * h - y)]          # middle terms cancel
+    for _ in range(120):
+        a = _wide_bipoly(rng)
+        kind = rng.random()
+        if kind < 0.15:
+            b = -a                                              # cancels to zero
+        elif kind < 0.3:                                        # partly cancels
+            b = BiPoly([(k, -v) for k, v in a.terms() if rng.random() < 0.5]) + \
+                _wide_bipoly(rng)
+        else:
+            b = _wide_bipoly(rng)
+        pairs.append((a, b))
+    scalars = (0, 1, -1, 6, 1 << 130, Fraction(1, 2), Fraction(-7, 6),
+               Fraction(3, 1 << 70))
+    for a, b in pairs:
+        ca, cb = _ref(a), _ref(b)
+        keys = ca.keys() | cb.keys()
+        s = rng.choice(scalars)
+        n = rng.randint(0, 3)
+        a_n = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            a_n = naive_bi_mul(BiPoly(a_n), a)
+        yb = rng.randint(0, 4)
+        results = [
+            (a + b, {k: ca.get(k, 0) + cb.get(k, 0) for k in keys}),
+            (a - b, {k: ca.get(k, 0) - cb.get(k, 0) for k in keys}),
+            (b + a, {k: ca.get(k, 0) + cb.get(k, 0) for k in keys}),
+            (a * b, naive_bi_mul(a, b)),
+            (b * a, naive_bi_mul(a, b)),
+            (a * s, {k: v * s for k, v in ca.items()}),
+            (s * a, {k: v * s for k, v in ca.items()}),
+            (a ** n, a_n),
+            (a.partial_y(), {(i, j - 1): v * j for (i, j), v in ca.items() if j}),
+            (a - a, {}),
+        ]
+        for got, want in results:
+            assert _ref(got) == _nonzero(want)
+            assert len(got) == len(_nonzero(want))
+            _assert_bi_canonical(got)
+            if not want or not any(want.values()):
+                assert got._c == {} and got._d == 1 and got == BiPoly.zero()
+        coeff_b = a.y_coefficient(yb)
+        assert coeff_b == {i: v for (i, j), v in ca.items() if j == yb}
+        assert all(type(v) is int or v.denominator > 1 for v in coeff_b.values())
+
+
+def test_bi_canonical_equality():
+    assert BiPoly({(0, 0): Fraction(2, 4)}) == BiPoly.const(Fraction(1, 2))
+    assert BiPoly({(1, 2): Fraction(3, 6)}) * 2 == BiPoly.monomial(1, 2)
+    assert BiPoly([((0, 1), Fraction(1, 6)), ((0, 1), Fraction(1, 3))]) == \
+        BiPoly.y() * Fraction(1, 2)
+    f = BiPoly({(0, 2): Fraction(2, 3), (3, 0): Fraction(-4, 9)})
+    assert f.partial_y() == BiPoly({(0, 1): Fraction(4, 3)})
+    assert f.partial_y()._d == 3 and (f * 9)._d == 1
+    assert (f - f)._c == {} and (f - f)._d == 1 and (f * 0) == BiPoly.zero()
+    assert BiPoly.const(0) == BiPoly.zero() and not BiPoly.monomial(2, 3, 0)
 
 
 def test_uni_order_additivity_random():

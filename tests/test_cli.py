@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,12 +11,13 @@ import pytest
 
 from curvelift import BiPoly, basis_reconstruct, certify
 from curvelift.cli import (doc_rebuild, format_poly, main, parse_curve_text,
-                           parse_rational, poly_from_doc)
+                           parse_rational, poly_from_doc, poly_to_doc)
 from curvelift.errors import CurveFileError
 from curvelift.implicitize import chain_from_polynomials
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 README = CORPUS.parent / "README.md"
+SRC = CORPUS.parent / "src"
 
 
 def run(capsys, *argv):
@@ -225,3 +229,41 @@ def test_json_iteration_log_replays(capsys):
             assert basis_reconstruct(terms, fs[:i - 1]) == delta, (path.name, i)
             prev = BiPoly.y() if i == 1 else fs[i - 2]
             assert prev ** doc["ks"][i - 1] + delta == fs[i - 1], (path.name, i)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "paper-ex3.curve", "--json"],
+    ["semigroup", "paper-ex3.curve", "--json"],
+    ["polygon", "paper-ex3.curve", "--json"],
+    ["implicitize", "paper-ex3.curve", "--json"],
+    ["verify", "paper-ex3.curve", "--json"],
+    ["verify", "paper-ex3.curve"],
+])
+def test_closed_stdout_exits_1_quietly(argv):
+    # the reader is gone before the first write, as after `| head -1`
+    # finishes early: exit 1, and no traceback on stderr
+    argv = [str(CORPUS / a) if a.endswith(".curve") else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from curvelift.cli import main; sys.exit(main())", *argv],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
+def test_corpus_polynomials_round_trip(corpus_chains):
+    # every f_i and delta_i survives a rebuild from its coefficients and a
+    # trip through the JSON form; the deltas are recomputed from the fs
+    for name, (branch, chain, _) in corpus_chains.items():
+        for f in (*chain.fs, *chain.deltas):
+            assert BiPoly(dict(f.terms())) == f, name
+            assert poly_from_doc(poly_to_doc(f)) == f, name
+        assert chain_from_polynomials(branch, chain.fs).deltas == chain.deltas, name

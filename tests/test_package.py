@@ -24,3 +24,11 @@ def test_benchmark_entry_points_resolve():
             assert meth in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr, None)), attr
+
+
+def test_rmul_aliases_live_on_each_class():
+    # perfbench patches every key of a class that holds the original
+    # __mul__; an alias only on a shared base would go untraced
+    from curvelift.algebra import BiPoly, UniPoly
+    for cls in (UniPoly, BiPoly):
+        assert vars(cls)["__rmul__"] is vars(cls)["__mul__"], cls.__name__
