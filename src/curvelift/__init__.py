@@ -7,13 +7,13 @@ certify the valuation identities they satisfy, and cross-check against an
 independent resultant oracle.
 """
 
-from .algebra import (INFINITY, BiPoly, Coeff, Rat, UniPoly, bipoly_exact_div,
+from .algebra import (INFINITY, BiPoly, Coeff, UniPoly, bipoly_exact_div,
                       sylvester_det)
-from .chardata import (Branch, BranchInput, CharData, extract_characteristics,
-                       in_lattice, validate_branch)
+from .chardata import (Branch, CharData, extract_characteristics, in_lattice,
+                       validate_branch)
 from .errors import CurveLiftError
 from .implicitize import LevelCertificate, LiftChain, certify, implicitize_all, lift
-from .oracle import OracleResult, resultant_implicitize
+from .oracle import resultant_implicitize
 from .parametrize import Parametrization, truncation, valuation_table
 from .polygon import (PolygonDesc, SliceQuery, lattice_slice, mu, polygon_contains,
                       polygon_desc)
@@ -27,13 +27,13 @@ from .weierstrass import (AdicDecomposition, adic_decompose, adic_reconstruct,
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY", "BiPoly", "Coeff", "Rat", "UniPoly", "bipoly_exact_div",
+    "INFINITY", "BiPoly", "Coeff", "UniPoly", "bipoly_exact_div",
     "sylvester_det",
-    "Branch", "BranchInput", "CharData", "extract_characteristics",
+    "Branch", "CharData", "extract_characteristics",
     "in_lattice", "validate_branch",
     "CurveLiftError",
     "LevelCertificate", "LiftChain", "certify", "implicitize_all", "lift",
-    "OracleResult", "resultant_implicitize",
+    "resultant_implicitize",
     "Parametrization", "truncation", "valuation_table",
     "PolygonDesc", "SliceQuery", "lattice_slice", "mu", "polygon_contains",
     "polygon_desc",

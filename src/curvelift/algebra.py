@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
 Coeff = int | Fraction
 
 
@@ -410,9 +409,9 @@ class PowerChain:
 
     __slots__ = ("_base", "_pows")
 
-    def __init__(self, base, one):
+    def __init__(self, base):
         self._base = base
-        self._pows = [one]
+        self._pows = [base.one()]
 
     def get(self, n: int):
         pows = self._pows

@@ -3,10 +3,12 @@
 A branch is given by its parametrization x = t**k, y = zeta(t) with zeta a
 polynomial whose exponents are positive integers not divisible by k
 (coordinates are assumed normalized so that no integer-exponent monomial
-survives). The characteristic exponents lambda_1 < ... < lambda_s are the
-places where the gcd of k and the exponents read so far strictly drops;
-they determine the index jumps k_i, the chain e_i = k_1 * ... * k_i and the
-exponent lattices
+survives). validate_branch(k, terms) is the one input boundary: it checks
+k and every term, raising a typed CurveLiftError on invalid input, and
+returns the Branch every later stage takes. The characteristic exponents
+lambda_1 < ... < lambda_s are the places where the gcd of k and the
+exponents read so far strictly drops; they determine the index jumps k_i,
+the chain e_i = k_1 * ... * k_i and the exponent lattices
 
     M_i = Z + Z*lambda_1 + ... + Z*lambda_i = (1/e_i) Z.
 
@@ -28,8 +30,8 @@ from .errors import (
     EmptySupportError,
     InconsistentCharDataError,
     IntegerExponentError,
+    InvalidBranchError,
     NonPrimitiveError,
-    TailOrderViolationError,
 )
 
 
@@ -59,31 +61,6 @@ class CharData:
 
 
 @dataclass(frozen=True)
-class BranchInput:
-    """Raw parametrization data: x = t**k, y = sum of coeff * t**exp."""
-
-    k: int
-    terms: tuple[tuple[int, Coeff], ...]
-
-    @classmethod
-    def from_terms(cls, k: int, terms) -> "BranchInput":
-        if k < 1:
-            raise ValueError("multiplicity k must be a positive integer")
-        items = terms.items() if isinstance(terms, dict) else terms
-        seen = {}
-        for e, c in items:
-            if type(e) is not int or e <= 0:
-                raise ValueError(f"t-exponent must be a positive int, got {e!r}")
-            c = _norm_coeff(c)
-            if not c:
-                raise ValueError(f"zero coefficient at exponent {e}")
-            if e in seen:
-                raise ValueError(f"duplicate exponent {e}")
-            seen[e] = c
-        return cls(k=k, terms=tuple(sorted(seen.items())))
-
-
-@dataclass(frozen=True)
 class Branch:
     """A validated branch: raw terms plus the per-level split."""
 
@@ -93,12 +70,10 @@ class Branch:
     cs: tuple[Coeff, ...]        # leading coefficients c_1, ..., c_s
     phis: tuple[UniPoly, ...]    # tails phi_1, ..., phi_s, in t
 
-    @property
-    def s(self) -> int:
-        return self.cd.s
 
-    def zeta(self) -> UniPoly:
-        return UniPoly(self.terms)
+def _check_k(k) -> None:
+    if type(k) is not int or k < 1:
+        raise InvalidBranchError(f"multiplicity k must be a positive int, got {k!r}")
 
 
 def extract_characteristics(k: int, support) -> CharData:
@@ -108,17 +83,16 @@ def extract_characteristics(k: int, support) -> CharData:
     at the characteristic terms; k_i is the drop ratio, and
     lambda_i = exponent / k.
     """
-    if k < 1:
-        raise ValueError("multiplicity k must be a positive integer")
-    exps = sorted(set(support))
+    _check_k(k)
+    exps = set(support)
     if not exps:
         raise EmptySupportError("the parametrization has no terms")
     if any(type(e) is not int or e <= 0 for e in exps):
-        raise ValueError("support must consist of positive integers")
+        raise InvalidBranchError("support must consist of positive integers")
     g = k
     lambdas = []
     ks = []
-    for m in exps:
+    for m in sorted(exps):
         g2 = gcd(g, m)
         if g2 < g:
             lambdas.append(Fraction(m, k))
@@ -141,10 +115,11 @@ def in_lattice(a, i: int, cd: CharData) -> bool:
 
 
 def split_tails(cd: CharData, terms):
-    """Split sorted (exp, coeff) terms into (cs, phis) along the
-    characteristic windows. Every characteristic exponent must be present."""
-    k = cd.k
-    char_exps = [int(lam * k) for lam in cd.lambdas]
+    """Split validated (exp, coeff) terms into (cs, phis) along the
+    characteristic windows. The first term is characteristic (k does not
+    divide it), and cd was read off these same terms, so every later term
+    lands in a window and every characteristic exponent is met."""
+    char_exps = [int(lam * cd.k) for lam in cd.lambdas]
     cs = []
     phis = [dict() for _ in range(cd.s)]
     level = 0
@@ -153,30 +128,47 @@ def split_tails(cd: CharData, terms):
             cs.append(c)
             level += 1
         else:
-            if level == 0:
-                raise TailOrderViolationError(
-                    f"term t^{e} precedes the first characteristic exponent")
             phis[level - 1][e] = c
-    if level != cd.s:
-        raise ValueError("terms do not realize all characteristic exponents")
     return tuple(cs), tuple(UniPoly(d) for d in phis)
 
 
-def validate_branch(b: BranchInput) -> Branch:
-    """Validate a raw parametrization and derive its characteristic data.
+def validate_branch(k: int, terms) -> Branch:
+    """Validate the parametrization x = t**k, y = sum of c * t**e and derive
+    its characteristic data.
 
-    Re-runs BranchInput.from_terms, so an instance built directly gets the
-    same checks. Rejects terms with exponent divisible by k (the normalized
-    coordinates carry no integer-exponent monomials) and non-primitive
-    inputs; then extracts CharData and derives the split, which meets the
-    tail conditions by construction.
+    ``terms`` is a mapping {e: c} or an iterable of (e, c) pairs. A
+    malformed k, exponent or coefficient, a zero coefficient or a repeated
+    exponent raises InvalidBranchError; an exponent divisible by k (the
+    normalized coordinates carry no integer-exponent monomials)
+    IntegerExponentError, no terms EmptySupportError and a non-primitive
+    support NonPrimitiveError. The split meets the tail conditions by
+    construction.
     """
-    b = BranchInput.from_terms(b.k, b.terms)
-    for e, _ in b.terms:
-        if e % b.k == 0:
+    _check_k(k)
+    items = terms.items() if isinstance(terms, dict) else terms
+    try:
+        pairs = [(e, c) for e, c in items]
+    except (TypeError, ValueError):
+        raise InvalidBranchError(
+            "terms must be a mapping or (exponent, coefficient) pairs") from None
+    seen = {}
+    for e, c in pairs:
+        if type(e) is not int or e <= 0:
+            raise InvalidBranchError(f"t-exponent must be a positive int, got {e!r}")
+        if e in seen:
+            raise InvalidBranchError(f"duplicate exponent {e}")
+        if e % k == 0:
             raise IntegerExponentError(
-                f"exponent {e} is divisible by k = {b.k}; integer-exponent "
+                f"exponent {e} is divisible by k = {k}; integer-exponent "
                 f"monomials must be removed by a coordinate change")
-    cd = extract_characteristics(b.k, [e for e, _ in b.terms])
-    cs, phis = split_tails(cd, b.terms)
-    return Branch(k=b.k, terms=b.terms, cd=cd, cs=cs, phis=phis)
+        try:
+            c = _norm_coeff(c)
+        except TypeError as exc:
+            raise InvalidBranchError(f"exponent {e}: {exc}") from None
+        if not c:
+            raise InvalidBranchError(f"zero coefficient at exponent {e}")
+        seen[e] = c
+    cd = extract_characteristics(k, seen)
+    terms = tuple(sorted(seen.items()))
+    cs, phis = split_tails(cd, terms)
+    return Branch(k=k, terms=terms, cd=cd, cs=cs, phis=phis)

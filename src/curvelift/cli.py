@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import BiPoly, Coeff
-from .chardata import Branch, BranchInput, validate_branch
+from .chardata import Branch, validate_branch
 from .errors import CurveFileError, CurveLiftError
 from .implicitize import LiftChain, implicitize_all, lift_levels
 from .oracle import DEFAULT_ORACLE_BOUND
@@ -48,7 +48,6 @@ class CurveFile:
     k: int
     terms: list[tuple[int, Coeff]]
     name: str = ""
-    notes: str = ""
 
 
 # an integer or p/q; Fraction alone also takes exponent notation, whose
@@ -66,10 +65,6 @@ def parse_rational(text: str) -> Coeff:
     return f.numerator if f.denominator == 1 else f
 
 
-def format_rational(c: Coeff) -> str:
-    return str(c)
-
-
 def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
     cf = CurveFile(k=0, terms=[])
     last_exp = 0
@@ -84,8 +79,6 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
         value = value.strip()
         if key == "name":
             cf.name = value
-        elif key == "notes":
-            cf.notes = value
         elif key == "k":
             try:
                 cf.k = int(value)
@@ -111,7 +104,7 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
                 raise CurveFileError("coefficient must be nonzero", path, lineno)
             last_exp = exp
             cf.terms.append((exp, coeff))
-        else:
+        elif key != "notes":     # free text, accepted and ignored
             raise CurveFileError(f"unknown key {key!r}", path, lineno)
     if cf.k == 0:
         raise CurveFileError("missing 'k:' line", path)
@@ -133,7 +126,7 @@ def load_curve(path) -> CurveFile:
 
 
 def branch_from_file(cf: CurveFile) -> Branch:
-    return validate_branch(BranchInput.from_terms(cf.k, cf.terms))
+    return validate_branch(cf.k, cf.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +146,11 @@ def format_poly(f: BiPoly) -> str:
         neg = c < 0
         cabs = -c if neg else c
         if not mono:
-            body = format_rational(cabs)
+            body = str(cabs)
         elif cabs == 1:
             body = mono
         else:
-            body = f"{format_rational(cabs)}*{mono}"
+            body = f"{cabs}*{mono}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:
@@ -167,7 +160,7 @@ def format_poly(f: BiPoly) -> str:
 
 def poly_to_doc(f: BiPoly) -> list[dict]:
     items = sorted(f.terms(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][1]))
-    return [{"x": a, "y": b, "c": format_rational(c)} for (a, b), c in items]
+    return [{"x": a, "y": b, "c": str(c)} for (a, b), c in items]
 
 
 def poly_from_doc(doc: list[dict]) -> BiPoly:
@@ -185,25 +178,23 @@ def certificate_lines(chain: LiftChain) -> list[str]:
     for cert in chain.certificates:
         i = cert.level
         e_i = cd.es[i]
-        mark = _mark
         lines.append(f"level {i} (e_{i} = {e_i}):")
-        lines.append(f"  ι_{i}*f_{i} = 0 {mark(cert.pullback_zero)}")
-        lines.append(f"  Supp(f_{i}) ⊆ N_{i} {mark(cert.support_in_polygon)}")
-        lines.append(f"  (0,{e_i}) ∉ Supp(δ_{i}) {mark(cert.apex_absent_in_delta)}")
+        lines.append(f"  ι_{i}*f_{i} = 0 {_mark(cert.pullback_zero)}")
+        lines.append(f"  Supp(f_{i}) ⊆ N_{i} {_mark(cert.support_in_polygon)}")
+        lines.append(f"  (0,{e_i}) ∉ Supp(δ_{i}) {_mark(cert.apex_absent_in_delta)}")
         lines.append(f"  {{(0,{e_i}),({int(e_i * cd.lambdas[0])},0)}} ⊆ Supp(f_{i}) "
-                     f"{mark(cert.compact_face_present)}")
+                     f"{_mark(cert.compact_face_present)}")
         lines.append(f"  f_{i} monic Weierstrass of degree {e_i} "
-                     f"{mark(cert.monic_weierstrass)}")
+                     f"{_mark(cert.monic_weierstrass)}")
         lines.append(f"  elimination orders strictly increasing "
-                     f"{mark(cert.n_log_increasing)}")
-        lines.append(f"  elimination orders in Γ {mark(cert.n_log_in_semigroup)}")
+                     f"{_mark(cert.n_log_increasing)}")
+        lines.append(f"  elimination orders in Γ {_mark(cert.n_log_in_semigroup)}")
         lines.append(f"  resultant oracle: {cert.oracle} "
-                     f"{mark(cert.oracle in ('match', 'skipped'))}")
+                     f"{_mark(cert.oracle in ('match', 'skipped'))}")
     if chain.table is not None:
-        yes, no = "✓", "✗"
         for row in chain.table.rows:
-            m1 = yes if row.value == row.expected else no
-            m2 = yes if row.dvalue == row.dexpected else no
+            m1 = _mark(row.value == row.expected)
+            m2 = _mark(row.dvalue == row.dexpected)
             lines.append(
                 f"ϑ_{{ι_{row.j}}}(f_{row.i - 1}) = {row.value} = "
                 f"γ_{row.i}^{{({row.j})}} {m1}")
@@ -218,8 +209,8 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
     doc = {
         "name": cf.name,
         "k": cf.k,
-        "terms": [{"exp": e, "coeff": format_rational(c)} for e, c in cf.terms],
-        "characteristic_exponents": [format_rational(l) for l in cd.lambdas],
+        "terms": [{"exp": e, "coeff": str(c)} for e, c in cf.terms],
+        "characteristic_exponents": [str(l) for l in cd.lambdas],
         "ks": list(cd.ks),
         "es": list(cd.es),
         "levels": [],
@@ -235,7 +226,7 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
             "delta": poly_to_doc(chain.deltas[i - 1]),
             "iterations": [
                 {"n": rec.n, "pivot": list(rec.pivot),
-                 "coeff": format_rational(rec.coeff)}
+                 "coeff": str(rec.coeff)}
                 for rec in chain.logs[i - 1]],
         }
         if chain.certificates:
@@ -253,7 +244,7 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
 def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
     """Rebuild (branch, chain polynomials) from a --json document."""
     terms = [(t["exp"], parse_rational(t["coeff"])) for t in doc["terms"]]
-    branch = validate_branch(BranchInput.from_terms(doc["k"], terms))
+    branch = validate_branch(doc["k"], terms)
     fs = tuple(poly_from_doc(level["f"]) for level in doc["levels"])
     return branch, fs
 
@@ -278,21 +269,21 @@ def cmd_validate(args) -> int:
     if args.json:
         doc = {
             "name": cf.name, "k": cf.k,
-            "characteristic_exponents": [format_rational(l) for l in cd.lambdas],
+            "characteristic_exponents": [str(l) for l in cd.lambdas],
             "ks": list(cd.ks), "es": list(cd.es),
-            "cs": [format_rational(c) for c in branch.cs],
-            "tails": [sorted((e, format_rational(c)) for e, c in phi.terms())
+            "cs": [str(c) for c in branch.cs],
+            "tails": [sorted((e, str(c)) for e, c in phi.terms())
                       for phi in branch.phis],
         }
         print(json.dumps(doc, indent=2))
     else:
         print(f"{cf.name}: valid branch, k = {cf.k}")
-        lams = ", ".join(format_rational(l) for l in cd.lambdas)
+        lams = ", ".join(str(l) for l in cd.lambdas)
         print(f"  characteristic exponents: {lams}")
         print(f"  ks = {list(cd.ks)}, es = {list(cd.es)}")
         for i, phi in enumerate(branch.phis, start=1):
             if not phi.is_zero:
-                terms = " + ".join(f"{format_rational(c)}*t^{e}"
+                terms = " + ".join(f"{c}*t^{e}"
                                    for e, c in sorted(phi.terms()))
                 print(f"  tail phi_{i} = {terms}")
     return 0
@@ -325,7 +316,7 @@ def cmd_polygon(args) -> int:
             "lower": {"a": pd.lower[0], "b": pd.lower[1], "c": pd.lower[2]},
             "upper": {"a": pd.upper[0], "b": pd.upper[1], "c": pd.upper[2]},
             "vertices": [list(v) for v in pd.vertices],
-            "mu": format_rational(pd.mu),
+            "mu": str(pd.mu),
         })
     if args.json:
         print(json.dumps({"name": cf.name, "polygons": docs}, indent=2))
@@ -346,6 +337,9 @@ def _chain_for(args, verify: bool) -> tuple[CurveFile, LiftChain]:
 
 
 def cmd_implicitize(args) -> int:
+    if args.json and args.level:
+        raise CurveLiftError("--level selects text output; --json always "
+                             "emits every level")
     verify = not args.no_verify
     cf, chain = _chain_for(args, verify)
     levels = _levels(args.level, chain.cd.s)

@@ -7,6 +7,11 @@ class CurveLiftError(Exception):
 
 # --- branch / characteristic data validation -------------------------------
 
+class InvalidBranchError(CurveLiftError, ValueError):
+    """Malformed branch input: k, an exponent or a coefficient of the wrong
+    type or sign, a zero coefficient or a repeated exponent."""
+
+
 class InconsistentCharDataError(CurveLiftError):
     """Characteristic data whose k, lambda, k_i and e_i chains disagree."""
 
@@ -24,15 +29,7 @@ class IntegerExponentError(CurveLiftError):
     normalization that removes integer-exponent monomials."""
 
 
-class TailOrderViolationError(CurveLiftError):
-    """A tail violates the order/degree window of its level."""
-
-
 # --- semigroup --------------------------------------------------------------
-
-class NonIntegralGeneratorError(CurveLiftError):
-    """A semigroup generator failed to be an integer vector (corrupt input)."""
-
 
 class NotInGroupError(CurveLiftError):
     """The element is not in the group spanned by the generators."""
@@ -52,21 +49,13 @@ class DegreeOutOfRangeError(CurveLiftError):
     """deg_y of the input is too large for the requested decomposition."""
 
 
-# --- internal invariants and the elimination loop ---------------------------
+# --- internal invariants -----------------------------------------------------
 
 class InvariantError(CurveLiftError):
-    """An internal consistency check failed: corrupt data or a bug. Raised
-    instead of asserting, so the check also runs under ``python -O``."""
-
-
-class EmptySliceError(CurveLiftError):
-    """The lattice slice is empty while the valuation is still finite;
-    signals corrupt input or an implementation bug."""
-
-
-class IterationBudgetError(CurveLiftError):
-    """The elimination loop exceeded its support-derived iteration bound;
-    impossible for valid input, hence an internal error."""
+    """An internal consistency check failed: corrupt data or a bug, such as
+    an empty lattice slice, an exhausted iteration budget or a non-integral
+    semigroup generator. Raised instead of asserting, so the check also runs
+    under ``python -O``."""
 
 
 # --- oracle -----------------------------------------------------------------

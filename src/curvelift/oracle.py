@@ -7,9 +7,9 @@ primitive e-th root of unity, that norm is the characteristic polynomial
 
     N(y) = prod_{j < e} (y - yt(w**j s)),
 
-monic of degree e in y. Its power sums are traces. Writing yt**m =
-sum_n a_n t**n, the sum over j of (w**j)**n is e when e divides n and 0
-otherwise, so
+monic of degree e in y; resultant_implicitize returns it as a BiPoly.
+Its power sums are traces. Writing yt**m = sum_n a_n t**n, the sum over
+j of (w**j)**n is e when e divides n and 0 otherwise, so
 
     p_m(x) = sum_j yt(w**j s)**m = e * sum_q [t**(e*q)] yt(t)**m * x**q,
 
@@ -35,7 +35,6 @@ the final self-check that the pullback of the result vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -44,11 +43,6 @@ from .errors import InvariantError, OracleBoundError
 from .parametrize import Parametrization
 
 DEFAULT_ORACLE_BOUND = 12
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    monic: BiPoly        # the norm of y - yt(t), monic in y**e
 
 
 def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]
@@ -61,9 +55,9 @@ def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]
 
 
 def resultant_implicitize(p: Parametrization,
-                          bound: int = DEFAULT_ORACLE_BOUND) -> OracleResult:
-    """Norm of y - yt(t) from Q(x)[t]/(t**e - x), from power sums of
-    traces and Newton's identities (see the module docstring).
+                          bound: int = DEFAULT_ORACLE_BOUND) -> BiPoly:
+    """The norm of y - yt(t) from Q(x)[t]/(t**e - x), monic in y**e, from
+    power sums of traces and Newton's identities (see the module docstring).
 
     Raises OracleBoundError when e exceeds the bound (callers then fall
     back to pullback-only certification). The result vanishes under the
@@ -99,4 +93,4 @@ def resultant_implicitize(p: Parametrization,
                     for m, c_m in enumerate(cs) for a, v in c_m.items()})
     if not p.pullback(monic).is_zero:
         raise InvariantError("resultant does not vanish on the branch")
-    return OracleResult(monic=monic)
+    return monic

@@ -28,19 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Parametrization:
-    """One truncation level: xt = t**e, yt the truncated branch.
+    """One truncation level: x = t**e, y = yt(t), the truncated branch.
 
     Immutable after construction, and it holds no cache.
     """
 
-    def __init__(self, level: int, xt: UniPoly, yt: UniPoly):
+    def __init__(self, level: int, e: int, yt: UniPoly):
         self.level = level
-        self.xt = xt
+        self.e = e
         self.yt = yt
-        terms = list(xt.terms())
-        if len(terms) != 1 or terms[0][1] != 1:
-            raise InvariantError(f"xt must be a monic monomial t**e, got {xt!r}")
-        self.e = terms[0][0]
 
     def pullback(self, f: BiPoly) -> UniPoly:
         """The substitution f(t**e, yt(t)), expanded exactly: the rows
@@ -88,7 +84,7 @@ def truncation(branch: Branch, i: int) -> Parametrization:
         raise InvariantError(f"level {i} truncation lost primitivity (corrupt branch)")
     if min(yt) != int(cd.lambdas[0] * e_i):
         raise InvariantError(f"level {i} truncation order drifted (corrupt branch)")
-    return Parametrization(level=i, xt=UniPoly.t(e_i), yt=UniPoly(yt))
+    return Parametrization(level=i, e=e_i, yt=UniPoly(yt))
 
 
 @dataclass(frozen=True)
@@ -122,13 +118,14 @@ class ValuationTable:
         raise KeyError((i, j))
 
 
-def valuation_table(chain: "LiftChain", branch: Branch) -> ValuationTable:
+def valuation_table(chain: "LiftChain") -> ValuationTable:
     """Check every prediction  val_j(f_{i-1}) = gamma_i^{(j)}  and
     val_j(d/dy f_{i-1}) = gamma_i^{(j)} - e_j*lambda_i  for 1 <= i <= j <= s.
 
     Cells are independent; they are evaluated in a fixed order so the
     result is deterministic.
     """
+    branch = chain.branch
     cd = branch.cd
     s = cd.s
     rows = []

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chardata import CharData
-from .errors import NonIntegralGeneratorError, NotInGroupError
+from .errors import InvariantError, NotInGroupError
 
 
 def _check_int(a) -> int:
@@ -64,7 +64,7 @@ def generators(cd: CharData, i: int) -> SemigroupDesc:
     for j, lam in enumerate(cd.lambdas[:i]):
         lam_e = lam * e_i
         if lam_e.denominator != 1:
-            raise NonIntegralGeneratorError(
+            raise InvariantError(
                 f"{e_i} * lambda_{j + 1} is not an integer")
         lam_e = int(lam_e)
         gamma.append(lam_e if j == 0 else cd.ks[j - 1] * gamma[-1] - prev_lam + lam_e)

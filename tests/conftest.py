@@ -7,7 +7,7 @@ import pytest
 # this their asserts are not rewritten and ``python -O`` strips them
 pytest.register_assert_rewrite("property_suites", "helpers")
 
-from curvelift import BranchInput, certify, implicitize_all, validate_branch
+from curvelift import certify, implicitize_all, validate_branch
 from curvelift.cli import branch_from_file, load_curve
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -15,25 +15,25 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 @pytest.fixture(scope="session")
 def cusp():
-    return validate_branch(BranchInput.from_terms(2, {3: 1}))
+    return validate_branch(2, {3: 1})
 
 
 @pytest.fixture(scope="session")
 def branch12():
     """k = 12, exponents 18, 20, 23: lambdas (3/2, 5/3, 23/12)."""
-    return validate_branch(BranchInput.from_terms(12, {18: 1, 20: 1, 23: 1}))
+    return validate_branch(12, {18: 1, 20: 1, 23: 1})
 
 
 @pytest.fixture(scope="session")
 def branch6():
     """k = 6, exponents 9, 15, 16, 20: lambdas (3/2, 8/3), two tails."""
-    return validate_branch(BranchInput.from_terms(6, {9: 1, 15: 1, 16: 1, 20: 1}))
+    return validate_branch(6, {9: 1, 15: 1, 16: 1, 20: 1})
 
 
 @pytest.fixture(scope="session")
 def branch6_tails():
     """Same shape with non-unit tail coefficients."""
-    return validate_branch(BranchInput.from_terms(6, {9: 1, 15: 2, 16: 1, 20: 5}))
+    return validate_branch(6, {9: 1, 15: 2, 16: 1, 20: 5})
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from curvelift import (BiPoly, BranchInput, Coeff, UniPoly, sylvester_det,
+from curvelift import (BiPoly, Coeff, UniPoly, sylvester_det,
                        validate_branch)
 from curvelift.algebra import coeff_div
 from curvelift.polygon import SliceQuery
@@ -62,7 +62,7 @@ def rand_branch(rng, max_levels=3, factors=(2, 3), max_k=12,
         for m in cands:
             if rng.random() < tail_prob / max(1, len(cands)) * 2:
                 terms[m] = rand_coeff(rng, small=int_coeffs)
-    return validate_branch(BranchInput.from_terms(k, terms))
+    return validate_branch(k, terms)
 
 
 def rand_bipoly(rng, max_exp=6, max_terms=5, small=False):

@@ -81,7 +81,7 @@ def test_criterion_4_oracle_equivalence(corpus_chains):
             if branch.cd.es[i] > 12:
                 continue
             res = resultant_implicitize(truncation(branch, i))
-            good = res.monic == chain.fs[i - 1]
+            good = res == chain.fs[i - 1]
             ok &= good
             checked += 1
             if not good:

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import BranchInput, extract_characteristics, in_lattice, validate_branch
+from curvelift import extract_characteristics, in_lattice, validate_branch
 from curvelift.chardata import split_tails
-from curvelift.errors import EmptySupportError, IntegerExponentError, NonPrimitiveError
+from curvelift.errors import (CurveLiftError, EmptySupportError, IntegerExponentError,
+                              InvalidBranchError, NonPrimitiveError)
 from curvelift.algebra import UniPoly
 from helpers import rand_branch
 
@@ -46,6 +47,10 @@ def test_extract_errors():
         extract_characteristics(4, set())
     with pytest.raises(NonPrimitiveError):
         extract_characteristics(4, {6, 10})
+    with pytest.raises(InvalidBranchError):
+        extract_characteristics(0, {3})
+    with pytest.raises(InvalidBranchError):
+        extract_characteristics(4, {3, -5})
 
 
 def test_in_lattice_reference_points():
@@ -68,14 +73,14 @@ def test_in_lattice_characteristic_jumps():
 
 
 def test_validate_paper_level2_example():
-    b = validate_branch(BranchInput.from_terms(6, {9: 1, 10: 1}))
+    b = validate_branch(6, {9: 1, 10: 1})
     assert b.cd.lambdas == (F(3, 2), F(5, 3))
     assert b.cs == (1, 1)
     assert all(phi.is_zero for phi in b.phis)
 
 
 def test_validate_splits_tails():
-    b = validate_branch(BranchInput.from_terms(6, {9: 1, 15: 2, 16: 1, 20: 5}))
+    b = validate_branch(6, {9: 1, 15: 2, 16: 1, 20: 5})
     assert b.cd.lambdas == (F(3, 2), F(8, 3))
     assert b.phis[0] == UniPoly({15: 2})
     assert b.phis[1] == UniPoly({20: 5})
@@ -84,15 +89,40 @@ def test_validate_splits_tails():
 
 def test_validate_rejects_integer_exponent():
     with pytest.raises(IntegerExponentError):
-        validate_branch(BranchInput.from_terms(4, {6: 1, 8: 1}))
+        validate_branch(4, {6: 1, 8: 1})
 
 
 def test_validate_checks_directly_built_input():
-    # BranchInput(...) skips from_terms; a zero c_i or a repeated exponent
-    # must still be rejected before the lift
+    # terms given as (e, c) pairs get the checks a mapping gets: a zero c_i
+    # or a repeated exponent is rejected before the lift, as a ValueError
     for k, terms in ((2, ((3, 0),)), (6, ((9, 1), (10, 0))), (2, ((3, 1), (3, 2)))):
         with pytest.raises(ValueError):
-            validate_branch(BranchInput(k=k, terms=terms))
+            validate_branch(k, terms)
+
+
+@pytest.mark.parametrize("k, terms, error", [
+    (0, {3: 1}, InvalidBranchError),
+    (-2, {3: 1}, InvalidBranchError),
+    ("2", {3: 1}, InvalidBranchError),
+    (2, {0: 1, 3: 1}, InvalidBranchError),
+    (2, {-3: 1}, InvalidBranchError),
+    (3, {2.0: 1}, InvalidBranchError),
+    (2, {True: 1}, InvalidBranchError),
+    (2, {3: 0}, InvalidBranchError),
+    (2, {3: 0.5}, InvalidBranchError),
+    (2, {3: "1"}, InvalidBranchError),
+    (2, [(3, 1), (5, 1), (3, 2)], InvalidBranchError),
+    (2, [3, 5], InvalidBranchError),
+    (4, {6: 1, 8: 1}, IntegerExponentError),
+    (2, {}, EmptySupportError),
+    (4, {6: 1, 10: 1}, NonPrimitiveError),
+], ids=["k=0", "k=-2", "k=str", "exp=0", "exp=-3", "exp=float", "exp=bool",
+        "coeff=0", "coeff=float", "coeff=str", "duplicate-pair", "not-pairs",
+        "k-divides-exp", "empty", "non-primitive"])
+def test_validate_rejects_invalid_input_typed(k, terms, error):
+    with pytest.raises(error) as info:
+        validate_branch(k, terms)
+    assert isinstance(info.value, CurveLiftError)
 
 
 def test_product_of_ks_is_k_random():
@@ -123,7 +153,7 @@ def test_extraction_ignores_lattice_exponents_random():
 
 
 def test_split_roundtrip():
-    b = validate_branch(BranchInput.from_terms(6, {9: 1, 15: 2, 16: 1, 20: 5}))
+    b = validate_branch(6, {9: 1, 15: 2, 16: 1, 20: 5})
     cs, phis = split_tails(b.cd, b.terms)
     assert cs == b.cs and phis == b.phis
     total = UniPoly(b.terms)
@@ -173,15 +203,13 @@ def test_validated_branches_meet_tail_conditions():
     for _ in range(5000):
         k = rng.randint(2, 12)
         exps = rng.sample(range(1, 4 * k), rng.randint(1, 5))
-        raw = BranchInput.from_terms(k, {m: rng.choice((-2, -1, 1, F(3, 2)))
-                                         for m in exps})
+        terms = {m: rng.choice((-2, -1, 1, F(3, 2))) for m in exps}
         try:
-            b = validate_branch(raw)
+            b = validate_branch(k, terms)
         except (IntegerExponentError, NonPrimitiveError):
             assert any(m % k == 0 for m in exps) or gcd(k, *exps) > 1
             continue
         accepted += 1
-        terms = dict(raw.terms)
         # characteristic exponents m_i and e_i, read off the running gcd
         g, chars, es = k, [], [1]
         for m in sorted(exps):

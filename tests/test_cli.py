@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from curvelift import BiPoly, basis_reconstruct, certify
-from curvelift.cli import (doc_rebuild, format_poly, main, parse_curve_text,
-                           parse_rational, poly_from_doc, poly_to_doc)
-from curvelift.errors import CurveFileError
+from curvelift.cli import (chain_to_doc, doc_rebuild, format_poly, load_curve, main,
+                           parse_curve_text, parse_rational, poly_from_doc,
+                           poly_to_doc)
+from curvelift.errors import CurveFileError, CurveLiftError
 from curvelift.implicitize import chain_from_polynomials
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -120,24 +121,48 @@ def test_bench_rejects_jobs(capsys, tmp_path):
 
 
 def test_json_roundtrip_reverifies_identically(capsys):
-    code, out = run(capsys, "implicitize", str(CORPUS / "paper-ex2.curve"), "--json")
-    assert code == 0
-    doc = json.loads(out)
-    branch, fs = doc_rebuild(doc)
-    rebuilt = certify(chain_from_polynomials(branch, fs))
-    assert rebuilt.ok
-    for level, cert in zip(doc["levels"], rebuilt.certificates):
-        assert level["certificates"] == {
-            "pullback_zero": cert.pullback_zero,
-            "support_in_polygon": cert.support_in_polygon,
-            "apex_absent_in_delta": cert.apex_absent_in_delta,
-            "compact_face_present": cert.compact_face_present,
-            "monic_weierstrass": cert.monic_weierstrass,
-            "n_log_increasing": cert.n_log_increasing,
-            "n_log_in_semigroup": cert.n_log_in_semigroup,
-            "valuation_rows_ok": cert.valuation_rows_ok,
-            "oracle": cert.oracle,
-        }
+    for name in ("paper-ex1", "paper-ex2"):
+        path = str(CORPUS / f"{name}.curve")
+        code, out = run(capsys, "implicitize", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        branch, fs = doc_rebuild(doc)
+        rebuilt = certify(chain_from_polynomials(branch, fs))
+        assert rebuilt.ok
+        for level, cert in zip(doc["levels"], rebuilt.certificates):
+            assert level["certificates"] == {
+                "pullback_zero": cert.pullback_zero,
+                "support_in_polygon": cert.support_in_polygon,
+                "apex_absent_in_delta": cert.apex_absent_in_delta,
+                "compact_face_present": cert.compact_face_present,
+                "monic_weierstrass": cert.monic_weierstrass,
+                "n_log_increasing": cert.n_log_increasing,
+                "n_log_in_semigroup": cert.n_log_in_semigroup,
+                "valuation_rows_ok": cert.valuation_rows_ok,
+                "oracle": cert.oracle,
+            }
+        # the rebuilt chain has no iteration logs; its document is
+        # otherwise the original
+        redoc = chain_to_doc(load_curve(path), rebuilt)
+        assert all(level["iterations"] == [] for level in redoc["levels"])
+        for level in doc["levels"]:
+            level["iterations"] = []
+        assert redoc == doc
+
+
+def test_doc_rebuild_rejects_invalid_terms():
+    for k, term in ((2, {"exp": 3, "coeff": "0"}), (2, {"exp": "3", "coeff": "1"}),
+                    (0, {"exp": 3, "coeff": "1"})):
+        with pytest.raises(CurveLiftError):
+            doc_rebuild({"k": k, "terms": [term], "levels": []})
+
+
+def test_implicitize_rejects_level_with_json(capsys):
+    code = main(["implicitize", str(CORPUS / "paper-ex1.curve"), "--level", "2",
+                 "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_json_output_deterministic(capsys):

@@ -1,10 +1,14 @@
 import importlib
+import inspect
+import re
 import runpy
 from pathlib import Path
 
 import curvelift
+from curvelift import errors
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_all_exports_resolve():
@@ -32,3 +36,13 @@ def test_rmul_aliases_live_on_each_class():
     from curvelift.algebra import BiPoly, UniPoly
     for cls in (UniPoly, BiPoly):
         assert vars(cls)["__rmul__"] is vars(cls)["__mul__"], cls.__name__
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code in the package raises is dead API
+    source = "\n".join(p.read_text()
+                        for p in (ROOT / "src" / "curvelift").glob("*.py"))
+    raised = set(re.findall(r"\braise\s+(\w+)\(", source))
+    subclasses = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.CurveLiftError)} - {"CurveLiftError"}
+    assert subclasses and sorted(subclasses - raised) == []

@@ -10,11 +10,11 @@ from helpers import naive_pullback, rand_bipoly, rand_branch
 
 def test_truncation_reference_levels(branch12):
     p1 = truncation(branch12, 1)
-    assert p1.xt == UniPoly.t(2) and p1.yt == UniPoly.t(3)
+    assert p1.e == 2 and p1.yt == UniPoly.t(3)
     p2 = truncation(branch12, 2)
-    assert p2.xt == UniPoly.t(6) and p2.yt == UniPoly({9: 1, 10: 1})
+    assert p2.e == 6 and p2.yt == UniPoly({9: 1, 10: 1})
     p3 = truncation(branch12, 3)
-    assert p3.xt == UniPoly.t(12) and p3.yt == UniPoly({18: 1, 20: 1, 23: 1})
+    assert p3.e == 12 and p3.yt == UniPoly({18: 1, 20: 1, 23: 1})
     with pytest.raises(IndexError):
         truncation(branch12, 4)
 
@@ -72,7 +72,7 @@ def test_naive_pullback_agrees_on_corpus(corpus_chains):
 
 
 def test_valuation_table_reference(branch12, chain12):
-    table = valuation_table(chain12, branch12)
+    table = valuation_table(chain12)
     assert table.ok
     # val_3(f_1) is the third-level second generator
     assert table.row(2, 3).value == 38

@@ -104,8 +104,8 @@ def test_divide_matches_independent_synthetic_division():
 
 
 def chain12():
-    from curvelift import BranchInput, implicitize_all, validate_branch
-    b = validate_branch(BranchInput.from_terms(12, {18: 1, 20: 1, 23: 1}))
+    from curvelift import implicitize_all, validate_branch
+    b = validate_branch(12, {18: 1, 20: 1, 23: 1})
     return implicitize_all(b, verify=False)
 
 
