@@ -14,16 +14,19 @@ equal polynomials have equal fields. ``+`` and ``-`` rescale the
 numerators to the lcm of the two denominators, scalar ``*`` scales
 numerators and denominator, and a product multiplies the denominators;
 each reduces once with one ``gcd``. Only the products differ. A
-``UniPoly`` product is one bigint multiply (Kronecker substitution):
-each side's numerators become the base-2**w digits of one signed int,
-and the digits of the product are the product's numerators. A product
-coefficient sums at most ``m = min(len(a), len(b))`` terms, each below
-``2**(bits(max|a|) + bits(max|b|))``, so with ``w = bits(max|a|) +
-bits(max|b|) + bits(m) + 1`` every digit lies strictly between
-``-2**(w-1)`` and ``2**(w-1)``: it never overflows into its neighbour,
-and the digits are read back exactly. A ``BiPoly`` product is schoolbook
-over the numerators: its operands are sparse in two variables, so
-packing them into one int costs more than the term pairs it saves.
+``UniPoly`` product of any number of factors f_1 .. f_m is one bigint
+product (Kronecker substitution): numerators become the base-2**w digits
+of one signed int each, and the digits of the product are the product's
+numerators. Evaluation at 2**w is a ring homomorphism, so only the final
+decode needs a bound. A product coefficient sums at most ``prod_{j != L}
+len(f_j)`` terms (L a longest factor), each below ``2**sum_j
+bits(max|f_j|)``, so with ``w = sum_j bits(max|f_j|) + sum_{j != L}
+bits(len(f_j)) + 1`` every digit lies strictly between ``-2**(w-1)`` and
+``2**(w-1)``: it never overflows into its neighbour, and the digits are
+read back exactly. A ``shift`` is added to the decoded exponents, so a
+monomial factor ``t**shift`` is never packed. A ``BiPoly`` product is
+schoolbook over the numerators: its operands are sparse in two variables,
+so packing them into one int costs more than the term pairs it saves.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -33,7 +36,7 @@ callers must branch on it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Coeff = int | Fraction
 
@@ -226,11 +229,6 @@ class UniPoly(_IntMapPoly):
             raise ValueError(f"exponent must be a non-negative int, got {e!r}")
         return e
 
-    @classmethod
-    def t(cls, exp: int = 1, coeff: Coeff = 1) -> "UniPoly":
-        """The monomial coeff * t**exp."""
-        return cls({exp: coeff})
-
     def order(self):
         """Minimal exponent with nonzero coefficient; INFINITY for 0."""
         return min(self._c) if self._c else INFINITY
@@ -245,7 +243,9 @@ class UniPoly(_IntMapPoly):
             a, b = self._c, other._c
             if not a or not b:
                 return UniPoly.zero()
-            return UniPoly._reduced(_kronecker_mul(a, b), self._d * other._d)
+            lo, digits = _kronecker_mul((a, b))
+            c = {e: v for e, v in enumerate(digits, lo) if v}
+            return UniPoly._reduced(c, self._d * other._d)
         return self._scale(other)
 
     __rmul__ = __mul__
@@ -257,58 +257,39 @@ class UniPoly(_IntMapPoly):
         return "UniPoly(" + " + ".join(bits) + ")"
 
 
-def _kronecker_mul(a: dict, b: dict) -> dict:
-    """The product of two nonzero integer polynomials {exponent: value},
-    as one bigint multiply (Kronecker substitution). Each side is packed
-    from its lowest exponent up; the digit width w, rounded up to whole
-    bytes, is the bound derived in the module docstring."""
-    lo_a, lo_b = min(a), min(b)
-    n_a, n_b = max(a) - lo_a + 1, max(b) - lo_b + 1
-    bits = (max(map(abs, a.values())).bit_length()
-            + max(map(abs, b.values())).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
+def _kronecker_mul(maps, shift: int = 0) -> tuple[int, list[int]]:
+    """t**shift times the product of nonzero integer polynomials {exponent:
+    value}, as its lowest exponent and its coefficients from there up (see
+    the module docstring); no factors give (shift, [1]). Digits carry half
+    the base, so each reads back as unsigned bytes, with no borrow."""
+    bits = 1 - max(map(len, maps), default=0).bit_length()
+    for m in maps:
+        bits += max(map(abs, m.values())).bit_length() + len(m).bit_length()
     width = (bits + 7) // 8
-    z = _pack(a, lo_a, n_a, width) * _pack(b, lo_b, n_b, width)
-    return _unpack(z, lo_a + lo_b, n_a + n_b - 1, width)
+    z, lo, n = 1, shift, 1
+    for m in maps:
+        lo_m = min(m)
+        n_m = max(m) - lo_m + 1
+        z *= _pack(m, lo_m, n_m, width)
+        lo += lo_m
+        n += n_m - 1
+    half = 1 << (8 * width - 1)
+    z += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = z.to_bytes(n * width, "little")
+    from_bytes = int.from_bytes
+    return lo, [from_bytes(raw[i - width:i], "little") - half
+                for i in range(width, n * width + 1, width)]
 
 
 def _pack(c: dict, lo: int, n: int, width: int) -> int:
-    """Sum of c[e] * 256**(width * (e - lo)): the positive and the
-    negative values go into two byte strings, one int each."""
-    pos = bytearray(n * width)
-    neg = None
-    for e, v in c.items():
-        i = (e - lo) * width
-        if v > 0:
-            pos[i:i + width] = v.to_bytes(width, "little")
-        else:
-            if neg is None:
-                neg = bytearray(n * width)
-            neg[i:i + width] = (-v).to_bytes(width, "little")
-    z = int.from_bytes(pos, "little")
-    return z if neg is None else z - int.from_bytes(neg, "little")
-
-
-def _unpack(z: int, lo: int, n: int, width: int) -> dict:
-    """The n signed base-256**width digits of z, as {lo + k: digit}
-    without the zero digits; the inverse of _pack."""
-    raw = z.to_bytes(n * width, "little", signed=True)
+    """Sum of c[e] * 256**(width * (e - lo)) over the n digits from lo."""
     half = 1 << (8 * width - 1)
-    base = half << 1
-    from_bytes = int.from_bytes
-    out = {}
-    borrow = 0
-    for k in range(n):
-        i = k * width
-        v = from_bytes(raw[i:i + width], "little") + borrow
-        if v >= half:
-            v -= base
-            borrow = 1
-        else:
-            borrow = 0
-        if v:
-            out[lo + k] = v
-    return out
+    zero = half.to_bytes(width, "little")
+    digits = [zero] * n
+    for e, v in c.items():
+        digits[e - lo] = (v + half).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(digits), "little")
+            - int.from_bytes(zero * n, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +399,49 @@ class PowerChain:
         while len(pows) <= n:
             pows.append(pows[-1] * self._base)
         return pows[n]
+
+
+class Residual:
+    """The pullback ``lift`` eliminates, lowest term first: a dense list of
+    int numerators over exponents 0 .. bound and one denominator, canonical
+    as in the module docstring. ``implicitize`` describes the step."""
+
+    __slots__ = ("_u", "_d", "_n")
+
+    def __init__(self, u: UniPoly, bound: int):
+        self._u = [0] * (max(bound, max(u._c, default=0)) + 1)
+        for e, v in u._c.items():
+            self._u[e] = v
+        self._d, self._n = u._d, 0
+
+    def order(self):
+        """Lowest exponent with a nonzero term; INFINITY once u vanishes."""
+        U, n = self._u, self._n
+        while n < len(U) and not U[n]:
+            n += 1
+        self._n = n
+        return n if n < len(U) else INFINITY
+
+    def eliminate(self, factors, shift: int):
+        """u += a * t**shift * prod(factors), fraction-free, with the a that
+        kills u's lowest term; return a, or None unless the product has
+        exactly u's order and fits in the bound."""
+        U, D, n = self._u, self._d, self.order()
+        lo, P = _kronecker_mul([f._c for f in factors], shift)
+        end = lo + len(P)
+        if lo != n or end > len(U):
+            return None
+        p_n, u_n = P[0], U[n]
+        g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
+        s, r = p_n // g, u_n // g
+        if s != 1:
+            U[n:] = [v * s for v in U[n:]]
+            self._d = D * s
+        U[n:end] = [x - r * v for x, v in zip(U[n:end], P)]
+        if self._d != 1 and (g := gcd(self._d, *U[n:])) != 1:
+            U[n:] = [v // g for v in U[n:]]
+            self._d //= g
+        return coeff_div(-u_n * prod(f._d for f in factors), D * p_n)
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,17 @@ def poly_to_doc(f: BiPoly) -> list[dict]:
     return [{"x": a, "y": b, "c": str(c)} for (a, b), c in items]
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key] of a --json document: a ``kind``, and not negative if int."""
+    value = obj.get(key) if type(obj) is dict else None
+    if type(value) is not kind or kind is int and value < 0:
+        raise CurveFileError(f"document key {key!r}: missing or invalid")
+    return value
+
+
 def poly_from_doc(doc: list[dict]) -> BiPoly:
-    return BiPoly([((t["x"], t["y"]), parse_rational(t["c"])) for t in doc])
+    return BiPoly([((_field(t, "x", int), _field(t, "y", int)),
+                    parse_rational(_field(t, "c", str))) for t in doc])
 
 
 def _mark(ok: bool) -> str:
@@ -243,9 +252,11 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
 
 def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
     """Rebuild (branch, chain polynomials) from a --json document."""
-    terms = [(t["exp"], parse_rational(t["coeff"])) for t in doc["terms"]]
-    branch = validate_branch(doc["k"], terms)
-    fs = tuple(poly_from_doc(level["f"]) for level in doc["levels"])
+    terms = [(_field(t, "exp", int), parse_rational(_field(t, "coeff", str)))
+             for t in _field(doc, "terms", list)]
+    branch = validate_branch(_field(doc, "k", int), terms)
+    fs = tuple(poly_from_doc(_field(level, "f", list))
+               for level in _field(doc, "levels", list))
     return branch, fs
 
 

@@ -15,6 +15,14 @@ many steps. The log is a basis decomposition of delta_i, summed once at
 the end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so the choice of
 slice element (lexicographically smallest by default) cannot change it.
 
+The pullback is an ``algebra.Residual``: integer numerators U, dense over
+exponents 0 .. bound (the slice bound), one denominator D and an order n
+that only moves forward. A step is fraction-free: the basis product P/d_p
+is one n-ary Kronecker product shifted by e*alpha. With g = gcd(P_n, U_n)
+signed as P_n, s = P_n/g and r = U_n/g, it scales U[n:] and D by s if
+s != 1, subtracts r*P over P's exponents only, divides U[n:] and D by
+their gcd and logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step).
+
 On the first iteration the tuple (0, ..., 0, k_i) is excluded: it is g
 itself. Any other slice tuple has order above e_i, so delta_i never
 touches the apex (0, e_i) and f_i is monic by construction.
@@ -25,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
-from .algebra import INFINITY, BiPoly, Coeff, PowerChain, UniPoly, coeff_div
+from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual
 from .chardata import Branch
 from .errors import InvariantError
 from .oracle import DEFAULT_ORACLE_BOUND, resultant_implicitize
@@ -121,7 +129,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * pullbacks[0].degree()
 
-    u = uni_pows[-1].get(k_i)
+    u = Residual(uni_pows[-1].get(k_i), bound)
 
     budget = bound - p.e * int(p.e * cd.lambdas[0]) + 1
     log: list[IterationRecord] = []
@@ -140,17 +148,11 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
                 f"level {i}: no basis tuple of order {n}; corrupt input or bug")
         pivot = slab[0] if pivot_rule == "min" else slab[-1]
 
-        alpha, betas = pivot[0], pivot[1:]
-        u_p = UniPoly.t(p.e * alpha)
-        for l, b in enumerate(betas):
-            if b:
-                u_p = u_p * uni_pows[l].get(b)
-        p_n = u_p.coeff(n)
-        if not p_n:
+        factors = [uni_pows[l].get(b) for l, b in enumerate(pivot[1:]) if b]
+        a = u.eliminate(factors, p.e * pivot[0])
+        if a is None:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")
-        a = coeff_div(-u.coeff(n), p_n)
-        u = u + u_p * a
         log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
 
     delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], fs[:i - 1])

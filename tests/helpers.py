@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from curvelift import (BiPoly, Coeff, UniPoly, sylvester_det,
-                       validate_branch)
-from curvelift.algebra import coeff_div
+from curvelift import (INFINITY, BiPoly, Coeff, UniPoly, basis_reconstruct, generators,
+                       lattice_slice, sylvester_det, truncation, validate_branch)
+from curvelift.algebra import PowerChain, coeff_div
+from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery
 from curvelift.semigroup import SemigroupDesc
 
@@ -127,6 +128,41 @@ def naive_basis_reconstruct(terms, fs) -> BiPoly:
             prod_ = prod_ * f ** b
         total = total + prod_
     return total
+
+
+def reference_lift(branch, fs, i, pivot_rule="min", trail=None):
+    """(f_i, delta_i, log) by the elimination loop on immutable ``UniPoly``
+    values: each basis product is built in full, the monomial t**(e*alpha)
+    included, and u = u + u_p * a makes a new pullback every step. With a
+    ``trail`` list, every u after a step is appended to it."""
+    cd = branch.cd
+    k_i = cd.ks[i - 1]
+    p = truncation(branch, i)
+    pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs[:i - 1])]
+    uni_pows = [PowerChain(u) for u in pullbacks]
+    sd = generators(cd, i)
+    sg = (sd.free, *sd.gamma)
+    ls = (p.e,) + tuple(u.degree() for u in pullbacks)
+    bound = p.e * pullbacks[0].degree()
+    u = uni_pows[-1].get(k_i)
+    log = []
+    while (n := u.order()) is not INFINITY:
+        exclude = None if log else (0,) * i + (k_i,)
+        slab = lattice_slice(SliceQuery(n=n, sg=sg, ls=ls, bound=bound),
+                             exclude=exclude)
+        pivot = slab[0] if pivot_rule == "min" else slab[-1]
+        u_p = UniPoly({p.e * pivot[0]: 1})
+        for l, b in enumerate(pivot[1:]):
+            if b:
+                u_p = u_p * uni_pows[l].get(b)
+        a = coeff_div(-u.coeff(n), u_p.coeff(n))
+        u = u + u_p * a
+        log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
+        if trail is not None:
+            trail.append(u)
+    delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], fs[:i - 1])
+    f_i = (fs[i - 2] if i > 1 else BiPoly.y()) ** k_i + delta
+    return f_i, delta, tuple(log)
 
 
 def naive_det(m: list[list[BiPoly]]) -> BiPoly:

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, bipoly_exact_div,
                        sylvester_det)
+from curvelift.algebra import _kronecker_mul
 from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 
@@ -32,12 +33,12 @@ def test_infinity_comparisons():
 
 def test_compose_cusp_vanishes():
     f = BiPoly({(0, 2): 1, (3, 0): -1})
-    assert Parametrization(1, 2, UniPoly.t(3)).pullback(f).is_zero
+    assert Parametrization(1, 2, UniPoly({3: 1})).pullback(f).is_zero
 
 
 def test_compose_projection():
     p = Parametrization(1, 6, UniPoly({7: 5}))
-    assert p.pullback(BiPoly.x()) == UniPoly.t(6)
+    assert p.pullback(BiPoly.x()) == UniPoly({6: 1})
 
 
 def test_coefficients_normalize_to_int():
@@ -132,13 +133,49 @@ def test_uni_mul_matches_schoolbook_random():
             _assert_canonical(p)
 
 
+def _factor(rng):
+    """A nonzero factor for the n-ary product: up to 12 terms with gaps,
+    lowest exponent above 0, heights up to 2**64, either sign, integer or
+    rational."""
+    terms, e = {}, rng.randint(1, 20)
+    for _ in range(rng.randint(1, 12)):
+        v = rng.randint(1, 1 << rng.choice((1, 8, 64))) * rng.choice((1, -1))
+        terms[e] = Fraction(v, rng.choice((1, 1, 2, 9, 1 << 40)))
+        e += rng.choice((1, 1, 2, 17))
+    return UniPoly(terms)
+
+
+def test_kronecker_product_of_n_factors():
+    rng = random.Random(0xB7)
+    cases = [([_factor(rng) for _ in range(m)], rng.choice((0, 1, 6, 500)))
+             for m in range(1, 6) for _ in range(25)]
+    # dense factors of one height: every product term adds up. m factors of
+    # 2**j - 1 terms of height 2**k - 1 give a width of m*k + (m-1)*j + 1
+    # bits, a multiple of 8 here, so rounding to bytes leaves no slack
+    for m, k, j in ((1, 7, 5), (2, 3, 1), (3, 5, 4), (4, 2, 5), (5, 3, 2),
+                    (3, 101, 4)):
+        full = UniPoly({i + 1: (1 << k) - 1 for i in range((1 << j) - 1)})
+        assert (m * k + (m - 1) * j + 1) % 8 == 0
+        cases += [([full] * m, 0), ([-full] * m, 3)]
+    for factors, shift in cases:
+        lo, digits = _kronecker_mul([f._c for f in factors], shift)
+        assert digits[0] and digits[-1]
+        got = UniPoly._reduced({e: v for e, v in enumerate(digits, lo) if v},
+                               prod(f._d for f in factors))
+        ref = {shift: 1}
+        for f in factors:
+            ref = naive_uni_mul(UniPoly(ref), f)
+        assert dict(got.terms()) == ref, (len(factors), shift)
+    assert _kronecker_mul([], 9) == (9, [1])
+
+
 def test_uni_canonical_equality():
-    assert UniPoly({1: Fraction(1, 2)}) * 2 == UniPoly.t(1)
+    assert UniPoly({1: Fraction(1, 2)}) * 2 == UniPoly({1: 1})
     assert UniPoly({0: Fraction(1, 6)}) + UniPoly({0: Fraction(1, 3)}) == \
-        UniPoly.t(0, Fraction(1, 2))
+        UniPoly({0: Fraction(1, 2)})
     p = UniPoly({0: Fraction(2, 3), 4: Fraction(-5, 9)})
     assert (p - p) == UniPoly.zero() and (p * 0).is_zero
-    assert p * UniPoly.t(2, Fraction(9, 2)) == UniPoly({2: 3, 6: Fraction(-5, 2)})
+    assert p * UniPoly({2: Fraction(9, 2)}) == UniPoly({2: 3, 6: Fraction(-5, 2)})
     assert type((p * 9).coeff(4)) is int
 
 

@@ -159,7 +159,7 @@ def test_split_roundtrip():
     total = UniPoly(b.terms)
     rebuilt = UniPoly.zero()
     for i, (c, phi) in enumerate(zip(cs, phis), start=1):
-        rebuilt = rebuilt + UniPoly.t(int(b.cd.lambdas[i - 1] * b.k), c) + phi
+        rebuilt = rebuilt + UniPoly({int(b.cd.lambdas[i - 1] * b.k): c}) + phi
     assert rebuilt == total
 
 

@@ -155,6 +155,24 @@ def test_doc_rebuild_rejects_invalid_terms():
                     (0, {"exp": 3, "coeff": "1"})):
         with pytest.raises(CurveLiftError):
             doc_rebuild({"k": k, "terms": [term], "levels": []})
+    # a missing key or a wrong-typed value is a typed error naming the key
+    cusp = {"k": 2, "terms": [{"exp": 3, "coeff": "1"}]}
+    f = [{"x": 0, "y": 2, "c": "1"}, {"x": 3, "y": 0, "c": "-1"}]
+    assert doc_rebuild({**cusp, "levels": [{"f": f}]})[1] == (
+        BiPoly({(0, 2): 1, (3, 0): -1}),)
+    def level(term):
+        return {**cusp, "levels": [{"f": [term]}]}
+
+    for doc, pattern in (({}, "'terms'"),
+                         ({"k": 2, "terms": [{"exp": 3}], "levels": []}, "'coeff'"),
+                         ({"terms": cusp["terms"], "levels": []}, "'k'"),
+                         ({**cusp, "levels": 1}, "'levels'"),
+                         ({**cusp, "levels": [{}]}, "'f'"),
+                         (level({"x": 0, "c": "1"}), "'y'"),
+                         (level({"x": 0, "y": 2, "c": 1}), "'c'"),
+                         (level({"x": -1, "y": 2, "c": "1"}), "'x'")):
+        with pytest.raises(CurveFileError, match=pattern):
+            doc_rebuild(doc)
 
 
 def test_implicitize_rejects_level_with_json(capsys):

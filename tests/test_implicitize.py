@@ -4,13 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import (BiPoly, Parametrization, certify, generators,
+from curvelift import (BiPoly, Parametrization, UniPoly, certify, generators,
                        implicitize_all, lift, resultant_implicitize,
                        semigroup_member, truncation, validate_branch)
+from curvelift.algebra import Residual
 from curvelift.cli import branch_from_file, load_curve
+from curvelift.errors import InvariantError
 from curvelift.implicitize import chain_from_polynomials
 from curvelift.oracle import DEFAULT_ORACLE_BOUND
-from helpers import rand_branch
+from helpers import rand_branch, reference_lift
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -78,6 +80,55 @@ def test_pivot_rule_independence_reference(branch12, branch6_tails):
         lo = implicitize_all(b, verify=False, pivot_rule="min")
         hi = implicitize_all(b, verify=False, pivot_rule="max")
         assert lo.fs == hi.fs
+
+
+def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
+    # lift's residual against the loop on immutable UniPoly values: the same
+    # (f_i, delta_i, log), and after every step the same canonical fields,
+    # so a residual whose gcd reduction is skipped (same log, bloated
+    # numerators) fails too
+    states = []
+    eliminate = Residual.eliminate
+
+    def recording(self, factors, shift):
+        a = eliminate(self, factors, shift)
+        c = {e: v for e, v in enumerate(self._u) if v}
+        states.append(UniPoly._raw(c, self._d))
+        return a
+
+    monkeypatch.setattr(Residual, "eliminate", recording)
+    cases = [(name, b, chain.fs)
+             for name, (b, chain, _) in sorted(corpus_chains.items())]
+    rng = random.Random(0x12)
+    for j in range(40):
+        b = rand_branch(rng, max_levels=3, max_k=12)
+        cases.append((f"random-{j}", b, implicitize_all(b, verify=False).fs))
+    assert sum(any(b.phis) for _, b, _ in cases) >= 20
+    assert sum(any(type(c) is Fraction for _, c in b.terms) for _, b, _ in cases) >= 20
+    for label, b, fs in cases:
+        for rule in ("min", "max"):
+            for i in range(1, b.cd.s + 1):
+                states.clear()
+                trail = []
+                ref = reference_lift(b, fs, i, rule, trail=trail)
+                assert lift(b, fs, i, rule) == ref, (label, rule, i)
+                assert states == trail, (label, rule, i)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("lattice_slice", lambda query, exclude=None: [], "no basis tuple of order"),
+    ("lattice_slice", lambda query, exclude=None: [(1, 0, 0)], "misses order"),
+    ("Residual.eliminate", lambda self, factors, shift: 1, "more than"),
+    ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
+])
+def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
+    # a corrupt slice, a residual that does not move and a non-monic sum
+    # are typed errors, raised (not asserted) so that python -O keeps them
+    import curvelift.implicitize as implicitize
+    owner = Residual if "." in name else implicitize
+    monkeypatch.setattr(owner, name.split(".")[-1], value)
+    with pytest.raises(InvariantError, match=message):
+        lift(branch12, (F1,), 2)
 
 
 def test_pivot_rule_rejects_unknown(branch12):

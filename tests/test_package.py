@@ -30,6 +30,29 @@ def test_benchmark_entry_points_resolve():
             assert callable(getattr(module, attr, None)), attr
 
 
+def test_benchmark_tracer_counts_the_lift():
+    # the tracer reads a lift's level off its third positional argument and
+    # its iterations off the log in its 3-tuple; a lift called or returning
+    # otherwise would only fail under --trace 1
+    from curvelift import certify, cli, implicitize_all
+    tracer = runpy.run_path(str(SPANS))["Tracer"]()
+
+    def one_curve():
+        cf = cli.load_curve(ROOT / "corpus" / "paper-ex1.curve")
+        return certify(implicitize_all(cli.branch_from_file(cf), verify=False))
+
+    tracer.install()
+    try:
+        chain = tracer.wrap("bench.curve", one_curve)()
+    finally:
+        tracer.uninstall()
+    assert chain.ok
+    assert tracer.counts["implicitize.lift_iterations"] == sum(map(len, chain.logs))
+    levels = [level for name, _, level, _ in tracer.level_spans
+              if name == "implicitize.lift"]
+    assert levels == list(range(1, chain.cd.s + 1))
+
+
 def test_rmul_aliases_live_on_each_class():
     # perfbench patches every key of a class that holds the original
     # __mul__; an alias only on a shared base would go untraced

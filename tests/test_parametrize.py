@@ -10,7 +10,7 @@ from helpers import naive_pullback, rand_bipoly, rand_branch
 
 def test_truncation_reference_levels(branch12):
     p1 = truncation(branch12, 1)
-    assert p1.e == 2 and p1.yt == UniPoly.t(3)
+    assert p1.e == 2 and p1.yt == UniPoly({3: 1})
     p2 = truncation(branch12, 2)
     assert p2.e == 6 and p2.yt == UniPoly({9: 1, 10: 1})
     p3 = truncation(branch12, 3)
