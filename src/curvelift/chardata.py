@@ -107,13 +107,6 @@ def extract_characteristics(k: int, support) -> CharData:
     return CharData(k=k, lambdas=tuple(lambdas), ks=tuple(ks), es=tuple(es))
 
 
-def in_lattice(a, i: int, cd: CharData) -> bool:
-    """Membership of a rational in M_i = (1/e_i) Z."""
-    if not 0 <= i <= cd.s:
-        raise IndexError(f"lattice level {i} out of range 0..{cd.s}")
-    return (Fraction(a) * cd.es[i]).denominator == 1
-
-
 def split_tails(cd: CharData, terms):
     """Split validated (exp, coeff) terms into (cs, phis) along the
     characteristic windows. The first term is characteristic (k does not

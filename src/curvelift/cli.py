@@ -8,8 +8,8 @@ Curve files are plain text, one curve per file::
     term: 3 1
     term: 5 -2/3      # exponent, then coefficient (rationals as p/q)
 
-Exponents must be strictly increasing positive integers, coefficients
-nonzero rationals. Subcommands: validate, semigroup, polygon, implicitize,
+There is one ``k:`` line. Exponents must be strictly increasing positive
+integers, coefficients nonzero rationals, all in ASCII digits. Subcommands: validate, semigroup, polygon, implicitize,
 verify, bench. Output is deterministic; ``--json`` switches to a
 machine-readable document (identical across runs, timing fields aside).
 Exit status is 0 exactly when everything requested passed.
@@ -51,7 +51,9 @@ class CurveFile:
 
 
 # an integer or p/q; Fraction alone also takes exponent notation, whose
-# cost grows without bound with the exponent ("1e-4000000" takes seconds)
+# cost grows without bound with the exponent ("1e-4000000" takes seconds),
+# and int and Fraction both take "1_1" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -63,6 +65,15 @@ def parse_rational(text: str) -> Coeff:
     except (ValueError, ZeroDivisionError) as exc:
         raise CurveFileError(f"bad rational {text!r}: {exc}") from None
     return f.numerator if f.denominator == 1 else f
+
+
+def _parse_int(text: str, what: str, path: str, line: int) -> int:
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:       # beyond int()'s digit limit
+            pass
+    raise CurveFileError(f"bad {what} {text!r}: write an integer", path, line)
 
 
 def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
@@ -80,20 +91,19 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
         if key == "name":
             cf.name = value
         elif key == "k":
-            try:
-                cf.k = int(value)
-            except ValueError:
-                raise CurveFileError(f"bad k {value!r}", path, lineno) from None
+            if cf.k:
+                raise CurveFileError("repeated 'k:' line", path, lineno)
+            cf.k = _parse_int(value, "k", path, lineno)
             if cf.k < 1:
                 raise CurveFileError("k must be a positive integer", path, lineno)
         elif key == "term":
             fields = value.split()
             if len(fields) != 2:
                 raise CurveFileError("term wants 'term: <exp> <coeff>'", path, lineno)
+            exp = _parse_int(fields[0], "exponent", path, lineno)
             try:
-                exp = int(fields[0])
                 coeff = parse_rational(fields[1])
-            except (ValueError, CurveFileError) as exc:
+            except CurveFileError as exc:
                 raise CurveFileError(str(exc), path, lineno) from None
             if exp <= 0:
                 raise CurveFileError("exponent must be positive", path, lineno)
@@ -176,8 +186,8 @@ def poly_from_doc(doc: list[dict]) -> BiPoly:
                     parse_rational(_field(t, "c", str))) for t in doc])
 
 
-def _mark(ok: bool) -> str:
-    return "✓" if ok else "✗"
+def _mark(ok: bool | str) -> str:
+    return "skipped" if ok == "skipped" else "✓" if ok else "✗"
 
 
 def certificate_lines(chain: LiftChain) -> list[str]:
@@ -255,9 +265,11 @@ def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
     terms = [(_field(t, "exp", int), parse_rational(_field(t, "coeff", str)))
              for t in _field(doc, "terms", list)]
     branch = validate_branch(_field(doc, "k", int), terms)
-    fs = tuple(poly_from_doc(_field(level, "f", list))
-               for level in _field(doc, "levels", list))
-    return branch, fs
+    levels = _field(doc, "levels", list)
+    if len(levels) != branch.cd.s:
+        raise CurveFileError(f"document key 'levels': {len(levels)} levels, "
+                             f"the branch has {branch.cd.s}")
+    return branch, tuple(poly_from_doc(_field(level, "f", list)) for level in levels)
 
 
 # ---------------------------------------------------------------------------

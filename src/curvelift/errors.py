@@ -29,33 +29,13 @@ class IntegerExponentError(CurveLiftError):
     normalization that removes integer-exponent monomials."""
 
 
-# --- semigroup --------------------------------------------------------------
-
-class NotInGroupError(CurveLiftError):
-    """The element is not in the group spanned by the generators."""
-
-
-# --- Weierstrass division ---------------------------------------------------
-
-class NotWeierstrassError(CurveLiftError):
-    """Divisor is not a Weierstrass polynomial in y."""
-
-
-class DegreeTooSmallError(CurveLiftError):
-    """deg_y of the dividend does not exceed deg_y of the divisor."""
-
-
-class DegreeOutOfRangeError(CurveLiftError):
-    """deg_y of the input is too large for the requested decomposition."""
-
-
 # --- internal invariants -----------------------------------------------------
 
 class InvariantError(CurveLiftError):
     """An internal consistency check failed: corrupt data or a bug, such as
-    an empty lattice slice, an exhausted iteration budget or a non-integral
-    semigroup generator. Raised instead of asserting, so the check also runs
-    under ``python -O``."""
+    an empty lattice slice, an exhausted iteration budget, a non-integral
+    semigroup generator or generators that do not span Z. Raised instead of
+    asserting, so the check also runs under ``python -O``."""
 
 
 # --- oracle -----------------------------------------------------------------

@@ -63,8 +63,9 @@ class LevelCertificate:
     apex_absent_in_delta: bool     # (0, e_i) not in Supp(delta_i)
     compact_face_present: bool     # (0, e_i) and (e_i*lam_1, 0) in Supp(f_i)
     monic_weierstrass: bool        # f_i is Weierstrass of degree e_i
-    n_log_increasing: bool         # logged orders strictly increase
-    n_log_in_semigroup: bool       # every logged order is a semigroup member
+    n_log_increasing: bool | str   # logged orders strictly increase
+    n_log_in_semigroup: bool | str  # every logged order is a semigroup
+                                    # member; both "skipped" on an empty log
     valuation_rows_ok: bool        # the level-i rows of the valuation table
     oracle: str                    # "match" | "mismatch" | "skipped"
 
@@ -75,8 +76,7 @@ class LevelCertificate:
 
     @property
     def ok(self) -> bool:
-        checks = self.checks()
-        return checks.pop("oracle") in ("match", "skipped") and all(checks.values())
+        return all(v in (True, "match", "skipped") for v in self.checks().values())
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
     """Evaluate all per-level certificates plus the full valuation table.
 
     Recomputable from (branch, fs) alone except for the iteration-log
-    checks, which are skipped when a level's log is empty.
+    checks, which report "skipped" when a level's log is empty.
     """
     branch = chain.branch
     cd = branch.cd
@@ -208,9 +208,12 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         apex_ok = (0, e_i) not in delta_i.support()
         face_ok = {(0, e_i), (int(e_i * cd.lambdas[0]), 0)} <= f_i.support()
         ns = [rec.n for rec in chain.logs[i - 1]]
-        increasing = all(a < b for a, b in zip(ns, ns[1:]))
-        sd = generators(cd, i)
-        in_semigroup = all(semigroup_member(n, sd) for n in ns)
+        if ns:
+            increasing = all(a < b for a, b in zip(ns, ns[1:]))
+            sd = generators(cd, i)
+            in_semigroup = all(semigroup_member(n, sd) for n in ns)
+        else:
+            increasing = in_semigroup = "skipped"
 
         rows_ok = all(r.ok for r in table.rows if r.i == i)
 

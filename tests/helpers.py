@@ -12,8 +12,8 @@ from itertools import product
 from math import gcd, prod
 
 from curvelift import (INFINITY, BiPoly, Coeff, UniPoly, basis_reconstruct, generators,
-                       lattice_slice, sylvester_det, truncation, validate_branch)
-from curvelift.algebra import PowerChain, coeff_div
+                       lattice_slice, truncation, validate_branch)
+from curvelift.algebra import PowerChain, coeff_div, sylvester_det
 from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery
 from curvelift.semigroup import SemigroupDesc
@@ -242,12 +242,11 @@ def brute_semigroup_1d(gens: list[int], limit: int) -> list[bool]:
     return reach
 
 
-def brute_capped_forms(a: int, sd: SemigroupDesc, upto: int | None = None):
+def brute_capped_forms(a: int, sd: SemigroupDesc):
     """All (alpha, betas) with capped betas representing a; the normal form
     is unique, so this should have length one for group members."""
-    upto = sd.level if upto is None else upto
     sols = []
-    for betas in product(*[range(kj) for kj in sd.ks[:upto]]):
+    for betas in product(*[range(kj) for kj in sd.ks]):
         r = a - sum(b * g for b, g in zip(betas, sd.gamma))
         if r % sd.free == 0:
             sols.append((r // sd.free, betas))

@@ -4,9 +4,8 @@ from math import gcd, prod
 
 import pytest
 
-from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, bipoly_exact_div,
-                       sylvester_det)
-from curvelift.algebra import _kronecker_mul
+from curvelift import INFINITY, BiPoly, Parametrization, UniPoly
+from curvelift.algebra import _kronecker_mul, bipoly_exact_div, sylvester_det
 from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import extract_characteristics, in_lattice, validate_branch
+from curvelift import extract_characteristics, validate_branch
 from curvelift.chardata import split_tails
 from curvelift.errors import (CurveLiftError, EmptySupportError, IntegerExponentError,
                               InvalidBranchError, NonPrimitiveError)
@@ -53,23 +53,12 @@ def test_extract_errors():
         extract_characteristics(4, {3, -5})
 
 
-def test_in_lattice_reference_points():
-    cd = extract_characteristics(12, {18, 20, 23})
-    assert not in_lattice(F(5, 3), 1, cd)          # forced by k_2 = 3 > 1
-    cd2 = extract_characteristics(6, {9, 15, 16, 20})
-    assert in_lattice(F(10, 3), 2, cd2)            # 10/3 = 2*(8/3) - 2
-    assert in_lattice(7, 0, cd) and in_lattice(7, 2, cd)
-    with pytest.raises(IndexError):
-        in_lattice(F(1, 2), 5, cd)
-
-
 def test_in_lattice_characteristic_jumps():
+    # lambda_i lies in M_i = (1/e_i) Z but not in M_{i-1}, and k_i * lambda_i
+    # does: in lowest terms, e_{i-1} * lambda_i has denominator k_i
     cd = extract_characteristics(12, {18, 20, 23})
-    for i in range(1, cd.s + 1):
-        lam, ki = cd.lambdas[i - 1], cd.ks[i - 1]
-        assert not in_lattice(lam, i - 1, cd)
-        assert in_lattice(ki * lam, i - 1, cd)
-        assert in_lattice(lam, i, cd)
+    for lam, e_prev, ki in zip(cd.lambdas, cd.es, cd.ks):
+        assert (lam * e_prev).denominator == ki
 
 
 def test_validate_paper_level2_example():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import re
@@ -69,3 +70,32 @@ def test_every_error_class_is_raised():
     subclasses = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
                   if issubclass(cls, errors.CurveLiftError)} - {"CurveLiftError"}
     assert subclasses and sorted(subclasses - raised) == []
+
+
+# the re-verification API: the README promises that a --json document can be
+# rebuilt and certified again, and no code in the package calls these two
+REVERIFY_API = {"doc_rebuild", "chain_from_polynomials"}
+
+
+def test_every_public_definition_is_used():
+    # a public top-level def or class is dead API unless other package code
+    # uses it or the benchmark traces it; __init__ re-exports do not count
+    used = []       # (module, top-level statement, identifiers it uses)
+    for path in (ROOT / "src" / "curvelift").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            ids = {n.id if isinstance(n, ast.Name) else
+                   n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(stmt)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            used.append((path.stem, stmt, ids))
+    traced = {(mod, attr.split(".")[0])
+              for mod, attr, _ in runpy.run_path(str(SPANS))["ENTRY_POINTS"]}
+    dead = sorted(
+        f"{mod}.{stmt.name}" for mod, stmt, _ in used
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in REVERIFY_API and (mod, stmt.name) not in traced
+        and not any(stmt.name in ids for _, other, ids in used if other is not stmt))
+    assert dead == []
