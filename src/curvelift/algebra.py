@@ -312,14 +312,6 @@ class BiPoly(_IntMapPoly):
         return a, b
 
     @classmethod
-    def const(cls, c: Coeff) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def x(cls, a: int = 1) -> "BiPoly":
-        return cls.monomial(a, 0)
-
-    @classmethod
     def y(cls, b: int = 1) -> "BiPoly":
         return cls.monomial(0, b)
 
@@ -346,11 +338,6 @@ class BiPoly(_IntMapPoly):
         if not self._c:
             return INFINITY
         return min(a + b for a, b in self._c)
-
-    def y_coefficient(self, b: int) -> dict:
-        """The x-polynomial coefficient of y**b, as a dict a -> coeff."""
-        d = self._d
-        return {a: coeff_div(v, d) for (a, bb), v in self._c.items() if bb == b}
 
     def partial_y(self) -> "BiPoly":
         """Formal partial derivative with respect to y (exponent shift)."""

@@ -8,8 +8,9 @@ Curve files are plain text, one curve per file::
     term: 3 1
     term: 5 -2/3      # exponent, then coefficient (rationals as p/q)
 
-There is one ``k:`` line. Exponents must be strictly increasing positive
-integers, coefficients nonzero rationals, all in ASCII digits. Subcommands: validate, semigroup, polygon, implicitize,
+There is one ``k:`` line and at most one ``name:`` line. Exponents must be
+strictly increasing positive integers, coefficients nonzero rationals, all
+in ASCII digits. Subcommands: validate, semigroup, polygon, implicitize,
 verify, bench. Output is deterministic; ``--json`` switches to a
 machine-readable document (identical across runs, timing fields aside).
 Exit status is 0 exactly when everything requested passed.
@@ -79,6 +80,7 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
 def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
     cf = CurveFile(k=0, terms=[])
     last_exp = 0
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,11 +90,13 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
+        if key in ("name", "k"):
+            if key in seen:
+                raise CurveFileError(f"repeated '{key}:' line", path, lineno)
+            seen.add(key)
         if key == "name":
             cf.name = value
         elif key == "k":
-            if cf.k:
-                raise CurveFileError("repeated 'k:' line", path, lineno)
             cf.k = _parse_int(value, "k", path, lineno)
             if cf.k < 1:
                 raise CurveFileError("k must be a positive integer", path, lineno)

@@ -12,8 +12,9 @@ the t**n term strictly raises the order. Only u, n and the slice decide
 anything, so the loop runs on the pullback alone and logs each (n, P, a);
 it ends when u vanishes, which the support bound forces after finitely
 many steps. The log is a basis decomposition of delta_i, summed once at
-the end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so the choice of
-slice element (lexicographically smallest by default) cannot change it.
+the end: f_i = f_{i-1}**k_i + delta_i. Each step solves for the
+lexicographically smallest slice tuple; f_i is unique, so any other tuple
+would give the same f_i (only the log would differ).
 
 The pullback is an ``algebra.Residual``: integer numerators U, dense over
 exponents 0 .. bound (the slice bound), one denominator D and an order n
@@ -100,21 +101,15 @@ class LiftChain:
             and self.table is not None and self.table.ok
 
 
-def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
+def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
          ) -> tuple[BiPoly, BiPoly, tuple[IterationRecord, ...]]:
-    """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1}.
-
-    ``pivot_rule`` picks the slice element to solve for: "min" the
-    lexicographically smallest (default), "max" the largest. The monic
-    f_i does not depend on the rule.
-    """
+    """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1},
+    solving each step for the lexicographically smallest slice tuple."""
     cd = branch.cd
     if not 1 <= i <= cd.s:
         raise IndexError(f"level {i} out of range 1..{cd.s}")
     if len(fs) < i - 1:
         raise ValueError(f"lift to level {i} needs f_1..f_{i - 1}")
-    if pivot_rule not in ("min", "max"):
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     k_i = cd.ks[i - 1]
     p = truncation(branch, i)
 
@@ -146,7 +141,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
         if not slab:
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}; corrupt input or bug")
-        pivot = slab[0] if pivot_rule == "min" else slab[-1]
+        pivot = slab[0]
 
         factors = [uni_pows[l].get(b) for l, b in enumerate(pivot[1:]) if b]
         a = u.eliminate(factors, p.e * pivot[0])
@@ -162,23 +157,22 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int, pivot_rule: str = "min"
     return f_i, delta, tuple(log)
 
 
-def lift_levels(branch: Branch, pivot_rule: str = "min"
+def lift_levels(branch: Branch
                 ) -> Iterator[tuple[BiPoly, BiPoly, tuple[IterationRecord, ...]]]:
     """Yield lift(branch, (f_1, ..., f_{i-1}), i) for i = 1, ..., s."""
     fs: list[BiPoly] = []
     for i in range(1, branch.cd.s + 1):
-        level = lift(branch, tuple(fs), i, pivot_rule=pivot_rule)
+        level = lift(branch, tuple(fs), i)
         fs.append(level[0])
         yield level
 
 
 def implicitize_all(branch: Branch, verify: bool = True,
-                    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-                    pivot_rule: str = "min") -> LiftChain:
+                    oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftChain:
     """Run the full chain f_1, ..., f_s; f_s is the reported approximation
     of the branch equation, with the same multiplicity and characteristic
     exponents. With ``verify`` the certificates are evaluated eagerly."""
-    fs, deltas, logs = zip(*lift_levels(branch, pivot_rule))
+    fs, deltas, logs = zip(*lift_levels(branch))
     chain = LiftChain(branch=branch, fs=fs, deltas=deltas, logs=logs)
     if verify:
         chain = certify(chain, oracle_bound=oracle_bound)
@@ -206,7 +200,7 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         monic = ok_w and deg == e_i
         support_ok = all(polygon_contains(key, pd) for key in f_i.support())
         apex_ok = (0, e_i) not in delta_i.support()
-        face_ok = {(0, e_i), (int(e_i * cd.lambdas[0]), 0)} <= f_i.support()
+        face_ok = set(pd.vertices[:2]) <= f_i.support()
         ns = [rec.n for rec in chain.logs[i - 1]]
         if ns:
             increasing = all(a < b for a, b in zip(ns, ns[1:]))

@@ -16,8 +16,11 @@ The elimination loop repeatedly needs the non-negative integer solutions of
 
     VE . SG == n   with   VE . LS <= bound,
 
-one small knapsack-style integer program per iteration; lattice_slice
-enumerates them by recursive descent with divisibility and bound pruning.
+one small knapsack-style integer program per iteration. On the hyperplane
+VE . SG == n the bound is the same as VE . (LS - SG) <= bound - n, whose
+weights LS - SG are non-negative (SliceQuery checks SG <= LS).
+lattice_slice enumerates the solutions by recursive descent, pruning on
+divisibility and on the budget bound - n that is left after the hyperplane.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ def mu(branch: Branch, i: int) -> Fraction:
 class PolygonDesc:
     """The two integer inequalities cutting out N_i, plus vertex data."""
 
-    level: int
-    e: int
-    lam1: Fraction
     mu: Fraction
     lower: tuple[int, int, int]   # (A, B, C): A*a + B*b >= C
     upper: tuple[int, int, int]   # (A, B, C): A*a + B*b <= C
@@ -68,7 +68,7 @@ def polygon_desc(branch: Branch, i: int) -> PolygonDesc:
     e_mu = int(e_i * mu_i)           # integral: mu_i lies in (1/e_i) Z
     e_lam1 = int(e_i * lam1)
     return PolygonDesc(
-        level=i, e=e_i, lam1=lam1, mu=mu_i,
+        mu=mu_i,
         lower=(k1, k1lam1, e_i * k1lam1),
         upper=(e_i, e_mu, e_i * e_mu),
         vertices=((0, e_i), (e_lam1, 0), (e_mu, 0)),
@@ -107,9 +107,11 @@ def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None
     VE.ls <= bound, minus the excluded tuple, in lexicographic order.
 
     Recursive descent over coordinates sorted by descending sg-weight,
-    pruning on a suffix-gcd divisibility test and on the partial ls-sum.
+    pruning on a suffix-gcd divisibility test and on the partial sum of
+    VE.(ls - sg) against the budget bound - n.
     """
-    if q.n < 0:
+    budget = q.bound - q.n
+    if q.n < 0 or budget < 0:
         return []
     m = len(q.sg)
     if m == 0:
@@ -125,21 +127,22 @@ def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None
 
     def descend(pos: int, rem: int, used: int):
         j = order[pos]
-        w, l = q.sg[j], q.ls[j]
+        w = q.sg[j]
+        d = q.ls[j] - w
         if pos == m - 1:
             c, r = divmod(rem, w)
-            if r == 0 and used + c * l <= q.bound:
+            if r == 0 and used + c * d <= budget:
                 ve[j] = c
                 out.append(tuple(ve))
                 ve[j] = 0
             return
         g = suffix_gcd[pos + 1]
-        limit = min(rem // w, (q.bound - used) // l)
+        limit = rem // w if d == 0 else min(rem // w, (budget - used) // d)
         for c in range(limit + 1):
             r2 = rem - c * w
             if r2 % g == 0:  # later weights are all multiples of g
                 ve[j] = c
-                descend(pos + 1, r2, used + c * l)
+                descend(pos + 1, r2, used + c * d)
         ve[j] = 0
 
     descend(0, q.n, 0)

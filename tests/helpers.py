@@ -209,9 +209,9 @@ def sylvester_implicitize(p) -> tuple[BiPoly, Coeff, BiPoly]:
     the norm oracle is compared against."""
     e = p.e
     # x - t**e: coefficient -1 at t**e, x at t**0
-    pc = {e: BiPoly.const(-1), 0: BiPoly.x()}
+    pc = {e: BiPoly({(0, 0): -1}), 0: BiPoly.monomial(1, 0)}
     # y - yt(t): coefficient -c at each yt term, y at t**0
-    qc = {m: BiPoly.const(-c) for m, c in p.yt.terms()}
+    qc = {m: BiPoly({(0, 0): -c}) for m, c in p.yt.terms()}
     qc[0] = qc.get(0, BiPoly.zero()) + BiPoly.y()
     raw = sylvester_det(sylvester_matrix(pc, qc))
     unit = raw.coeff((0, e))

@@ -40,7 +40,9 @@ def test_parse_errors_carry_line_numbers(capsys, tmp_path):
                        ("k: 2\nterm: 1_1 1\n", 2),
                        ("k: ２\nterm: 3 1\n", 1),
                        ("k: 2\nterm: ３ 1\n", 2),
-                       ("k: 2\nk: 3\nterm: 3 1\n", 2)):
+                       ("k: 2\nk: 3\nterm: 3 1\n", 2),
+                       ("name: a\nname: b\nk: 2\nterm: 3 1\n", 2),
+                       ("name:\nk: 2\nname: b\nterm: 3 1\n", 3)):
         with pytest.raises(CurveFileError) as err:
             parse_curve_text(text, path="f.curve")
         assert f"f.curve:{line}:" in str(err.value)

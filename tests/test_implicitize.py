@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from curvelift import (BiPoly, Parametrization, UniPoly, certify, generators,
-                       implicitize_all, lift, resultant_implicitize,
+                       implicitize_all, lift, normal_form, resultant_implicitize,
                        semigroup_member, truncation, validate_branch)
 from curvelift.algebra import Residual
 from curvelift.cli import branch_from_file, load_curve
 from curvelift.errors import InvariantError
-from curvelift.implicitize import chain_from_polynomials
+from curvelift.implicitize import chain_from_polynomials, lift_levels
 from curvelift.oracle import DEFAULT_ORACLE_BOUND
 from helpers import rand_branch, reference_lift
 
@@ -76,10 +76,11 @@ def test_support_and_monic_invariants(branch12, chain12):
 
 
 def test_pivot_rule_independence_reference(branch12, branch6_tails):
+    # f_i is unique: solving for the largest slice tuple gives lift's f_i
     for b in (branch12, branch6_tails):
-        lo = implicitize_all(b, verify=False, pivot_rule="min")
-        hi = implicitize_all(b, verify=False, pivot_rule="max")
-        assert lo.fs == hi.fs
+        fs = implicitize_all(b, verify=False).fs
+        for i in range(1, b.cd.s + 1):
+            assert reference_lift(b, fs, i, "max")[0] == fs[i - 1], i
 
 
 def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
@@ -106,13 +107,42 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
     assert sum(any(b.phis) for _, b, _ in cases) >= 20
     assert sum(any(type(c) is Fraction for _, c in b.terms) for _, b, _ in cases) >= 20
     for label, b, fs in cases:
-        for rule in ("min", "max"):
-            for i in range(1, b.cd.s + 1):
-                states.clear()
-                trail = []
-                ref = reference_lift(b, fs, i, rule, trail=trail)
-                assert lift(b, fs, i, rule) == ref, (label, rule, i)
-                assert states == trail, (label, rule, i)
+        for i in range(1, b.cd.s + 1):
+            states.clear()
+            trail = []
+            ref = reference_lift(b, fs, i, "min", trail=trail)
+            assert lift(b, fs, i) == ref, (label, i)
+            assert states == trail, (label, i)
+
+
+def test_largest_slice_tuple_is_the_normal_form(corpus_chains, monkeypatch):
+    # on every slice query of the lift, the lexicographically largest tuple
+    # is the semigroup normal form of the order, read as
+    # (alpha, beta_0, ..., beta_{i-1}): a pivot could come from
+    # normal_form without enumerating the slice
+    import curvelift.implicitize as implicitize
+    tops = []
+    lattice_slice = implicitize.lattice_slice
+
+    def recording(query, exclude=None):
+        slab = lattice_slice(query, exclude=exclude)
+        tops.append((query.n, slab[-1]))
+        return slab
+
+    monkeypatch.setattr(implicitize, "lattice_slice", recording)
+    branches = [b for b, _, _ in corpus_chains.values()]
+    rng = random.Random(0x13)
+    branches += [rand_branch(rng, max_levels=3, max_k=12) for _ in range(40)]
+    checked = 0
+    for b in branches:
+        for i, _ in enumerate(lift_levels(b), start=1):
+            sd = generators(b.cd, i)
+            for n, top in tops:
+                nf = normal_form(n, sd)
+                assert (nf.alpha, *nf.betas) == top, (b.k, b.terms, i, n)
+            checked += len(tops)
+            tops.clear()
+    assert checked == 1670
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -129,11 +159,6 @@ def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
     monkeypatch.setattr(owner, name.split(".")[-1], value)
     with pytest.raises(InvariantError, match=message):
         lift(branch12, (F1,), 2)
-
-
-def test_pivot_rule_rejects_unknown(branch12):
-    with pytest.raises(ValueError):
-        lift(branch12, (), 1, pivot_rule="median")
 
 
 def test_chain_from_polynomials_roundtrip(branch12, chain12):

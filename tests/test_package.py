@@ -99,3 +99,13 @@ def test_every_public_definition_is_used():
         and stmt.name not in REVERIFY_API and (mod, stmt.name) not in traced
         and not any(stmt.name in ids for _, other, ids in used if other is not stmt))
     assert dead == []
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; every check in the package must
+    # raise instead, so that it still runs there
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "curvelift").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

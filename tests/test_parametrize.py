@@ -64,7 +64,7 @@ def test_naive_pullback_agrees_on_corpus(corpus_chains):
     for branch, chain, _ in corpus_chains.values():
         for j in range(1, branch.cd.s + 1):
             p = truncation(branch, j)
-            polys = [BiPoly.zero(), BiPoly.one(), BiPoly.const(Fraction(-7, 3))]
+            polys = [BiPoly.zero(), BiPoly.one(), BiPoly({(0, 0): Fraction(-7, 3)})]
             for f_i in chain.fs:
                 polys += [f_i, f_i.partial_y()]
             for f in polys:
