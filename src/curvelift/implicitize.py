@@ -2,19 +2,33 @@
 
 Level i starts from g = f_{i-1}**k_i, whose pullback u along the level-i
 truncation has finite order n. Every surviving order is a value-semigroup
-member, so the slice enumeration returns basis tuples
-(alpha, beta_0, ..., beta_{i-1}) whose products
+member, and its basis tuple is its semigroup normal form
+
+    n = e_i*alpha + beta_0*gamma_1 + ... + beta_{i-1}*gamma_i,
+    0 <= beta_j <= k_{j+1} - 1,
+
+read as (alpha, beta_0, ..., beta_{i-1}). The product
 
     P = x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}
 
-hit order n exactly; adding a * P with the unique coefficient a that kills
-the t**n term strictly raises the order. Only u, n and the slice decide
-anything, so the loop runs on the pullback alone and logs each (n, P, a);
-it ends when u vanishes, which the support bound forces after finitely
-many steps. The log is a basis decomposition of delta_i, summed once at
-the end: f_i = f_{i-1}**k_i + delta_i. Each step solves for the
-lexicographically smallest slice tuple; f_i is unique, so any other tuple
-would give the same f_i (only the log would differ).
+has order n exactly; adding a * P with the unique coefficient a that kills
+the t**n term strictly raises the order. Only u, n and the normal form
+decide anything, so the loop runs on the pullback alone and logs each
+(n, P, a); it ends when u vanishes, which the support bound forces after
+finitely many steps. The log is a basis decomposition of delta_i, summed
+once at the end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so any other
+tuple of order n would give the same f_i (only the log would differ).
+
+The paper prices each step as an integer program over the slice
+VE.sg == n, VE.ls <= bound (``polygon.lattice_slice``, kept as the
+reference enumeration). The normal form is the lexicographically largest
+non-negative representation of n: any other one has some
+beta_j >= k_{j+1}, and k_{j+1}*gamma_{j+1} lies in the earlier
+subsemigroup, so rewriting it raises an earlier coordinate. When it also
+meets the bound it is the slice's largest tuple. So no slice is built;
+the step checks the two conditions instead, alpha >= 0 and
+VE.ls <= bound, and raises InvariantError when either fails (the bound
+is observed, not proved).
 
 The pullback is an ``algebra.Residual``: integer numerators U, dense over
 exponents 0 .. bound (the slice bound), one denominator D and an order n
@@ -24,9 +38,10 @@ signed as P_n, s = P_n/g and r = U_n/g, it scales U[n:] and D by s if
 s != 1, subtracts r*P over P's exponents only, divides U[n:] and D by
 their gcd and logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step).
 
-On the first iteration the tuple (0, ..., 0, k_i) is excluded: it is g
-itself. Any other slice tuple has order above e_i, so delta_i never
-touches the apex (0, e_i) and f_i is monic by construction.
+Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
+be excluded. Every basis product has y-degree at most
+sum_j (k_{j+1} - 1)*e_j = e_i - 1, so delta_i never touches the apex
+(0, e_i) and f_i is monic by construction (the end of ``lift`` checks it).
 """
 
 from __future__ import annotations
@@ -39,8 +54,8 @@ from .chardata import Branch
 from .errors import InvariantError
 from .oracle import DEFAULT_ORACLE_BOUND, resultant_implicitize
 from .parametrize import ValuationTable, truncation, valuation_table
-from .polygon import SliceQuery, lattice_slice, polygon_contains, polygon_desc
-from .semigroup import generators, semigroup_member
+from .polygon import polygon_contains, polygon_desc
+from .semigroup import generators, normal_form
 from .weierstrass import basis_reconstruct, is_weierstrass
 
 
@@ -65,8 +80,9 @@ class LevelCertificate:
     compact_face_present: bool     # (0, e_i) and (e_i*lam_1, 0) in Supp(f_i)
     monic_weierstrass: bool        # f_i is Weierstrass of degree e_i
     n_log_increasing: bool | str   # logged orders strictly increase
-    n_log_in_semigroup: bool | str  # every logged order is a semigroup
-                                    # member; both "skipped" on an empty log
+    n_log_in_semigroup: bool | str  # every logged pivot is a non-negative
+                                    # witness of its order; both "skipped"
+                                    # on an empty log
     valuation_rows_ok: bool        # the level-i rows of the valuation table
     oracle: str                    # "match" | "mismatch" | "skipped"
 
@@ -104,7 +120,11 @@ class LiftChain:
 def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
          ) -> tuple[BiPoly, BiPoly, tuple[IterationRecord, ...]]:
     """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1},
-    solving each step for the lexicographically smallest slice tuple."""
+    taking each step's pivot from the semigroup normal form of its order.
+
+    A normal form with alpha < 0, or with VE.ls above the slice bound, is
+    no basis tuple of the slice and raises InvariantError.
+    """
     cd = branch.cd
     if not 1 <= i <= cd.s:
         raise IndexError(f"level {i} out of range 1..{cd.s}")
@@ -117,10 +137,9 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs[:i - 1])]
     uni_pows = [PowerChain(u) for u in pullbacks]
 
-    # slice data: sg = pullback orders, ls = pullback degrees of
-    # x, f_0, ..., f_{i-1}; the bound encodes the support polygon
+    # ls = pullback degrees of x, f_0, ..., f_{i-1}; the bound encodes the
+    # support polygon
     sd = generators(cd, i)
-    sg = (sd.free, *sd.gamma)
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * pullbacks[0].degree()
 
@@ -135,13 +154,15 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
         if len(log) >= budget:
             raise InvariantError(
                 f"level {i}: more than {budget} iterations; internal error")
-        query = SliceQuery(n=n, sg=sg, ls=ls, bound=bound)
-        exclude = None if log else (0,) * i + (k_i,)
-        slab = lattice_slice(query, exclude=exclude)
-        if not slab:
+        nf = normal_form(n, sd)
+        pivot = (nf.alpha, *nf.betas)
+        if nf.alpha < 0:
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}; corrupt input or bug")
-        pivot = slab[0]
+        if sum(c * l for c, l in zip(pivot, ls)) > bound:
+            raise InvariantError(
+                f"level {i}: no basis tuple of order {n}: the normal form "
+                f"{pivot} is above the bound {bound}; corrupt input or bug")
 
         factors = [uni_pows[l].get(b) for l, b in enumerate(pivot[1:]) if b]
         a = u.eliminate(factors, p.e * pivot[0])
@@ -201,11 +222,18 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         support_ok = all(polygon_contains(key, pd) for key in f_i.support())
         apex_ok = (0, e_i) not in delta_i.support()
         face_ok = set(pd.vertices[:2]) <= f_i.support()
-        ns = [rec.n for rec in chain.logs[i - 1]]
-        if ns:
+        log = chain.logs[i - 1]
+        if log:
+            ns = [rec.n for rec in log]
             increasing = all(a < b for a, b in zip(ns, ns[1:]))
+            # each logged pivot is its own witness: non-negative, with
+            # pivot . (e_i, gamma_1, ..., gamma_i) == n in plain ints
             sd = generators(cd, i)
-            in_semigroup = all(semigroup_member(n, sd) for n in ns)
+            sg = (sd.free, *sd.gamma)
+            in_semigroup = all(
+                len(rec.pivot) == len(sg) and min(rec.pivot) >= 0
+                and sum(c * w for c, w in zip(rec.pivot, sg)) == rec.n
+                for rec in log)
         else:
             increasing = in_semigroup = "skipped"
 

@@ -12,15 +12,19 @@ Here mu_i is the scaled degree of the level-i tail (mu_i = lam_i for an
 empty tail). Both inequalities have integer data, so membership tests are
 integer-only.
 
-The elimination loop repeatedly needs the non-negative integer solutions of
+The paper prices each elimination step as a small knapsack-style integer
+program: the non-negative integer solutions of
 
-    VE . SG == n   with   VE . LS <= bound,
+    VE . SG == n   with   VE . LS <= bound.
 
-one small knapsack-style integer program per iteration. On the hyperplane
-VE . SG == n the bound is the same as VE . (LS - SG) <= bound - n, whose
-weights LS - SG are non-negative (SliceQuery checks SG <= LS).
-lattice_slice enumerates the solutions by recursive descent, pruning on
-divisibility and on the budget bound - n that is left after the hyperplane.
+lattice_slice is the reference enumeration of that slice. The lift does not
+call it: it takes the slice's lexicographically largest tuple directly, as
+the semigroup normal form of n (see ``implicitize``), and the tests compare
+the two. On the hyperplane VE . SG == n the bound is the same as
+VE . (LS - SG) <= bound - n, whose weights LS - SG are non-negative
+(SliceQuery checks SG <= LS). lattice_slice enumerates the solutions by
+recursive descent, pruning on divisibility and on the budget bound - n that
+is left after the hyperplane.
 """
 
 from __future__ import annotations
@@ -101,10 +105,9 @@ class SliceQuery:
                 f"got sg={self.sg}, ls={self.ls}")
 
 
-def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None
-                  ) -> list[tuple[int, ...]]:
+def lattice_slice(q: SliceQuery) -> list[tuple[int, ...]]:
     """All non-negative integer tuples VE with VE.sg == n and
-    VE.ls <= bound, minus the excluded tuple, in lexicographic order.
+    VE.ls <= bound, in lexicographic order.
 
     Recursive descent over coordinates sorted by descending sg-weight,
     pruning on a suffix-gcd divisibility test and on the partial sum of
@@ -115,7 +118,7 @@ def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None
         return []
     m = len(q.sg)
     if m == 0:
-        return [()] if q.n == 0 and exclude != () else []
+        return [()] if q.n == 0 else []
     order = sorted(range(m), key=lambda j: -q.sg[j])
     # gcd of the weights not yet fixed below each recursion depth
     suffix_gcd = [0] * (m + 1)
@@ -147,6 +150,4 @@ def lattice_slice(q: SliceQuery, exclude: tuple[int, ...] | None = None
 
     descend(0, q.n, 0)
     out.sort()
-    if exclude is not None and exclude in out:
-        out.remove(exclude)
     return out

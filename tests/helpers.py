@@ -133,8 +133,10 @@ def naive_basis_reconstruct(terms, fs) -> BiPoly:
 def reference_lift(branch, fs, i, pivot_rule="min", trail=None):
     """(f_i, delta_i, log) by the elimination loop on immutable ``UniPoly``
     values: each basis product is built in full, the monomial t**(e*alpha)
-    included, and u = u + u_p * a makes a new pullback every step. With a
-    ``trail`` list, every u after a step is appended to it."""
+    included, and u = u + u_p * a makes a new pullback every step. The
+    pivot is the smallest ("min") or largest ("max") tuple of the whole
+    ``lattice_slice``, without the tuple of f_{i-1}**k_i on the first step.
+    With a ``trail`` list, every u after a step is appended to it."""
     cd = branch.cd
     k_i = cd.ks[i - 1]
     p = truncation(branch, i)
@@ -146,10 +148,10 @@ def reference_lift(branch, fs, i, pivot_rule="min", trail=None):
     bound = p.e * pullbacks[0].degree()
     u = uni_pows[-1].get(k_i)
     log = []
+    g = (0,) * i + (k_i,)     # the tuple of f_{i-1}**k_i itself
     while (n := u.order()) is not INFINITY:
-        exclude = None if log else (0,) * i + (k_i,)
-        slab = lattice_slice(SliceQuery(n=n, sg=sg, ls=ls, bound=bound),
-                             exclude=exclude)
+        slab = [ve for ve in lattice_slice(SliceQuery(n=n, sg=sg, ls=ls, bound=bound))
+                if log or ve != g]
         pivot = slab[0] if pivot_rule == "min" else slab[-1]
         u_p = UniPoly({p.e * pivot[0]: 1})
         for l, b in enumerate(pivot[1:]):

@@ -131,7 +131,7 @@ def suite_pivot_independence(seed=0x59, cases=200):
         b = rand_branch(rng, max_levels=3, max_k=12)
         fs = implicitize_all(b, verify=False).fs
         for i in range(1, b.cd.s + 1):
-            assert reference_lift(b, fs, i, "max")[0] == fs[i - 1]
+            assert reference_lift(b, fs, i, "min")[0] == fs[i - 1]
 
 
 ALL_SUITES = [

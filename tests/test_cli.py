@@ -242,16 +242,16 @@ def test_verify_rejects_no_verify(capsys):
 VERIFY_JSON_SHA256 = {
     "cubic-tail.curve": "09013627ce0534cb0ce5a6615d54ac91c8fefcbd18f44c4bb783e707e7f390cb",
     "cusp.curve": "e02ac855631dfa8bf5fe06f4064785420cabf88cfafcaae6b047ba7e7db2b991",
-    "intro-689.curve": "995c1a9a372d502d102c90e3c5b29bbf05515705c1a8504b349c1d8d15e3b426",
-    "nonic.curve": "b38df26788cd299be85417ddb8e10995edc70ab8e4a4d83658ea4fa34e6d60a1",
-    "octic-three-level.curve": "61b95fd0a49d8a1c5746add55c180fe11f0188bd60b9794e73185b23e12948c4",
-    "paper-ex1.curve": "900b8f01e1dba87f6801f4198036200fccd7dd4bb7860449a9cfac5e597394b5",
-    "paper-ex2.curve": "2d7511b5c663af9a6e8179a2b7af7a67633adf196df7d59b0b7c4155b451ba36",
-    "paper-ex3.curve": "766f83d261bb29057f2fd7193f5abc81a987e70ade745c0317cb976709a156aa",
+    "intro-689.curve": "626c5edb995043c8dd1d5771a83022e4cc6886a0bc74126a1630e9a964073367",
+    "nonic.curve": "0b265fc4f62cff036d0fb53e2d586274fb112bda4e312721b29392f9210c5573",
+    "octic-three-level.curve": "f40ea2e72af334d9212ec26c7d40010af2ae8eff3a9b2f4e3391ffdc579f17fb",
+    "paper-ex1.curve": "c0112e8d0382607899819ecf55b760e95db736f13f79b15ab4af98001d70f87c",
+    "paper-ex2.curve": "ff8b98cb51b3cb45fbc6c5932e812dbfa620966eb1cc38dd2f6d572b655f5686",
+    "paper-ex3.curve": "74a457da84e953c5fac447c7c0cece17fe775916fdbe44e26e2206679a37313b",
     "quartic-deep.curve": "f30bcd175188ad9cbc0e300eb578f15f18b43a234518e77cb75e7af6d9a16575",
     "quartic.curve": "4517962c93544ba705a474c41bd660452f51d2d0d5b623d30cf6aac6ea6a877a",
-    "rational-coeffs.curve": "3ab380bb050241e5f1422afb3110288a7727d8878e119f8244936f7217eb6c8d",
-    "tails-weighted.curve": "497f6a67e41e0d4fe1467670864239adc13106770dc7f8de81220db2db44b08e",
+    "rational-coeffs.curve": "923891c779d8b3e8b68c26709f44fee6d2901aa53e3cad835561937d58ea828a",
+    "tails-weighted.curve": "6068e1aa773d800f3260ea166116787bb5cec39989d74e3d4748444b50222430",
 }
 
 
@@ -260,6 +260,37 @@ def test_verify_json_bytes_pinned(capsys):
     for name, digest in VERIFY_JSON_SHA256.items():
         code, out = run(capsys, "verify", str(CORPUS / name), "--json")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# SHA-256 of the same documents with every level's "iterations" key removed
+# and re-emitted as ``verify --json`` prints: the f_i, deltas, certificates
+# and valuation table, which a change of elimination pivot must not move.
+VERIFY_JSON_WITHOUT_LOGS_SHA256 = {
+    "cubic-tail.curve": "3c6c6afca03ace9128dc376d7e40de1b21e27700d95131a3cab6506f9257e84e",
+    "cusp.curve": "2568a4dda57f53c7ac519af9cdfdbc4620713e7bafd45f7f4af9ac16173e2ca7",
+    "intro-689.curve": "991d01542242ef183a707419535928f5ffde8fb5ed06b3e5c2e761a7809b2ebc",
+    "nonic.curve": "e70f89610055c52bf3c22a9222d612f2d81583b43d0c7ec81cf09298436de9c7",
+    "octic-three-level.curve": "ff6bf97bb9832dc6d72b7f5fffaae444d6e0fb669dfb5c43fa111022b401fba5",
+    "paper-ex1.curve": "afb39b7fab777d6e71e8008cb50d52ca9773195d68abe7c49af7fe74bcc77bb1",
+    "paper-ex2.curve": "3ba4c4f85ed0d2fef8d6f77af4b8b45b2787e19d5a2dd29cd1c1b6e171abb977",
+    "paper-ex3.curve": "3b2b4fc02e04b7aec733ffb8da6fbee29b2e26617e23d8824f82ec8e9a3939ff",
+    "quartic-deep.curve": "876f44f8e9d2ee743208b83d0e9547c08d9e265b5dc998c0e408a5b32cf7050d",
+    "quartic.curve": "0eb80b1343fb687be716eb28cf85d968f033e953cd22178b15931425c23f3e12",
+    "rational-coeffs.curve": "a68f4f50333ad1da7325f77f854545466e16eefe7b2d7f8d58678e082a29f83a",
+    "tails-weighted.curve": "3b94007b89da8550ba7b836f5f6526fc98e9d22ef8c1caddcb45158bfadda42a",
+}
+
+
+def test_verify_json_bytes_without_logs_pinned(capsys):
+    assert sorted(VERIFY_JSON_WITHOUT_LOGS_SHA256) == sorted(VERIFY_JSON_SHA256)
+    for name, digest in VERIFY_JSON_WITHOUT_LOGS_SHA256.items():
+        code, out = run(capsys, "verify", str(CORPUS / name), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        for level in doc["levels"]:
+            del level["iterations"]
+        out = json.dumps(doc, indent=2) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 

@@ -1,17 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from curvelift import (BiPoly, Parametrization, UniPoly, certify, generators,
-                       implicitize_all, lift, normal_form, resultant_implicitize,
-                       semigroup_member, truncation, validate_branch)
+from curvelift import (BiPoly, NormalForm, Parametrization, UniPoly, certify,
+                       generators, implicitize_all, lattice_slice, lift,
+                       resultant_implicitize, semigroup_member, truncation,
+                       validate_branch)
 from curvelift.algebra import Residual
 from curvelift.cli import branch_from_file, load_curve
 from curvelift.errors import InvariantError
 from curvelift.implicitize import chain_from_polynomials, lift_levels
 from curvelift.oracle import DEFAULT_ORACLE_BOUND
+from curvelift.polygon import SliceQuery
 from helpers import rand_branch, reference_lift
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})
@@ -33,8 +36,16 @@ def test_lift_reference_level2(branch12):
     f2, delta2, log = lift(branch12, (F1,), 2)
     assert f2 == F1 ** 3 + BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})
     assert delta2 == BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})
-    assert [rec.n for rec in log] == [57, 58, 60]
-    assert log[0].pivot == (5, 3, 0)
+    # by hand: the slice of order 57 is (0, 0, 3) = f_1**3 itself, (5, 3, 0)
+    # and (8, 1, 0); orders 58 and 60 each have one tuple. So the largest
+    # pivots are (8, 1, 0), (5, 1, 1), (10, 0, 0), and
+    # -8*x^8*y - 2*x^5*y*f_1 + x^10 is delta2
+    assert [(rec.n, rec.pivot, rec.coeff) for rec in log] == [
+        (57, (8, 1, 0), -8), (58, (5, 1, 1), -2), (60, (10, 0, 0), 1)]
+    for j, rec in enumerate(log):
+        q = SliceQuery(n=rec.n, sg=(6, 9, 19), ls=(6, 10, 20), bound=60)
+        slab = [ve for ve in lattice_slice(q) if j or ve != (0, 0, 3)]
+        assert rec.pivot == slab[-1], rec
 
 
 def test_full_chain_reference(branch12, chain12):
@@ -76,18 +87,18 @@ def test_support_and_monic_invariants(branch12, chain12):
 
 
 def test_pivot_rule_independence_reference(branch12, branch6_tails):
-    # f_i is unique: solving for the largest slice tuple gives lift's f_i
+    # f_i is unique: solving for the smallest slice tuple gives lift's f_i
     for b in (branch12, branch6_tails):
         fs = implicitize_all(b, verify=False).fs
         for i in range(1, b.cd.s + 1):
-            assert reference_lift(b, fs, i, "max")[0] == fs[i - 1], i
+            assert reference_lift(b, fs, i, "min")[0] == fs[i - 1], i
 
 
 def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
-    # lift's residual against the loop on immutable UniPoly values: the same
-    # (f_i, delta_i, log), and after every step the same canonical fields,
-    # so a residual whose gcd reduction is skipped (same log, bloated
-    # numerators) fails too
+    # lift's residual against the loop on immutable UniPoly values that
+    # takes the largest tuple of the whole slice: the same (f_i, delta_i,
+    # log), and after every step the same canonical fields, so a residual
+    # whose gcd reduction is skipped (same log, bloated numerators) fails too
     states = []
     eliminate = Residual.eliminate
 
@@ -110,55 +121,87 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
         for i in range(1, b.cd.s + 1):
             states.clear()
             trail = []
-            ref = reference_lift(b, fs, i, "min", trail=trail)
+            ref = reference_lift(b, fs, i, "max", trail=trail)
             assert lift(b, fs, i) == ref, (label, i)
             assert states == trail, (label, i)
 
 
-def test_largest_slice_tuple_is_the_normal_form(corpus_chains, monkeypatch):
-    # on every slice query of the lift, the lexicographically largest tuple
-    # is the semigroup normal form of the order, read as
-    # (alpha, beta_0, ..., beta_{i-1}): a pivot could come from
-    # normal_form without enumerating the slice
-    import curvelift.implicitize as implicitize
-    tops = []
-    lattice_slice = implicitize.lattice_slice
-
-    def recording(query, exclude=None):
-        slab = lattice_slice(query, exclude=exclude)
-        tops.append((query.n, slab[-1]))
-        return slab
-
-    monkeypatch.setattr(implicitize, "lattice_slice", recording)
+def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
+    # lift takes each pivot from normal_form and builds no slice; the
+    # reference enumeration, minus f_{i-1}**k_i on the first step, has that
+    # pivot as its lexicographically largest tuple on every step
     branches = [b for b, _, _ in corpus_chains.values()]
     rng = random.Random(0x13)
     branches += [rand_branch(rng, max_levels=3, max_k=12) for _ in range(40)]
     checked = 0
     for b in branches:
-        for i, _ in enumerate(lift_levels(b), start=1):
+        fs = []
+        for i, (f_i, _, log) in enumerate(lift_levels(b), start=1):
+            p = truncation(b, i)
             sd = generators(b.cd, i)
-            for n, top in tops:
-                nf = normal_form(n, sd)
-                assert (nf.alpha, *nf.betas) == top, (b.k, b.terms, i, n)
-            checked += len(tops)
-            tops.clear()
-    assert checked == 1670
+            pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs)]
+            fs.append(f_i)
+            sg = (sd.free, *sd.gamma)
+            ls = (p.e, *(u.degree() for u in pullbacks))
+            bound = p.e * pullbacks[0].degree()
+            g = (0,) * i + (b.cd.ks[i - 1],)
+            for j, rec in enumerate(log):
+                q = SliceQuery(n=rec.n, sg=sg, ls=ls, bound=bound)
+                slab = [ve for ve in lattice_slice(q) if j or ve != g]
+                assert rec.pivot == slab[-1], (b.k, b.terms, i, rec.n)
+            checked += len(log)
+    assert checked == 1551
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("lattice_slice", lambda query, exclude=None: [], "no basis tuple of order"),
-    ("lattice_slice", lambda query, exclude=None: [(1, 0, 0)], "misses order"),
+    ("normal_form", lambda a, sd: NormalForm(-3, (0, 1)), "no basis tuple of order"),
+    ("normal_form", lambda a, sd: NormalForm(2, (5, 0)), "is above the bound"),
+    ("normal_form", lambda a, sd: NormalForm(1, (0, 0)), "misses order"),
     ("Residual.eliminate", lambda self, factors, shift: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
-    # a corrupt slice, a residual that does not move and a non-monic sum
-    # are typed errors, raised (not asserted) so that python -O keeps them
+    # at level 2 the first order is 57 = 6*alpha + 9*beta_0 + 19*beta_1
+    # under the bound 60 on 6*alpha + 10*beta_0 + 20*beta_1. The normal form
+    # of 1, a non-member (alpha < 0, inside the bound), a tuple of order 57
+    # above the bound (62), a tuple of another order, a residual that does
+    # not move and a non-monic sum are typed errors, raised (not asserted)
+    # so that python -O keeps them
     import curvelift.implicitize as implicitize
     owner = Residual if "." in name else implicitize
     monkeypatch.setattr(owner, name.split(".")[-1], value)
     with pytest.raises(InvariantError, match=message):
         lift(branch12, (F1,), 2)
+
+
+def test_log_witness_mutants_fail_certificate(branch12):
+    # n_log_in_semigroup checks each logged pivot as a witness of its order
+    # in plain ints: one coordinate moved by one, or a representation with
+    # a negative coordinate, turns it false at that level only
+    chain = implicitize_all(branch12, verify=False)
+    assert all(c.n_log_in_semigroup is True
+               for c in certify(chain, oracle_bound=0).certificates)
+
+    def mutated(i, j, pivot):
+        logs = list(chain.logs)
+        log = list(logs[i - 1])
+        log[j] = replace(log[j], pivot=pivot)
+        logs[i - 1] = tuple(log)
+        return certify(replace(chain, logs=tuple(logs)), oracle_bound=0)
+
+    for i, log in enumerate(chain.logs, start=1):
+        j = len(log) // 2
+        pivot = log[j].pivot
+        for c in range(len(pivot)):
+            bumped = pivot[:c] + (pivot[c] + 1,) + pivot[c + 1:]
+            verdicts = [cert.n_log_in_semigroup
+                        for cert in mutated(i, j, bumped).certificates]
+            assert verdicts == [level != i for level in range(1, 4)], (i, c)
+    # level 2, order 57: (8, 1, 0) and (-1, 7, 0) both give 6*a + 9*b + 19*c
+    assert chain.logs[1][0].pivot == (8, 1, 0)
+    verdicts = [cert.n_log_in_semigroup
+                for cert in mutated(2, 0, (-1, 7, 0)).certificates]
+    assert verdicts == [True, False, True]
 
 
 def test_chain_from_polynomials_roundtrip(branch12, chain12):

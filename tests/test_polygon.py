@@ -59,7 +59,6 @@ def test_polygon_matches_pullback_interval(branch12, branch6_tails):
 
 def test_lattice_slice_reference_first_iteration():
     q = SliceQuery(n=57, sg=(6, 9, 19), ls=(6, 10, 20), bound=60)
-    assert lattice_slice(q, exclude=(0, 0, 3)) == [(5, 3, 0), (8, 1, 0)]
     assert lattice_slice(q) == [(0, 0, 3), (5, 3, 0), (8, 1, 0)]
 
 
