@@ -332,13 +332,6 @@ class BiPoly(_IntMapPoly):
             return INFINITY
         return max(b for _, b in self._c)
 
-    def order(self):
-        """Order (total degree of the lowest homogeneous part); INFINITY
-        for the zero polynomial."""
-        if not self._c:
-            return INFINITY
-        return min(a + b for a, b in self._c)
-
     def partial_y(self) -> "BiPoly":
         """Formal partial derivative with respect to y (exponent shift)."""
         c = {(a, b - 1): v * b for (a, b), v in self._c.items() if b}

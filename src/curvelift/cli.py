@@ -31,8 +31,7 @@ from pathlib import Path
 from .algebra import BiPoly, Coeff
 from .chardata import Branch, validate_branch
 from .errors import CurveFileError, CurveLiftError
-from .implicitize import LiftChain, implicitize_all, lift_levels
-from .oracle import DEFAULT_ORACLE_BOUND
+from .implicitize import DEFAULT_ORACLE_BOUND, LiftChain, implicitize_all, lift_levels
 from .polygon import polygon_desc
 from .semigroup import generators
 

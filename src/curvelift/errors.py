@@ -33,16 +33,11 @@ class IntegerExponentError(CurveLiftError):
 
 class InvariantError(CurveLiftError):
     """An internal consistency check failed: corrupt data or a bug, such as
-    an empty lattice slice, an exhausted iteration budget, a non-integral
-    semigroup generator or generators that do not span Z. Raised instead of
-    asserting, so the check also runs under ``python -O``."""
-
-
-# --- oracle -----------------------------------------------------------------
-
-class OracleBoundError(CurveLiftError):
-    """Resultant oracle declined: level degree e above the configured
-    bound."""
+    a lift pivot whose normal form has alpha < 0 or lies above the slice
+    bound, a basis product that misses its order, an exhausted iteration
+    budget, a non-integral semigroup generator or generators that do not
+    span Z. Raised instead of asserting, so the check also runs under
+    ``python -O``."""
 
 
 # --- CLI --------------------------------------------------------------------

@@ -52,11 +52,13 @@ from dataclasses import dataclass, fields
 from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual
 from .chardata import Branch
 from .errors import InvariantError
-from .oracle import DEFAULT_ORACLE_BOUND, resultant_implicitize
+from .oracle import resultant_implicitize
 from .parametrize import ValuationTable, truncation, valuation_table
 from .polygon import polygon_contains, polygon_desc
 from .semigroup import generators, normal_form
 from .weierstrass import basis_reconstruct, is_weierstrass
+
+DEFAULT_ORACLE_BOUND = 12  # certify runs the norm oracle where e_i <= bound
 
 
 @dataclass(frozen=True)
@@ -240,12 +242,10 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         rows_ok = all(r.ok for r in table.rows if r.i == i)
 
         if e_i <= oracle_bound:
-            oracle = ("match" if resultant_implicitize(p, bound=oracle_bound) == f_i
-                      else "mismatch")
+            oracle = "match" if resultant_implicitize(p) == f_i else "mismatch"
         else:
             oracle = "skipped"
-        # on a match the oracle's self-check has pulled back f_i already
-        pull_zero = oracle == "match" or p.pullback(f_i).is_zero
+        pull_zero = p.pullback(f_i).is_zero
 
         certs.append(LevelCertificate(
             level=i, pullback_zero=pull_zero, support_in_polygon=support_ok,

@@ -26,11 +26,11 @@ scaled roots Y(w**j s) are integral over Z[x], so the coefficients C_m of
 their characteristic polynomial lie in Z[x], Newton's divisions by m are
 exact there, and c_m = C_m / d**m.
 
-Nothing here calls the UniPoly, BiPoly or PowerChain arithmetic the lift
-runs on: the powers of Y and the products of Newton's identities are
-sparse schoolbook convolutions of plain ``int`` maps. Agreement with the
-chain's f_i therefore certifies it independently. The one exception is
-the final self-check that the pullback of the result vanishes.
+Nothing here calls the UniPoly, BiPoly, PowerChain or pullback
+arithmetic the lift runs on: the powers of Y and the products of Newton's
+identities are sparse schoolbook convolutions of plain ``int`` maps, and
+only the BiPoly constructor wraps the result. Agreement with the chain's
+f_i therefore certifies it independently.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import BiPoly
-from .errors import InvariantError, OracleBoundError
+from .errors import InvariantError
 from .parametrize import Parametrization
-
-DEFAULT_ORACLE_BOUND = 12
 
 
 def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]
@@ -54,18 +52,13 @@ def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]
     return acc
 
 
-def resultant_implicitize(p: Parametrization,
-                          bound: int = DEFAULT_ORACLE_BOUND) -> BiPoly:
+def resultant_implicitize(p: Parametrization) -> BiPoly:
     """The norm of y - yt(t) from Q(x)[t]/(t**e - x), monic in y**e, from
     power sums of traces and Newton's identities (see the module docstring).
 
-    Raises OracleBoundError when e exceeds the bound (callers then fall
-    back to pullback-only certification). The result vanishes under the
-    pullback; equality with the chain's equation is the caller's check.
+    Equality with the chain's equation is the caller's check.
     """
     e = p.e
-    if e > bound:
-        raise OracleBoundError(f"level degree {e} exceeds oracle bound {bound}")
     terms = [(n, Fraction(c)) for n, c in p.yt.terms()]
     d = lcm(*(c.denominator for _, c in terms))
     y_int = {n: c.numerator * (d // c.denominator) for n, c in terms}
@@ -89,8 +82,5 @@ def resultant_implicitize(p: Parametrization,
             if q:
                 c_m[a] = q
         cs.append(c_m)
-    monic = BiPoly({(a, e - m): Fraction(v, d ** m)
-                    for m, c_m in enumerate(cs) for a, v in c_m.items()})
-    if not p.pullback(monic).is_zero:
-        raise InvariantError("resultant does not vanish on the branch")
-    return monic
+    return BiPoly({(a, e - m): Fraction(v, d ** m)
+                   for m, c_m in enumerate(cs) for a, v in c_m.items()})

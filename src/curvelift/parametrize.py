@@ -74,7 +74,7 @@ def truncation(branch: Branch, i: int) -> Parametrization:
     for m, c in kept:
         q, r = divmod(m * e_i, k)
         if r:
-            raise ArithmeticError(
+            raise InvariantError(
                 f"non-integral exponent {m}*{e_i}/{k} in truncation (corrupt branch)")
         yt[q] = c
     g = e_i

@@ -12,8 +12,7 @@ from curvelift import (BiPoly, NormalForm, Parametrization, UniPoly, certify,
 from curvelift.algebra import Residual
 from curvelift.cli import branch_from_file, load_curve
 from curvelift.errors import InvariantError
-from curvelift.implicitize import chain_from_polynomials, lift_levels
-from curvelift.oracle import DEFAULT_ORACLE_BOUND
+from curvelift.implicitize import DEFAULT_ORACLE_BOUND, chain_from_polynomials, lift_levels
 from curvelift.polygon import SliceQuery
 from helpers import rand_branch, reference_lift
 
@@ -242,8 +241,8 @@ def test_coefficients_are_normalized_random():
 
 
 def test_certify_pulls_back_each_f_i_once(monkeypatch):
-    # on a "match" the oracle's self-check has pulled back f_i, and certify
-    # takes pullback_zero from it instead of a second pullback
+    # the oracle runs no pullback, so with the oracle at every level each
+    # f_i is still pulled back exactly once, for pullback_zero
     branch = branch_from_file(load_curve(CORPUS / "paper-ex1.curve"))
     assert max(branch.cd.es) <= DEFAULT_ORACLE_BOUND
     chain = implicitize_all(branch, verify=False)
@@ -260,3 +259,17 @@ def test_certify_pulls_back_each_f_i_once(monkeypatch):
     assert {c.oracle for c in chain.certificates} == {"match"}
     for i, f_i in enumerate(chain.fs, start=1):
         assert sum(level == i and f == f_i for level, f in seen) == 1, i
+
+
+def test_pullback_zero_ignores_the_oracle(branch12, monkeypatch):
+    # pullback_zero is p.pullback(f_i) at every level: an oracle that agrees
+    # with a wrong f_2 reports "match", and the pullback still fails there
+    chain = implicitize_all(branch12, verify=False)
+    fs = list(chain.fs)
+    fs[1] = fs[1] + BiPoly.monomial(9, 0)
+    bad = replace(chain, fs=tuple(fs))
+    monkeypatch.setattr("curvelift.implicitize.resultant_implicitize",
+                        lambda p: bad.fs[p.level - 1])
+    certs = certify(bad).certificates
+    assert [c.oracle for c in certs] == ["match"] * 3
+    assert [c.pullback_zero for c in certs] == [True, False, True]

@@ -1,10 +1,7 @@
 import random
 
-import pytest
-
 from curvelift import (BiPoly, implicitize_all, polygon_contains, polygon_desc,
                        resultant_implicitize, truncation)
-from curvelift.errors import OracleBoundError
 from helpers import rand_branch, sylvester_implicitize
 
 CUSP = BiPoly({(0, 2): 1, (3, 0): -1})
@@ -21,11 +18,6 @@ def test_cusp_resultant(cusp):
 def test_reference_level2_resultant(branch12):
     res = resultant_implicitize(truncation(branch12, 2))
     assert res == CUSP ** 3 + BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})
-
-
-def test_oracle_bound(branch12):
-    with pytest.raises(OracleBoundError):
-        resultant_implicitize(truncation(branch12, 3), bound=6)
 
 
 def test_resultant_vanishes_and_fits_polygon(branch6_tails):
@@ -83,7 +75,7 @@ def test_oracle_above_default_bound(corpus_chains):
     for branch, chain, _ in corpus_chains.values():
         for i in range(1, branch.cd.s + 1):
             e_i = branch.cd.es[i]
-            res = resultant_implicitize(truncation(branch, i), bound=e_i)
+            res = resultant_implicitize(truncation(branch, i))
             assert res == chain.fs[i - 1]
             top = max(top, e_i)
     assert top == 30

@@ -109,3 +109,19 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# the lift's arithmetic: the norm oracle must run none of it to certify f_i
+# independently
+LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_kronecker_mul"}
+
+
+def test_oracle_runs_none_of_the_lift_arithmetic():
+    path = ROOT / "src" / "curvelift" / "oracle.py"
+    found = [f"{path.name}:{node.lineno}: {name}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in [node.id if isinstance(node, ast.Name) else
+                          node.attr if isinstance(node, ast.Attribute) else
+                          node.name if isinstance(node, ast.alias) else None]
+             if name in LIFT_ARITHMETIC]
+    assert found == []

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from curvelift import (INFINITY, BiPoly, UniPoly, generators, implicitize_all,
                        semigroup_member, truncation, valuation_table)
+from curvelift.errors import InvariantError
 from helpers import naive_pullback, rand_bipoly, rand_branch
 
 
@@ -17,6 +19,14 @@ def test_truncation_reference_levels(branch12):
     assert p3.e == 12 and p3.yt == UniPoly({18: 1, 20: 1, 23: 1})
     with pytest.raises(IndexError):
         truncation(branch12, 4)
+
+
+def test_truncation_rejects_non_integral_exponent(branch12):
+    # 19 * e_1 / k = 19 * 2 / 12: a corrupt branch, reported like the other
+    # corrupt-branch checks
+    bad = replace(branch12, terms=tuple(sorted(branch12.terms + ((19, 1),))))
+    with pytest.raises(InvariantError, match="non-integral exponent 19"):
+        truncation(bad, 1)
 
 
 def test_truncation_keeps_tails(branch6_tails):
