@@ -23,10 +23,11 @@ len(f_j)`` terms (L a longest factor), each below ``2**sum_j
 bits(max|f_j|)``, so with ``w = sum_j bits(max|f_j|) + sum_{j != L}
 bits(len(f_j)) + 1`` every digit lies strictly between ``-2**(w-1)`` and
 ``2**(w-1)``: it never overflows into its neighbour, and the digits are
-read back exactly. A ``shift`` is added to the decoded exponents, so a
-monomial factor ``t**shift`` is never packed. A ``BiPoly`` product is
-schoolbook over the numerators: its operands are sparse in two variables,
-so packing them into one int costs more than the term pairs it saves.
+read back exactly. A monomial factor ``t**shift`` is never packed:
+``Residual.eliminate`` adds the shift to the product's lowest exponent.
+A ``BiPoly`` product is schoolbook over the numerators: its operands are
+sparse in two variables, so packing them into one int costs more than the
+term pairs it saves.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -36,7 +37,7 @@ callers must branch on it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 Coeff = int | Fraction
 
@@ -66,12 +67,13 @@ INFINITY = _Infinity()
 
 
 def _norm_coeff(c) -> Coeff:
-    """Coerce to int | Fraction, collapsing integral fractions to int."""
+    """Coerce to int | Fraction, collapsing integral fractions to int; a
+    bool is no coefficient."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
@@ -257,16 +259,16 @@ class UniPoly(_IntMapPoly):
         return "UniPoly(" + " + ".join(bits) + ")"
 
 
-def _kronecker_mul(maps, shift: int = 0) -> tuple[int, list[int]]:
-    """t**shift times the product of nonzero integer polynomials {exponent:
-    value}, as its lowest exponent and its coefficients from there up (see
-    the module docstring); no factors give (shift, [1]). Digits carry half
-    the base, so each reads back as unsigned bytes, with no borrow."""
+def _kronecker_mul(maps) -> tuple[int, list[int]]:
+    """The product of nonzero integer polynomials {exponent: value}, as its
+    lowest exponent and its coefficients from there up (see the module
+    docstring); no factors give (0, [1]). Digits carry half the base, so
+    each reads back as unsigned bytes, with no borrow."""
     bits = 1 - max(map(len, maps), default=0).bit_length()
     for m in maps:
         bits += max(map(abs, m.values())).bit_length() + len(m).bit_length()
     width = (bits + 7) // 8
-    z, lo, n = 1, shift, 1
+    z, lo, n = 1, 0, 1
     for m in maps:
         lo_m = min(m)
         n_m = max(m) - lo_m + 1
@@ -366,7 +368,8 @@ class BiPoly(_IntMapPoly):
 
 class PowerChain:
     """Grow-on-demand cache of the powers base**0, base**1, ...; ``lift``
-    keeps one per basis pullback, reused by every iteration's product."""
+    keeps one per basis pullback and reads it for each new beta tuple's
+    product."""
 
     __slots__ = ("_base", "_pows")
 
@@ -402,14 +405,17 @@ class Residual:
         self._n = n
         return n if n < len(U) else INFINITY
 
-    def eliminate(self, factors, shift: int):
-        """u += a * t**shift * prod(factors), fraction-free, with the a that
-        kills u's lowest term; return a, or None unless the product has
-        exactly u's order and fits in the bound."""
+    def eliminate(self, product, shift: int):
+        """u += a * t**shift * P/d_p, fraction-free, with the a that kills
+        u's lowest term; return a, or None unless the shifted product has
+        exactly u's order and fits in the bound. ``product`` is (lo, P,
+        d_p): the lowest exponent of the unshifted product, its int
+        numerators from there up and its denominator. ``lift`` shares one
+        product among every step of its beta tuple, so P is only read."""
         U, D, n = self._u, self._d, self.order()
-        lo, P = _kronecker_mul([f._c for f in factors], shift)
-        end = lo + len(P)
-        if lo != n or end > len(U):
+        lo, P, d_p = product
+        end = n + len(P)
+        if lo + shift != n or end > len(U):
             return None
         p_n, u_n = P[0], U[n]
         g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
@@ -421,7 +427,7 @@ class Residual:
         if self._d != 1 and (g := gcd(self._d, *U[n:])) != 1:
             U[n:] = [v // g for v in U[n:]]
             self._d //= g
-        return coeff_div(-u_n * prod(f._d for f in factors), D * p_n)
+        return coeff_div(-u_n * d_p, D * p_n)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,17 @@ is observed, not proved).
 
 The pullback is an ``algebra.Residual``: integer numerators U, dense over
 exponents 0 .. bound (the slice bound), one denominator D and an order n
-that only moves forward. A step is fraction-free: the basis product P/d_p
-is one n-ary Kronecker product shifted by e*alpha. With g = gcd(P_n, U_n)
-signed as P_n, s = P_n/g and r = U_n/g, it scales U[n:] and D by s if
-s != 1, subtracts r*P over P's exponents only, divides U[n:] and D by
-their gcd and logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step).
+that only moves forward. Only the beta part of a pivot needs a product:
+x**alpha pulls back to the shift t**(e*alpha). ``lift`` keeps a memo, local
+to one call, from each beta tuple to its unshifted product P/d_p, formed
+on the tuple's first step as one n-ary Kronecker product of the pullback
+powers; later steps with that tuple reuse it. Normal forms have
+0 <= beta_j < k_{j+1}, so the memo holds at most e_i entries, and it is
+dropped when the level ends. A step is fraction-free: with P shifted by
+e*alpha, g = gcd(P_n, U_n) signed as P_n, s = P_n/g and r = U_n/g, it
+scales U[n:] and D by s if s != 1, subtracts r*P over P's exponents only,
+divides U[n:] and D by their gcd and logs a = -U_n*d_p / (D*P_n) (U_n, D
+from before the step).
 
 Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
 be excluded. Every basis product has y-degree at most
@@ -48,8 +54,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from math import prod
 
-from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual
+from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual, _kronecker_mul
 from .chardata import Branch
 from .errors import InvariantError
 from .oracle import resultant_implicitize
@@ -124,8 +131,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1},
     taking each step's pivot from the semigroup normal form of its order.
 
-    A normal form with alpha < 0, or with VE.ls above the slice bound, is
-    no basis tuple of the slice and raises InvariantError.
+    Each distinct beta tuple's basis product is formed once, on first use,
+    and kept for this call only: at most e_i entries (see the module
+    docstring). A normal form with alpha < 0, or with VE.ls above the slice
+    bound, is no basis tuple of the slice and raises InvariantError.
     """
     cd = branch.cd
     if not 1 <= i <= cd.s:
@@ -149,6 +158,8 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
 
     budget = bound - p.e * int(p.e * cd.lambdas[0]) + 1
     log: list[IterationRecord] = []
+    # beta tuple -> its unshifted product (lo, numerators, denominator)
+    products: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
     while True:
         n = u.order()
         if n is INFINITY:
@@ -166,8 +177,14 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
                 f"level {i}: no basis tuple of order {n}: the normal form "
                 f"{pivot} is above the bound {bound}; corrupt input or bug")
 
-        factors = [uni_pows[l].get(b) for l, b in enumerate(pivot[1:]) if b]
-        a = u.eliminate(factors, p.e * pivot[0])
+        betas = pivot[1:]
+        product = products.get(betas)
+        if product is None:
+            factors = [uni_pows[l].get(b) for l, b in enumerate(betas) if b]
+            product = products[betas] = (
+                *_kronecker_mul([f._c for f in factors]),
+                prod(f._d for f in factors))
+        a = u.eliminate(product, p.e * pivot[0])
         if a is None:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")

@@ -5,7 +5,7 @@ from math import gcd, prod
 import pytest
 
 from curvelift import INFINITY, BiPoly, Parametrization, UniPoly
-from curvelift.algebra import _kronecker_mul, bipoly_exact_div, sylvester_det
+from curvelift.algebra import Residual, _kronecker_mul, bipoly_exact_div, sylvester_det
 from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 
@@ -146,7 +146,7 @@ def _factor(rng):
 
 def test_kronecker_product_of_n_factors():
     rng = random.Random(0xB7)
-    cases = [([_factor(rng) for _ in range(m)], rng.choice((0, 1, 6, 500)))
+    cases = [[_factor(rng) for _ in range(m)]
              for m in range(1, 6) for _ in range(25)]
     # dense factors of one height: every product term adds up. m factors of
     # 2**j - 1 terms of height 2**k - 1 give a width of m*k + (m-1)*j + 1
@@ -155,17 +155,48 @@ def test_kronecker_product_of_n_factors():
                     (3, 101, 4)):
         full = UniPoly({i + 1: (1 << k) - 1 for i in range((1 << j) - 1)})
         assert (m * k + (m - 1) * j + 1) % 8 == 0
-        cases += [([full] * m, 0), ([-full] * m, 3)]
-    for factors, shift in cases:
-        lo, digits = _kronecker_mul([f._c for f in factors], shift)
+        cases += [[full] * m, [-full] * m]
+    for factors in cases:
+        lo, digits = _kronecker_mul([f._c for f in factors])
         assert digits[0] and digits[-1]
         got = UniPoly._reduced({e: v for e, v in enumerate(digits, lo) if v},
                                prod(f._d for f in factors))
-        ref = {shift: 1}
+        ref = {0: 1}
         for f in factors:
             ref = naive_uni_mul(UniPoly(ref), f)
-        assert dict(got.terms()) == ref, (len(factors), shift)
-    assert _kronecker_mul([], 9) == (9, [1])
+        assert dict(got.terms()) == ref, len(factors)
+    assert _kronecker_mul([]) == (0, [1])
+
+
+def test_residual_eliminate_leaves_a_shared_product_unchanged():
+    # lift hands every step of one beta tuple the same (lo, P, d_p): applied
+    # at two shifts to fresh residuals, the product's digits stay as they
+    # were, and each u + a * t**shift * P/d_p is the schoolbook sum
+    rng = random.Random(0xB8)
+    for _ in range(20):
+        factors = [_factor(rng) for _ in range(rng.randint(1, 3))]
+        product = (*_kronecker_mul([f._c for f in factors]),
+                   prod(f._d for f in factors))
+        digits = list(product[1])
+        full = {0: 1}
+        for f in factors:
+            full = naive_uni_mul(UniPoly(full), f)
+        lo, hi = product[0], max(full)
+        for shift in (rng.randint(0, 5), rng.randint(6, 40)):
+            n, bound = lo + shift, hi + shift + 3
+            u = UniPoly({e: Fraction(rng.randint(1, 99) * rng.choice((1, -1)),
+                                     rng.choice((1, 4, 7)))
+                         for e in [n] + rng.sample(range(n + 1, bound + 1), 3)})
+            r = Residual(u, bound)
+            assert r.eliminate(product, shift + 1) is None
+            a = r.eliminate(product, shift)
+            assert product[1] == digits
+            assert a == Fraction(-u.coeff(n)) / full[lo]
+            want = dict(u.terms())
+            for e, v in full.items():
+                want[e + shift] = want.get(e + shift, 0) + a * v
+            got = UniPoly._raw({e: v for e, v in enumerate(r._u) if v}, r._d)
+            assert dict(got.terms()) == {e: v for e, v in want.items() if v}
 
 
 def test_uni_canonical_equality():

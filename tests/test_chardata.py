@@ -114,6 +114,14 @@ def test_validate_rejects_invalid_input_typed(k, terms, error):
     assert isinstance(info.value, CurveLiftError)
 
 
+@pytest.mark.parametrize("c", [True, False])
+def test_validate_rejects_bool_coefficient(c):
+    # a bool is an int subclass: True would read as 1 and False as a zero
+    # coefficient; like a bool k or exponent, it is rejected by its type
+    with pytest.raises(InvalidBranchError, match="got bool"):
+        validate_branch(2, {3: c})
+
+
 def test_product_of_ks_is_k_random():
     rng = random.Random(0xB1)
     for _ in range(200):

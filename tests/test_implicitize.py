@@ -101,8 +101,8 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
     states = []
     eliminate = Residual.eliminate
 
-    def recording(self, factors, shift):
-        a = eliminate(self, factors, shift)
+    def recording(self, product, shift):
+        a = eliminate(self, product, shift)
         c = {e: v for e, v in enumerate(self._u) if v}
         states.append(UniPoly._raw(c, self._d))
         return a
@@ -123,6 +123,29 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
             ref = reference_lift(b, fs, i, "max", trail=trail)
             assert lift(b, fs, i) == ref, (label, i)
             assert states == trail, (label, i)
+
+
+def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
+    # the steps of a level that share a beta tuple share its product:
+    # lift forms one Kronecker product per distinct beta tuple of the log
+    import curvelift.implicitize as implicitize
+    calls = []
+    kronecker_mul = implicitize._kronecker_mul
+
+    def counting(maps):
+        calls.append(len(maps))
+        return kronecker_mul(maps)
+
+    monkeypatch.setattr(implicitize, "_kronecker_mul", counting)
+    reused = {}
+    for name, (b, chain, _) in sorted(corpus_chains.items()):
+        for i, log in enumerate(chain.logs, start=1):
+            calls.clear()
+            assert lift(b, chain.fs, i)[2] == log, (name, i)
+            distinct = {rec.pivot[1:] for rec in log}
+            assert len(calls) == len(distinct), (name, i)
+            reused[name, b.cd.es[i]] = len(log) - len(distinct)
+    assert reused["paper-ex3", 30] > 0
 
 
 def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
@@ -156,7 +179,7 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     ("normal_form", lambda a, sd: NormalForm(-3, (0, 1)), "no basis tuple of order"),
     ("normal_form", lambda a, sd: NormalForm(2, (5, 0)), "is above the bound"),
     ("normal_form", lambda a, sd: NormalForm(1, (0, 0)), "misses order"),
-    ("Residual.eliminate", lambda self, factors, shift: 1, "more than"),
+    ("Residual.eliminate", lambda self, product, shift: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
