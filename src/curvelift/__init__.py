@@ -15,7 +15,7 @@ from .oracle import resultant_implicitize
 from .parametrize import Parametrization, truncation, valuation_table
 from .polygon import (PolygonDesc, SliceQuery, lattice_slice, mu, polygon_contains,
                       polygon_desc)
-from .semigroup import NormalForm, SemigroupDesc, generators, normal_form, semigroup_member
+from .semigroup import SemigroupDesc, generators, normal_form, semigroup_member
 from .weierstrass import basis_reconstruct, is_weierstrass
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "Parametrization", "truncation", "valuation_table",
     "PolygonDesc", "SliceQuery", "lattice_slice", "mu", "polygon_contains",
     "polygon_desc",
-    "NormalForm", "SemigroupDesc", "generators", "normal_form", "semigroup_member",
+    "SemigroupDesc", "generators", "normal_form", "semigroup_member",
     "basis_reconstruct", "is_weierstrass",
     "__version__",
 ]

@@ -104,9 +104,8 @@ class _IntMapPoly:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, v in items:
             key = self._key(key)
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(
-                    f"coefficient must be int or Fraction, got {type(v).__name__}")
+            if type(v) is not int and not isinstance(v, Fraction):
+                v = _norm_coeff(v)      # a bool raises its TypeError
             acc[key] = acc.get(key, 0) + v
         d = lcm(*(v.denominator for v in acc.values()))
         self._c = {k: v.numerator * (d // v.denominator)
@@ -193,6 +192,7 @@ class _IntMapPoly:
         """self * s for a scalar s; NotImplemented for anything else."""
         if not isinstance(s, (int, Fraction)):
             return NotImplemented
+        s = _norm_coeff(s)              # a bool raises its TypeError
         if not s:
             return self.zero()
         n = s.numerator

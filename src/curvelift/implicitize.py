@@ -144,19 +144,19 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     k_i = cd.ks[i - 1]
     p = truncation(branch, i)
 
-    # pullbacks of the basis: f_0 = y, then the previous chain polynomials
-    pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs[:i - 1])]
+    # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
+    pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
     uni_pows = [PowerChain(u) for u in pullbacks]
 
     # ls = pullback degrees of x, f_0, ..., f_{i-1}; the bound encodes the
     # support polygon
     sd = generators(cd, i)
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
-    bound = p.e * pullbacks[0].degree()
+    bound = p.e * p.yt.degree()
 
     u = Residual(uni_pows[-1].get(k_i), bound)
 
-    budget = bound - p.e * int(p.e * cd.lambdas[0]) + 1
+    budget = bound - p.e * sd.gamma[0] + 1
     log: list[IterationRecord] = []
     # beta tuple -> its unshifted product (lo, numerators, denominator)
     products: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
@@ -167,9 +167,8 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
         if len(log) >= budget:
             raise InvariantError(
                 f"level {i}: more than {budget} iterations; internal error")
-        nf = normal_form(n, sd)
-        pivot = (nf.alpha, *nf.betas)
-        if nf.alpha < 0:
+        pivot = normal_form(n, sd)
+        if pivot[0] < 0:
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}; corrupt input or bug")
         if sum(c * l for c, l in zip(pivot, ls)) > bound:

@@ -14,7 +14,6 @@ and its finite values fill the level-i value semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -136,14 +135,12 @@ def valuation_table(chain: "LiftChain") -> ValuationTable:
         for i in range(1, j + 1):
             f_prev = BiPoly.y() if i == 1 else chain.fs[i - 2]
             gamma_ij = sd.gamma[i - 1]
-            e_lam = Fraction(e_j) * cd.lambdas[i - 1]
-            if e_lam.denominator != 1:
-                raise InvariantError(f"e_{j}*lambda_{i} = {e_lam} is not an integer")
             rows.append(TableRow(
                 i=i, j=j,
                 value=p.valuation(f_prev),
                 expected=gamma_ij,
                 dvalue=p.valuation(f_prev.partial_y()),
-                dexpected=gamma_ij - int(e_lam),
+                # integral: generators(cd, j) checked e_j * lambda_i
+                dexpected=gamma_ij - int(e_j * cd.lambdas[i - 1]),
             ))
     return ValuationTable(rows=tuple(rows))

@@ -12,18 +12,17 @@ the only reading that reproduces the reference generator sets
 Core facts used here:
 
 * the group spanned by e_i and gamma_1..gamma_j is d_j Z with
-  d_j = gcd(e_i, gamma_1, ..., gamma_j) = e_i / e_j; at j = i it is Z;
+  d_j = e_i / e_j = k_{j+1} * ... * k_i; at j = i it is Z;
 * so every integer a has a unique representation
   a = e_i * alpha + sum beta_j gamma_j with 0 <= beta_j < k_j (the normal
-  form): beta_j is the unique residue with a - beta_j * gamma_j divisible
-  by d_{j-1};
+  form), read from the top: v = a - sum_{l>j} beta_l gamma_l lies in d_j Z
+  and beta_j = (v/d_j) * (gamma_j/d_j)^-1 mod k_j moves it into d_{j-1} Z;
 * semigroup membership  <=>  the normal form has alpha >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .chardata import CharData
 from .errors import InvariantError
@@ -37,15 +36,14 @@ def _check_int(a) -> int:
 
 @dataclass(frozen=True)
 class SemigroupDesc:
-    """Generators (free; gamma_1, ..., gamma_level) at one truncation level."""
+    """Generators (free; gamma_1, ..., gamma_i) at one truncation level i."""
 
-    level: int
-    free: int                 # e_level
+    free: int                 # e_i
     gamma: tuple[int, ...]
-    ks: tuple[int, ...]       # caps k_1, ..., k_level
+    ks: tuple[int, ...]       # caps k_1, ..., k_i
 
     def generators_list(self) -> list[int]:
-        """[free, gamma_1, ..., gamma_level]."""
+        """[free, gamma_1, ..., gamma_i]."""
         return [self.free, *self.gamma]
 
 
@@ -64,39 +62,41 @@ def generators(cd: CharData, i: int) -> SemigroupDesc:
         lam_e = int(lam_e)
         gamma.append(lam_e if j == 0 else cd.ks[j - 1] * gamma[-1] - prev_lam + lam_e)
         prev_lam = lam_e
-    return SemigroupDesc(level=i, free=e_i, gamma=tuple(gamma), ks=cd.ks[:i])
+    return SemigroupDesc(free=e_i, gamma=tuple(gamma), ks=cd.ks[:i])
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    alpha: int
-    betas: tuple[int, ...]
+def normal_form(a: int, sd: SemigroupDesc) -> tuple[int, ...]:
+    """The pivot tuple (alpha, beta_1, ..., beta_i) of the normal form
+    a = free * alpha + sum beta_j * gamma_j, 0 <= beta_j <= k_j - 1.
 
-
-def normal_form(a: int, sd: SemigroupDesc) -> NormalForm:
-    """The unique representation a = free * alpha + sum beta_j * gamma_j
-    with 0 <= beta_j <= k_j - 1.
-
-    Found constructively: peel the top generator by locating the unique
-    residue beta_j with a - beta_j * gamma_j in the previous group, then
-    recurse; the base case divides by the free part. Generators that do
-    not span Z raise InvariantError.
+    Read off the index chain from the top, with no search (see the module
+    docstring); alpha = v / free once d = k_1 * ... * k_i. A desc with some
+    gamma_j outside d_j Z, some gamma_j/d_j no unit mod k_j, or caps whose
+    product is not free raises InvariantError on every input.
     """
     v = _check_int(a)
+    d = 1
     betas = []
-    for j in range(sd.level, 0, -1):
-        d = gcd(sd.free, *sd.gamma[:j - 1])
-        g = sd.gamma[j - 1]
-        b = next((b for b in range(sd.ks[j - 1]) if (v - b * g) % d == 0), None)
-        if b is None:
-            raise InvariantError(f"{a!r} has no normal form over {sd.generators_list()}")
+    for g, k in zip(reversed(sd.gamma), reversed(sd.ks)):
+        q, r = divmod(g, d)
+        if r:
+            raise _no_form(a, sd, f"{g} is not in {d}Z")
+        try:
+            b = v // d * pow(q, -1, k) % k
+        except ValueError:
+            raise _no_form(a, sd, f"{g}/{d} is no unit mod {k}") from None
         betas.append(b)
         v -= b * g
-    if v % sd.free:
-        raise InvariantError(f"{a!r} has no normal form over {sd.generators_list()}")
-    return NormalForm(alpha=v // sd.free, betas=tuple(reversed(betas)))
+        d *= k
+    if d != sd.free:
+        raise _no_form(a, sd, f"the caps multiply to {d}")
+    return (v // d, *reversed(betas))
+
+
+def _no_form(a, sd: SemigroupDesc, why: str) -> InvariantError:
+    return InvariantError(f"{a!r} has no normal form over {sd.generators_list()}: {why}")
 
 
 def semigroup_member(a: int, sd: SemigroupDesc) -> bool:
     """Membership in the semigroup (non-negative combinations only)."""
-    return normal_form(a, sd).alpha >= 0
+    return normal_form(a, sd)[0] >= 0

@@ -7,9 +7,13 @@ property suites compare the two.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
 
 from curvelift import (INFINITY, BiPoly, Coeff, UniPoly, basis_reconstruct, generators,
                        lattice_slice, truncation, validate_branch)
@@ -17,6 +21,15 @@ from curvelift.algebra import PowerChain, coeff_div, sylvester_det
 from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery
 from curvelift.semigroup import SemigroupDesc
+
+
+def run_optimized(code: str) -> str:
+    """stdout of ``code`` run under ``python -O``, where bare asserts vanish."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    return out.stdout
 
 
 def rand_coeff(rng, small=False):

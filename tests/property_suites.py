@@ -53,9 +53,9 @@ def suite_normal_form_roundtrip(seed=0x53, cases=200):
         a = sd.free * rng.randint(-4, 8) + sum(
             rng.randint(-3, 5) * g for g in sd.gamma)
         nf = normal_form(a, sd)
-        assert sd.free * nf.alpha + sum(b * g for b, g in zip(nf.betas, sd.gamma)) == a
-        assert all(0 <= bb < kj for bb, kj in zip(nf.betas, sd.ks))
-        assert brute_capped_forms(a, sd) == [(nf.alpha, nf.betas)]
+        assert sd.free * nf[0] + sum(b * g for b, g in zip(nf[1:], sd.gamma)) == a
+        assert all(0 <= bb < kj for bb, kj in zip(nf[1:], sd.ks))
+        assert brute_capped_forms(a, sd) == [(nf[0], nf[1:])]
 
 
 def suite_conductor_window(seed=0x54, cases=200):

@@ -47,6 +47,18 @@ def test_coefficients_normalize_to_int():
     assert type(q.coeff((1, 1))) is int
 
 
+def test_polynomials_reject_bool_coefficients():
+    # a bool is no coefficient, in a term map or as a scalar factor
+    for spelling in (lambda: UniPoly({1: True}),
+                     lambda: BiPoly({(0, 1): True}),
+                     lambda: UniPoly({1: 1}) * True,
+                     lambda: True * UniPoly({1: 1}),
+                     lambda: BiPoly.y() * False):
+        with pytest.raises(TypeError, match="got bool"):
+            spelling()
+    assert UniPoly({1: 1}) * 2 == 2 * UniPoly({1: 1}) == UniPoly({1: 2})
+
+
 def test_zero_terms_dropped_and_cancellation():
     assert (UniPoly({3: 1}) - UniPoly({3: 1})).is_zero
     f = BiPoly({(0, 1): Fraction(1, 2)})

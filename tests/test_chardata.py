@@ -1,10 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +9,7 @@ from curvelift.chardata import split_tails
 from curvelift.errors import (CurveLiftError, EmptySupportError, IntegerExponentError,
                               InvalidBranchError, NonPrimitiveError)
 from curvelift.algebra import UniPoly
-from helpers import rand_branch
+from helpers import rand_branch, run_optimized
 
 
 def F(a, b=1):
@@ -160,15 +156,6 @@ def test_split_roundtrip():
     assert rebuilt == total
 
 
-def _run_optimized(code: str) -> str:
-    """stdout of ``code`` run under ``python -O``, where bare asserts vanish."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
-                         check=True)
-    return out.stdout
-
-
 def test_chardata_rejects_inconsistent_chains_under_optimize():
     # es must run 1, k_1, k_1*k_2, ... up to k
     code = ("from fractions import Fraction\n"
@@ -178,7 +165,7 @@ def test_chardata_rejects_inconsistent_chains_under_optimize():
             "    CharData(k=4, lambdas=(Fraction(3, 2),), ks=(2,), es=(1,))\n"
             "except InconsistentCharDataError:\n"
             "    print('rejected')\n")
-    assert _run_optimized(code) == "rejected\n"
+    assert run_optimized(code) == "rejected\n"
 
 
 def test_slice_query_rejects_bad_weights_under_optimize():
@@ -189,7 +176,7 @@ def test_slice_query_rejects_bad_weights_under_optimize():
             "    SliceQuery(n=5, sg=(2, 0), ls=(2, 3), bound=9)\n"
             "except InvariantError:\n"
             "    print('rejected')\n")
-    assert _run_optimized(code) == "rejected\n"
+    assert run_optimized(code) == "rejected\n"
 
 
 def test_validated_branches_meet_tail_conditions():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import (BiPoly, NormalForm, Parametrization, UniPoly, certify,
+from curvelift import (BiPoly, Parametrization, UniPoly, certify,
                        generators, implicitize_all, lattice_slice, lift,
                        resultant_implicitize, semigroup_member, truncation,
                        validate_branch)
@@ -148,6 +148,27 @@ def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
     assert reused["paper-ex3", 30] > 0
 
 
+def test_lift_pulls_back_each_earlier_f_once(corpus_chains, monkeypatch):
+    # the basis pullbacks start at p.yt, the truncation's image of y: lift
+    # at level i pulls back f_1 .. f_{i-1} once each and nothing else
+    seen = []
+    pullback = Parametrization.pullback
+
+    def counting(self, f):
+        seen.append(f)
+        return pullback(self, f)
+
+    monkeypatch.setattr(Parametrization, "pullback", counting)
+    levels = 0
+    for name, (b, chain, _) in sorted(corpus_chains.items()):
+        for i, log in enumerate(chain.logs, start=1):
+            seen.clear()
+            assert lift(b, chain.fs, i)[2] == log, (name, i)
+            assert seen == list(chain.fs[:i - 1]), (name, i)
+            levels += 1
+    assert levels > len(corpus_chains)
+
+
 def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     # lift takes each pivot from normal_form and builds no slice; the
     # reference enumeration, minus f_{i-1}**k_i on the first step, has that
@@ -176,9 +197,9 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("normal_form", lambda a, sd: NormalForm(-3, (0, 1)), "no basis tuple of order"),
-    ("normal_form", lambda a, sd: NormalForm(2, (5, 0)), "is above the bound"),
-    ("normal_form", lambda a, sd: NormalForm(1, (0, 0)), "misses order"),
+    ("normal_form", lambda a, sd: (-3, 0, 1), "no basis tuple of order"),
+    ("normal_form", lambda a, sd: (2, 5, 0), "is above the bound"),
+    ("normal_form", lambda a, sd: (1, 0, 0), "misses order"),
     ("Residual.eliminate", lambda self, product, shift: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])

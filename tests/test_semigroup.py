@@ -6,7 +6,7 @@ import pytest
 from curvelift import (SemigroupDesc, extract_characteristics, generators,
                        normal_form, semigroup_member)
 from curvelift.errors import InvariantError
-from helpers import brute_capped_forms, brute_semigroup_1d, rand_branch
+from helpers import brute_capped_forms, brute_semigroup_1d, rand_branch, run_optimized
 
 
 def cd_of(k, support):
@@ -45,11 +45,11 @@ def test_generators_reference_sets():
 def test_normal_form_reference_values():
     sd = generators(cd_of(6, {9, 16}), 2)          # (6; 9, 25), caps (2, 3)
     nf = normal_form(75, sd)
-    assert nf.alpha == 11 and nf.betas == (1, 0)
+    assert nf[0] == 11 and nf[1:] == (1, 0)
     assert brute_capped_forms(75, sd) == [(11, (1, 0))]
 
     nf = normal_form(sd.gamma[0], sd)              # a = gamma_1
-    assert nf.alpha == 0 and nf.betas == (1, 0)
+    assert nf[0] == 0 and nf[1:] == (1, 0)
 
 
 def test_normal_form_conductor_window_689():
@@ -57,9 +57,9 @@ def test_normal_form_conductor_window_689():
     c = sum((k - 1) * g for k, g in zip(sd.ks, sd.gamma))
     assert c == 2 * 8 + 1 * 25 == 41
     nf = normal_form(41, sd)
-    assert nf.alpha == 0 and nf.betas == (2, 1)
+    assert nf[0] == 0 and nf[1:] == (2, 1)
     for a in range(41, 242):
-        assert normal_form(a, sd).alpha >= 0
+        assert normal_form(a, sd)[0] >= 0
         assert semigroup_member(a, sd)
 
 
@@ -68,9 +68,24 @@ def test_group_and_semigroup_membership():
     assert 1 % gcd(sd.free, *sd.gamma) == 0 and not semigroup_member(1, sd)
     sd2 = generators(cd_of(12, {18, 20, 23}), 2)   # (6; 9, 19)
     assert semigroup_member(25, sd2)
-    # generators that do not span Z give no normal form: corrupt data
-    with pytest.raises(InvariantError):
-        normal_form(1, SemigroupDesc(level=1, free=2, gamma=(4,), ks=(2,)))
+    # a malformed desc gives no normal form for any input: corrupt data.
+    # (2; 4) does not span Z; in (6; 10, 25) gamma_1 = 10 is not in 3Z;
+    # in (4; 3) with caps (2,) the caps multiply to 2, not 4
+    for desc in (SemigroupDesc(free=2, gamma=(4,), ks=(2,)),
+                 SemigroupDesc(free=6, gamma=(10, 25), ks=(2, 3)),
+                 SemigroupDesc(free=4, gamma=(3,), ks=(2,))):
+        for a in (*range(-30, 31), 75):
+            for fn in (normal_form, semigroup_member):
+                with pytest.raises(InvariantError, match="no normal form"):
+                    fn(a, desc)
+    # raised, not asserted: python -O keeps the check
+    code = ("from curvelift import SemigroupDesc, normal_form\n"
+            "from curvelift.errors import InvariantError\n"
+            "try:\n"
+            "    normal_form(75, SemigroupDesc(free=4, gamma=(3,), ks=(2,)))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+    assert run_optimized(code) == "raised\n"
 
 
 def test_semigroup_member_matches_brute_force_689():
@@ -108,12 +123,12 @@ def test_normal_form_roundtrip_random():
         b = rand_branch(rng)
         sd = generators(b.cd, rng.randint(1, b.cd.s))
         a = sd.free * rng.randint(-4, 8)
-        for g, w in zip(sd.gamma, range(sd.level)):
+        for g in sd.gamma:
             a += rng.randint(-3, 5) * g
         nf = normal_form(a, sd)
-        assert sd.free * nf.alpha + sum(b * g for b, g in zip(nf.betas, sd.gamma)) == a
-        assert all(0 <= bb < kj for bb, kj in zip(nf.betas, sd.ks))
-        assert brute_capped_forms(a, sd) == [(nf.alpha, nf.betas)]
+        assert sd.free * nf[0] + sum(b * g for b, g in zip(nf[1:], sd.gamma)) == a
+        assert all(0 <= bb < kj for bb, kj in zip(nf[1:], sd.ks))
+        assert brute_capped_forms(a, sd) == [(nf[0], nf[1:])]
 
 
 def test_conductor_window_random():
