@@ -83,7 +83,8 @@ class LevelCertificate:
     """Per-level checks behind the chain's correctness claims."""
 
     level: int
-    pullback_zero: bool            # the truncation annihilates f_i
+    pullback_zero: bool            # the truncation annihilates f_i: its
+                                   # valuation is INFINITY
     support_in_polygon: bool       # Supp(f_i) inside N_i
     apex_absent_in_delta: bool     # (0, e_i) not in Supp(delta_i)
     compact_face_present: bool     # (0, e_i) and (e_i*lam_1, 0) in Supp(f_i)
@@ -261,7 +262,7 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
             oracle = "match" if resultant_implicitize(p) == f_i else "mismatch"
         else:
             oracle = "skipped"
-        pull_zero = p.pullback(f_i).is_zero
+        pull_zero = p.valuation(f_i) is INFINITY
 
         certs.append(LevelCertificate(
             level=i, pullback_zero=pull_zero, support_in_polygon=support_ok,

@@ -9,6 +9,10 @@ primitive:
 Pulling a series f(x, y) back along the truncation and taking the t-order
 defines the valuation; it is additive on products, superadditive on sums,
 and its finite values fill the level-i value semigroup.
+
+``valuation`` reads the order off one integer evaluation at t = 2**W, not
+off ``pullback``, the lift's expansion: the valuation table and
+``pullback_zero`` built on it share no arithmetic with the lift.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .algebra import BiPoly, UniPoly
+from .algebra import INFINITY, BiPoly, UniPoly
 from .chardata import Branch
 from .errors import InvariantError
 from .semigroup import generators
@@ -51,8 +55,42 @@ class Parametrization:
         return total
 
     def valuation(self, f: BiPoly):
-        """Order of the pullback; INFINITY iff the pullback vanishes."""
-        return self.pullback(f).order()
+        """Order of the pullback; INFINITY iff the pullback vanishes.
+
+        With f = F/d_f and yt = Y/d_Y over the integers and B = deg_y f, the
+        pullback has the order of N(t) = sum F_ab*t**(e*a)*Y**b*d_Y**(B-b).
+        Y**b has coefficients of size at most ||Y||_1**b, so N's are at
+        most H = sum |F_ab|*||Y||_1**b*d_Y**(B-b) < 2**(W-1), W = bits(H)+1.
+        Horner's rule over ints, times Y as one shift per term, gives
+        M = N(2**W) / 2**(W*off) exactly, off <= ord N (a row below off
+        shifts M up first). If N = c*t**q + O(t**(q+1)), M is
+        2**(W*(q-off)) * (c + 2**W*R) with 0 < |c| < 2**W, so q is
+        off + v2(M)//W for v2 the lowest set bit; M = 0 iff N = 0.
+        """
+        rows: dict[int, list] = {}
+        for (a, b), v in f._c.items():
+            rows.setdefault(b, []).append((a * self.e, v))
+        top = max(rows, default=-1)
+        ys, d = self.yt._c, self.yt._d
+        norm = sum(map(abs, ys.values()))
+        h = sum(sum(abs(v) for _, v in row) * norm**b * d**(top - b)
+                for b, row in rows.items())
+        w = h.bit_length() + 1
+        q0 = min(ys, default=0)
+        shifts = [(w * (q - q0), c) for q, c in ys.items()]
+        acc, off, pw = 0, 0, 1
+        for b in range(top, -1, -1):
+            acc = sum(c * (acc << s) for s, c in shifts)
+            off += q0
+            if b in rows:
+                lo = min(x for x, _ in rows[b])
+                if lo < off or not acc:
+                    acc, off = acc << w * max(off - lo, 0), lo
+                acc += pw * sum(v << w * (x - off) for x, v in rows[b])
+            pw *= d
+        if not acc:
+            return INFINITY
+        return off + ((acc & -acc).bit_length() - 1) // w
 
     def __repr__(self):
         return f"Parametrization(level={self.level}, x=t^{self.e}, y={self.yt!r})"

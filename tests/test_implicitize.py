@@ -284,30 +284,41 @@ def test_coefficients_are_normalized_random():
                     (b.k, b.terms, c)
 
 
-def test_certify_pulls_back_each_f_i_once(monkeypatch):
-    # the oracle runs no pullback, so with the oracle at every level each
-    # f_i is still pulled back exactly once, for pullback_zero
-    branch = branch_from_file(load_curve(CORPUS / "paper-ex1.curve"))
-    assert max(branch.cd.es) <= DEFAULT_ORACLE_BOUND
-    chain = implicitize_all(branch, verify=False)
-    seen = []
-    pullback = Parametrization.pullback
+def test_certify_runs_no_pullback(branch12, monkeypatch):
+    # pullback_zero and the valuation table read every order off
+    # Parametrization.valuation, an integer evaluation, never off the lift's
+    # pullback; the oracle runs at every level here and pulls nothing back
+    paper = branch_from_file(load_curve(CORPUS / "paper-ex1.curve"))
+    valuation = Parametrization.valuation
+    for branch in (paper, branch12):
+        assert max(branch.cd.es) <= DEFAULT_ORACLE_BOUND
+        chain = implicitize_all(branch, verify=False)
+        before = certify(chain)
+        seen = []
 
-    def counting(self, f):
-        seen.append((self.level, f))
-        return pullback(self, f)
+        def refuse(self, f):
+            raise AssertionError(f"certify pulled back {f!r}")
 
-    monkeypatch.setattr(Parametrization, "pullback", counting)
-    chain = certify(chain)
-    assert chain.ok
-    assert {c.oracle for c in chain.certificates} == {"match"}
-    for i, f_i in enumerate(chain.fs, start=1):
-        assert sum(level == i and f == f_i for level, f in seen) == 1, i
+        def counting(self, f):
+            seen.append((self.level, f))
+            return valuation(self, f)
+
+        with monkeypatch.context() as m:
+            m.setattr(Parametrization, "pullback", refuse)
+            m.setattr(Parametrization, "valuation", counting)
+            after = certify(chain)
+        assert after.ok
+        assert {c.oracle for c in after.certificates} == {"match"}
+        assert after.certificates == before.certificates
+        assert after.table == before.table
+        for i, f_i in enumerate(chain.fs, start=1):
+            assert sum(level == i and f == f_i for level, f in seen) == 1, i
 
 
 def test_pullback_zero_ignores_the_oracle(branch12, monkeypatch):
-    # pullback_zero is p.pullback(f_i) at every level: an oracle that agrees
-    # with a wrong f_2 reports "match", and the pullback still fails there
+    # pullback_zero is p.valuation(f_i) is INFINITY at every level, an
+    # integer evaluation the oracle plays no part in: an oracle that agrees
+    # with a wrong f_2 reports "match", and pullback_zero still fails there
     chain = implicitize_all(branch12, verify=False)
     fs = list(chain.fs)
     fs[1] = fs[1] + BiPoly.monomial(9, 0)

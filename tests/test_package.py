@@ -111,17 +111,33 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-# the lift's arithmetic: the norm oracle must run none of it to certify f_i
-# independently
+# the lift's arithmetic: the norm oracle and the valuation that certify
+# reads must run none of it, so that they check f_i independently
 LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_kronecker_mul"}
+
+
+def _lift_arithmetic(tree) -> list[str]:
+    """Each name of the lift's arithmetic in tree, as 'line: name'."""
+    return [f"{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            for name in [node.id if isinstance(node, ast.Name) else
+                         node.attr if isinstance(node, ast.Attribute) else
+                         node.name if isinstance(node, ast.alias) else None]
+            if name in LIFT_ARITHMETIC]
 
 
 def test_oracle_runs_none_of_the_lift_arithmetic():
     path = ROOT / "src" / "curvelift" / "oracle.py"
-    found = [f"{path.name}:{node.lineno}: {name}"
-             for node in ast.walk(ast.parse(path.read_text()))
-             for name in [node.id if isinstance(node, ast.Name) else
-                          node.attr if isinstance(node, ast.Attribute) else
-                          node.name if isinstance(node, ast.alias) else None]
-             if name in LIFT_ARITHMETIC]
-    assert found == []
+    assert _lift_arithmetic(ast.parse(path.read_text())) == []
+
+
+def test_valuation_runs_none_of_the_lift_arithmetic():
+    path = ROOT / "src" / "curvelift" / "parametrize.py"
+    cls = next(n for n in ast.parse(path.read_text()).body
+               if isinstance(n, ast.ClassDef) and n.name == "Parametrization")
+    valuation = next(n for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "valuation")
+    assert _lift_arithmetic(valuation) == []
+    # the scan sees the route it replaced: the order of the full pullback
+    valuation.body = ast.parse("return self.pullback(f).order()").body
+    assert _lift_arithmetic(valuation) == ["1: pullback"]

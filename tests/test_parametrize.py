@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvelift import (INFINITY, BiPoly, UniPoly, generators, implicitize_all,
-                       semigroup_member, truncation, valuation_table)
+from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, generators,
+                       implicitize_all, semigroup_member, truncation,
+                       valuation_table)
 from curvelift.errors import InvariantError
 from helpers import naive_pullback, rand_bipoly, rand_branch
 
@@ -58,6 +59,15 @@ def test_monomial_valuation(branch12):
         for a, b in ((1, 0), (0, 1), (3, 2), (5, 7)):
             expect = a * e_i + b * int(e_i * lam1)
             assert p.valuation(BiPoly.monomial(a, b)) == expect
+    # yt = t**(10**5) * (1 + t), so y**60 pulls back to
+    # t**(6*10**6) * (1 + t)**60: the evaluation holds its value relative to
+    # the lowest exponent so far and packs no empty digits below it; a row
+    # that starts lower (x pulls back to t) shifts the value up first
+    p = Parametrization(1, 1, UniPoly({10**5: 1, 10**5 + 1: 1}))
+    assert p.valuation(BiPoly.y(60)) == 6 * 10**6
+    q = Parametrization(1, 1, UniPoly({1000: 1, 1001: 1}))
+    f = BiPoly.y(60) + BiPoly.monomial(1, 0)
+    assert q.valuation(f) == q.pullback(f).order() == 1
 
 
 def test_pullback_matches_generic_compose(branch6_tails):
@@ -70,15 +80,26 @@ def test_pullback_matches_generic_compose(branch6_tails):
 
 
 def test_naive_pullback_agrees_on_corpus(corpus_chains):
-    # zero, constants, and every f_i and d/dy f_i under every truncation
+    # zero, constants, every f_i and d/dy f_i under every truncation, and
+    # mutants of f_j that level j no longer annihilates: the pullback is the
+    # naive one, and the valuation, an integer evaluation, is its order
     for branch, chain, _ in corpus_chains.values():
         for j in range(1, branch.cd.s + 1):
             p = truncation(branch, j)
             polys = [BiPoly.zero(), BiPoly.one(), BiPoly({(0, 0): Fraction(-7, 3)})]
             for f_i in chain.fs:
                 polys += [f_i, f_i.partial_y()]
+            f_j, e_j = chain.fs[j - 1], branch.cd.es[j]
+            polys += [f_j + BiPoly.monomial(a, 0) for a in (1, 2, e_j)]
+            polys += [f_j + BiPoly.monomial(0, b, Fraction(-3, 7))
+                      for b in (0, 1, e_j // 2, e_j - 1)]
             for f in polys:
-                assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
+                pb = p.pullback(f)
+                assert pb == naive_pullback(f, p.e, p.yt)
+                assert p.valuation(f) == pb.order(), (p, f)
+            assert p.valuation(f_j) is INFINITY
+            assert p.valuation(BiPoly.zero()) is INFINITY
+            assert p.valuation(BiPoly.one()) == 0
 
 
 def test_valuation_table_reference(branch12, chain12):
@@ -101,11 +122,13 @@ def test_valuation_additivity_random():
         f, g = rand_bipoly(rng, 4, 4), rand_bipoly(rng, 4, 4)
         vf, vg = p.valuation(f), p.valuation(g)
         vfg = p.valuation(f * g)
+        vs = p.valuation(f + g)
+        assert [vf, vg, vfg, vs] == [p.pullback(h).order()
+                                     for h in (f, g, f * g, f + g)]
         if vf is INFINITY or vg is INFINITY:
             assert vfg is INFINITY
         else:
             assert vfg == vf + vg
-        vs = p.valuation(f + g)
         assert vs is INFINITY or vf is INFINITY or vg is INFINITY \
             or vs >= min(vf, vg)
         if vf is not INFINITY and vg is not INFINITY and vf != vg:
