@@ -13,7 +13,7 @@ from .errors import CurveLiftError
 from .implicitize import LevelCertificate, LiftChain, certify, implicitize_all, lift
 from .oracle import resultant_implicitize
 from .parametrize import Parametrization, truncation, valuation_table
-from .polygon import (PolygonDesc, SliceQuery, lattice_slice, mu, polygon_contains,
+from .polygon import (PolygonDesc, SliceQuery, lattice_slice, polygon_contains,
                       polygon_desc)
 from .semigroup import SemigroupDesc, generators, normal_form, semigroup_member
 from .weierstrass import basis_reconstruct, is_weierstrass
@@ -27,8 +27,7 @@ __all__ = [
     "LevelCertificate", "LiftChain", "certify", "implicitize_all", "lift",
     "resultant_implicitize",
     "Parametrization", "truncation", "valuation_table",
-    "PolygonDesc", "SliceQuery", "lattice_slice", "mu", "polygon_contains",
-    "polygon_desc",
+    "PolygonDesc", "SliceQuery", "lattice_slice", "polygon_contains", "polygon_desc",
     "SemigroupDesc", "generators", "normal_form", "semigroup_member",
     "basis_reconstruct", "is_weierstrass",
     "__version__",

@@ -32,6 +32,7 @@ from .algebra import BiPoly, Coeff
 from .chardata import Branch, validate_branch
 from .errors import CurveFileError, CurveLiftError
 from .implicitize import DEFAULT_ORACLE_BOUND, LiftChain, implicitize_all, lift_levels
+from .parametrize import truncation
 from .polygon import polygon_desc
 from .semigroup import generators
 
@@ -185,8 +186,16 @@ def _field(obj, key: str, kind: type):
 
 
 def poly_from_doc(doc: list[dict]) -> BiPoly:
-    return BiPoly([((_field(t, "x", int), _field(t, "y", int)),
-                    parse_rational(_field(t, "c", str))) for t in doc])
+    """A --json term list as poly_to_doc writes it: no repeated (x, y), no zero."""
+    terms = {}
+    for t in doc:
+        key = (_field(t, "x", int), _field(t, "y", int))
+        if key in terms:
+            raise CurveFileError(f"document keys 'x', 'y': repeated pair {key}")
+        terms[key] = parse_rational(_field(t, "c", str))
+        if not terms[key]:
+            raise CurveFileError("document key 'c': coefficient must be nonzero")
+    return BiPoly(terms)
 
 
 def _mark(ok: bool | str) -> str:
@@ -336,7 +345,7 @@ def cmd_polygon(args) -> int:
     branch = branch_from_file(cf)
     docs = []
     for i in _levels(args.level, branch.cd.s):
-        pd = polygon_desc(branch, i)
+        pd = polygon_desc(truncation(branch, i))
         docs.append({
             "level": i,
             "lower": {"a": pd.lower[0], "b": pd.lower[1], "c": pd.lower[2]},

@@ -234,7 +234,7 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
         delta_i = chain.deltas[i - 1]
         e_i = cd.es[i]
         p = truncation(branch, i)
-        pd = polygon_desc(branch, i)
+        pd = polygon_desc(p)
 
         ok_w, deg = is_weierstrass(f_i)
         monic = ok_w and deg == e_i

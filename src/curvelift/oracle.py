@@ -21,22 +21,20 @@ c_{m-i} p_i (Cohen, *A Course in Computational Algebraic Number Theory*,
 N(y) equals the Sylvester resultant of x - t**e and y - yt(t) with respect
 to t once that is normalized monic in y**e: the resultant is, up to a
 unit, the product of y - yt(r) over the e roots r of t**e - x. The
-computation runs on integer maps: with yt = Y/d and Y integral, the
-scaled roots Y(w**j s) are integral over Z[x], so the coefficients C_m of
-their characteristic polynomial lie in Z[x], Newton's divisions by m are
-exact there, and c_m = C_m / d**m.
+computation runs on integer maps: it reads yt = Y/d off the numerators
+and the denominator that ``algebra`` stores. The scaled roots Y(w**j s)
+are integral over Z[x], so the coefficients C_m of their characteristic
+polynomial lie in Z[x], Newton's divisions by m are exact there, and
+c_m = C_m / d**m = C_m * d**(e-m) / d**e: one denominator for the norm.
 
 Nothing here calls the UniPoly, BiPoly, PowerChain or pullback
 arithmetic the lift runs on: the powers of Y and the products of Newton's
 identities are sparse schoolbook convolutions of plain ``int`` maps, and
-only the BiPoly constructor wraps the result. Agreement with the chain's
-f_i therefore certifies it independently.
+only BiPoly's canonical-form constructor wraps the result. Agreement with
+the chain's f_i therefore certifies it independently.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from .algebra import BiPoly
 from .errors import InvariantError
@@ -58,10 +56,7 @@ def resultant_implicitize(p: Parametrization) -> BiPoly:
 
     Equality with the chain's equation is the caller's check.
     """
-    e = p.e
-    terms = [(n, Fraction(c)) for n, c in p.yt.terms()]
-    d = lcm(*(c.denominator for _, c in terms))
-    y_int = {n: c.numerator * (d // c.denominator) for n, c in terms}
+    e, y_int, d = p.e, p.yt._c, p.yt._d
     # P_m: power sums of the scaled roots Y(w**j s), as {x-power: int}
     psums = [{}]
     y_pow = {0: 1}
@@ -82,5 +77,6 @@ def resultant_implicitize(p: Parametrization) -> BiPoly:
             if q:
                 c_m[a] = q
         cs.append(c_m)
-    return BiPoly({(a, e - m): Fraction(v, d ** m)
-                   for m, c_m in enumerate(cs) for a, v in c_m.items()})
+    return BiPoly._reduced({(a, e - m): v * d ** (e - m)
+                            for m, c_m in enumerate(cs) for a, v in c_m.items()},
+                           d ** e)

@@ -42,17 +42,17 @@ class Parametrization:
         self.yt = yt
 
     def pullback(self, f: BiPoly) -> UniPoly:
-        """The substitution f(t**e, yt(t)), expanded exactly: the rows
-        sum_a c * t**(e*a) of each y-power b, summed by Horner's rule in yt."""
-        rows: dict[int, list] = {}
-        for (a, b), v in f.terms():
-            rows.setdefault(b, []).append((a * self.e, v))
+        """f(t**e, yt(t)) expanded exactly: for f = F/d_f, the rows sum_a
+        F_ab*t**(e*a) summed by Horner's rule in yt, then divided by d_f."""
+        rows: dict[int, dict] = {}
+        for (a, b), v in f._c.items():
+            rows.setdefault(b, {})[a * self.e] = v
         total = UniPoly.zero()
         for b in range(max(rows, default=-1), -1, -1):
             total = total * self.yt
             if b in rows:
-                total = total + UniPoly(rows[b])
-        return total
+                total = total + UniPoly._raw(rows[b])
+        return UniPoly._reduced(total._c, total._d * f._d)
 
     def valuation(self, f: BiPoly):
         """Order of the pullback; INFINITY iff the pullback vanishes.

@@ -1,16 +1,15 @@
 """Support polygons of the truncation equations and the slice enumeration.
 
-The defining polynomial of the level-i truncation has support inside
+The level-i truncation x = t**e, y = yt(t) (e = e_i) has lo = ord(yt) =
+e*lam_1 and hi = deg(yt); its defining polynomial has support inside
 
-    N_i = { (a, b) in N_0^2 :  k_1*a + (k_1*lam_1)*b >= e_i*(k_1*lam_1)
-                           and e_i*a + (e_i*mu_i)*b <= e_i*(e_i*mu_i) },
+    N_i = { (a, b) in N_0^2 :  (e/g)*a + (lo/g)*b >= e*lo/g
+                           and e*a + hi*b <= e*hi },    g = gcd(e, lo),
 
-the lattice points of the triangle with vertices (0, e_i), (e_i*lam_1, 0)
-and (e_i*mu_i, 0). Equivalently, (a, b) is in N_i exactly when the
-pullback support of x**a * y**b lies in [e_i*(e_i*lam_1), e_i*(e_i*mu_i)].
-Here mu_i is the scaled degree of the level-i tail (mu_i = lam_i for an
-empty tail). Both inequalities have integer data, so membership tests are
-integer-only.
+the lattice points of the triangle with vertices (0, e), (lo, 0) and
+(hi, 0). Equivalently, (a, b) is in N_i exactly when the pullback support
+of x**a * y**b, which spans [e*a + lo*b, e*a + hi*b], lies in [e*lo, e*hi].
+Both inequalities have integer data, so membership tests are integer-only.
 
 The paper prices each elimination step as a small knapsack-style integer
 program: the non-negative integer solutions of
@@ -33,49 +32,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chardata import Branch
 from .errors import InvariantError
-
-
-def mu(branch: Branch, i: int) -> Fraction:
-    """Scaled degree of the level-i tail; lambda_i when the tail is empty."""
-    cd = branch.cd
-    if not 1 <= i <= cd.s:
-        raise IndexError(f"level {i} out of range 1..{cd.s}")
-    phi = branch.phis[i - 1]
-    if phi.is_zero:
-        return cd.lambdas[i - 1]
-    e_i, k = cd.es[i], cd.k
-    q, r = divmod(phi.degree() * e_i, k)
-    if r:
-        raise InvariantError(f"level {i} tail degree outside the level lattice")
-    return Fraction(q, e_i)
+from .parametrize import Parametrization
 
 
 @dataclass(frozen=True)
 class PolygonDesc:
     """The two integer inequalities cutting out N_i, plus vertex data."""
 
-    mu: Fraction
+    mu: Fraction                  # deg(yt) / e, the scaled truncation degree
     lower: tuple[int, int, int]   # (A, B, C): A*a + B*b >= C
     upper: tuple[int, int, int]   # (A, B, C): A*a + B*b <= C
     vertices: tuple[tuple[int, int], ...]
 
 
-def polygon_desc(branch: Branch, i: int) -> PolygonDesc:
-    cd = branch.cd
-    e_i = cd.es[i]
-    lam1 = cd.lambdas[0]
-    mu_i = mu(branch, i)
-    k1 = cd.ks[0]
-    k1lam1 = int(k1 * lam1)          # integral: k_1 is the denominator of lam_1
-    e_mu = int(e_i * mu_i)           # integral: mu_i lies in (1/e_i) Z
-    e_lam1 = int(e_i * lam1)
+def polygon_desc(p: Parametrization) -> PolygonDesc:
+    """N_i read off the level-i truncation (see the module docstring)."""
+    e, lo, hi = p.e, p.yt.order(), p.yt.degree()
+    g = gcd(e, lo)
     return PolygonDesc(
-        mu=mu_i,
-        lower=(k1, k1lam1, e_i * k1lam1),
-        upper=(e_i, e_mu, e_i * e_mu),
-        vertices=((0, e_i), (e_lam1, 0), (e_mu, 0)),
+        mu=Fraction(hi, e),
+        lower=(e // g, lo // g, e * lo // g),
+        upper=(e, hi, e * hi),
+        vertices=((0, e), (lo, 0), (hi, 0)),
     )
 
 

@@ -21,7 +21,7 @@ def is_weierstrass(p: BiPoly) -> tuple[bool, int]:
     m = p.deg_y()
     if m < 1 or p.coeff((0, m)) != 1:
         return False, m
-    for (a, b), _ in p.terms():
+    for a, b in p.support():
         if b == m and a != 0:
             return False, m      # not monic: x-dependence at the top power
         if b < m and a == 0:

@@ -15,8 +15,8 @@ from itertools import product
 from math import gcd, prod
 from pathlib import Path
 
-from curvelift import (INFINITY, BiPoly, Coeff, UniPoly, basis_reconstruct, generators,
-                       lattice_slice, truncation, validate_branch)
+from curvelift import (INFINITY, BiPoly, Coeff, PolygonDesc, UniPoly, basis_reconstruct,
+                       generators, lattice_slice, truncation, validate_branch)
 from curvelift.algebra import PowerChain, coeff_div, sylvester_det
 from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery
@@ -232,6 +232,27 @@ def sylvester_implicitize(p) -> tuple[BiPoly, Coeff, BiPoly]:
     unit = raw.coeff((0, e))
     assert unit, "resultant is not monic-normalizable"
     return raw * coeff_div(1, unit), unit, raw
+
+
+def tail_mu(branch, i: int) -> Fraction:
+    """deg(phi_i)/k from the tail split; lambda_i when the tail is empty."""
+    phi = branch.phis[i - 1]
+    return branch.cd.lambdas[i - 1] if phi.is_zero else Fraction(phi.degree(), branch.k)
+
+
+def tail_polygon(branch, i: int) -> PolygonDesc:
+    """N_i built from the characteristic data: lambda_1 for the lower edge
+    and tail_mu for the upper one, not from the truncation."""
+    cd = branch.cd
+    e_i, k1, lam1, mu_i = cd.es[i], cd.ks[0], cd.lambdas[0], tail_mu(branch, i)
+    k1lam1, e_lam1, e_mu = k1 * lam1, e_i * lam1, e_i * mu_i
+    assert k1lam1.denominator == e_lam1.denominator == e_mu.denominator == 1
+    return PolygonDesc(
+        mu=mu_i,
+        lower=(k1, int(k1lam1), e_i * int(k1lam1)),
+        upper=(e_i, int(e_mu), e_i * int(e_mu)),
+        vertices=((0, e_i), (int(e_lam1), 0), (int(e_mu), 0)),
+    )
 
 
 def naive_slice(q: SliceQuery) -> list[tuple[int, ...]]:

@@ -8,12 +8,13 @@ import random
 from math import gcd
 
 from curvelift import (INFINITY, BiPoly, basis_reconstruct, generators,
-                       implicitize_all, lattice_slice, mu, normal_form,
+                       implicitize_all, lattice_slice, normal_form,
                        polygon_contains, polygon_desc, semigroup_member,
                        truncation)
 from curvelift.polygon import SliceQuery
 from helpers import (brute_capped_forms, naive_basis_reconstruct, naive_slice,
-                     rand_bipoly, rand_branch, rand_coeff, reference_lift)
+                     rand_bipoly, rand_branch, rand_coeff, reference_lift,
+                     tail_mu, tail_polygon)
 
 
 def suite_valuation_additivity(seed=0x51, cases=200):
@@ -86,11 +87,12 @@ def suite_polygon_vs_pullback(seed=0x56, cases=200):
     for _ in range(cases):
         b = rand_branch(rng, max_levels=2, max_k=9)
         i = rng.randint(1, b.cd.s)
-        pd = polygon_desc(b, i)
         p = truncation(b, i)
+        pd = polygon_desc(p)
+        assert pd == tail_polygon(b, i)
         e_i = b.cd.es[i]
         lo = e_i * int(e_i * b.cd.lambdas[0])
-        hi = e_i * int(e_i * mu(b, i))
+        hi = e_i * int(e_i * tail_mu(b, i))
         a, bb = rng.randint(0, 50), rng.randint(0, 50)
         pb = p.pullback(BiPoly.monomial(a, bb))
         inside = pb.order() >= lo and pb.degree() <= hi

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,15 +11,16 @@ from pathlib import Path
 import pytest
 
 from curvelift import BiPoly, basis_reconstruct, certify
-from curvelift.cli import (certificate_lines, chain_to_doc, doc_rebuild, format_poly,
-                           load_curve, main, parse_curve_text, parse_rational,
-                           poly_from_doc, poly_to_doc)
+from curvelift.cli import (branch_from_file, certificate_lines, chain_to_doc, doc_rebuild,
+                           format_poly, load_curve, main, parse_curve_text,
+                           parse_rational, poly_from_doc, poly_to_doc)
 from curvelift.errors import CurveFileError, CurveLiftError
-from curvelift.implicitize import chain_from_polynomials
+from curvelift.implicitize import DEFAULT_ORACLE_BOUND, chain_from_polynomials
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 README = CORPUS.parent / "README.md"
 SRC = CORPUS.parent / "src"
+WORKLOADS = CORPUS.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -179,6 +181,14 @@ def test_doc_rebuild_rejects_invalid_terms():
                          (level({"x": -1, "y": 2, "c": "1"}), "'x'")):
         with pytest.raises(CurveFileError, match=pattern):
             doc_rebuild(doc)
+    # poly_to_doc writes each (x, y) once and no zero coefficient; summing a
+    # repeated pair or dropping a zero term would rebuild a different document
+    split = [{"x": 0, "y": 2, "c": "1/2"}, {"x": 0, "y": 2, "c": "1/2"},
+             {"x": 3, "y": 0, "c": "-1"}]
+    zero = [*f, {"x": 1, "y": 1, "c": "0"}]
+    for terms, pattern in ((split, "'x', 'y'"), (zero, "'c'")):
+        with pytest.raises(CurveFileError, match=pattern):
+            doc_rebuild({**cusp, "levels": [{"f": terms}]})
 
 
 def test_implicitize_rejects_level_with_json(capsys):
@@ -261,6 +271,57 @@ def test_verify_json_bytes_pinned(capsys):
         code, out = run(capsys, "verify", str(CORPUS / name), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# SHA-256 of the stdout of ``curvelift polygon FILE --json`` per corpus curve
+POLYGON_JSON_SHA256 = {
+    "cubic-tail.curve": "5dfef53dc9f5bd583853c41c03db60cb04adc264d1919bee3110077bdab8532d",
+    "cusp.curve": "c68d997cb4817e4a250ba4daf4f5871d3064ef80db1275ead6b7facb595d2d73",
+    "intro-689.curve": "ad021ea2626fac0f36f306c3a1e42348d56242094e16df829181bc75ef6cff76",
+    "nonic.curve": "df48037ed6fb15c93c48dc018140347799ce56542da4d0f0c5a2c12c0a8e887f",
+    "octic-three-level.curve": "52976f717331b069318c34795549d7e794299aba874bd2d743903cbf52ad1b03",
+    "paper-ex1.curve": "b7aa014af332725a1b1db8e33f8284f4b34282090fbb24c75c6afa71e97ccb1b",
+    "paper-ex2.curve": "3bd1744da7cf330cd13df871c10615b9db8c2b8d7303ea637f92f05af1bd10a1",
+    "paper-ex3.curve": "bb810bc425138b0dddf8ce3603a803af3ef590a7d2b4fc57716d5380aeb2a895",
+    "quartic-deep.curve": "0786d69787cd582adef8019172c0a2c1f88789c2f4d1586480963d10e2f784e3",
+    "quartic.curve": "f680d501757cd4c4f5645a8e23c13cc9731c619969566403ed62754d5a88732f",
+    "rational-coeffs.curve": "e9eddd1da9ed605260789faa1a475930c4475bcdf86a83539f6143f4d64f1845",
+    "tails-weighted.curve": "8e6c99aadf1b7df780b8836f9624211412a2e1880d0f85561a8d04201d5419e1",
+}
+
+
+def test_polygon_json_bytes_pinned(capsys):
+    assert sorted(POLYGON_JSON_SHA256) == sorted(VERIFY_JSON_SHA256)
+    for name, digest in POLYGON_JSON_SHA256.items():
+        code, out = run(capsys, "polygon", str(CORPUS / name), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# SHA-256 per benchmark workload of the ``verify --json`` stdout of its seed-1
+# curves, concatenated in run order, each at the oracle bound the benchmark
+# uses: e_s where the workload raises it to the top level, else the default.
+WORKLOAD_VERIFY_JSON_SHA256 = {
+    "deep-integer": "1d4aecc6584ca03e3a872689bdcd64d9b224a3aff0fe3ee7fb7db887795a2197",
+    "mid-rational": "b9f118fd486abf3d16591ee9ecf5391366ea31420a0a526885d963b03c97e180",
+    "small-batch": "e27702ba0138ad542023b6dc7805f733ba22f856d9daa91a657798e51605b9be",
+}
+
+
+def test_workload_verify_json_bytes_pinned(capsys, tmp_path):
+    workloads = runpy.run_path(str(WORKLOADS))
+    assert sorted(workloads["WORKLOADS"]) == sorted(WORKLOAD_VERIFY_JSON_SHA256)
+    for name, digest in WORKLOAD_VERIFY_JSON_SHA256.items():
+        w = workloads["WORKLOADS"][name]
+        h = hashlib.sha256()
+        for path in workloads["generate"](w, 1, tmp_path / name):
+            es = branch_from_file(load_curve(path)).cd.es
+            bound = es[-1] if w.oracle_at_top else DEFAULT_ORACLE_BOUND
+            code, out = run(capsys, "verify", str(path), "--json",
+                            "--oracle-bound", str(bound))
+            assert code == 0, path.name
+            h.update(out.encode())
+        assert h.hexdigest() == digest, name
 
 
 # SHA-256 of the same documents with every level's "iterations" key removed

@@ -25,7 +25,7 @@ def test_resultant_vanishes_and_fits_polygon(branch6_tails):
         p = truncation(branch6_tails, i)
         res = resultant_implicitize(p)
         assert p.pullback(res).is_zero
-        pd = polygon_desc(branch6_tails, i)
+        pd = polygon_desc(p)
         assert all(polygon_contains(key, pd) for key in res.support())
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, generators,
                        implicitize_all, semigroup_member, truncation,
-                       valuation_table)
+                       validate_branch, valuation_table)
 from curvelift.errors import InvariantError
 from helpers import naive_pullback, rand_bipoly, rand_branch
 
@@ -71,12 +71,17 @@ def test_monomial_valuation(branch12):
 
 
 def test_pullback_matches_generic_compose(branch6_tails):
+    # rational f on integer yt (branch6_tails) and on rational yt, so that
+    # both f's and yt's denominators reach the pullback's final division
     rng = random.Random(0xD0)
-    for i in (1, 2):
-        p = truncation(branch6_tails, i)
-        for _ in range(50):
-            f = rand_bipoly(rng, 5, 5)
-            assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
+    rational = validate_branch(6, {9: Fraction(3, 2), 15: Fraction(-2, 5),
+                                   16: Fraction(1, 3), 20: Fraction(5, 7)})
+    for branch in (branch6_tails, rational):
+        for i in (1, 2):
+            p = truncation(branch, i)
+            for _ in range(50):
+                f = rand_bipoly(rng, 5, 5)
+                assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
 
 
 def test_naive_pullback_agrees_on_corpus(corpus_chains):

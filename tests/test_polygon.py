@@ -1,21 +1,33 @@
 import random
 from fractions import Fraction
 
-from curvelift import (BiPoly, lattice_slice, mu, polygon_contains,
-                       polygon_desc, truncation)
+from curvelift import (BiPoly, lattice_slice, polygon_contains, polygon_desc,
+                       truncation)
 from curvelift.polygon import SliceQuery
-from helpers import naive_slice
+from helpers import naive_slice, tail_mu, tail_polygon
+
+
+def pd_of(branch, i):
+    return polygon_desc(truncation(branch, i))
 
 
 def test_mu_reference_values(branch12, branch6_tails):
-    assert mu(branch12, 2) == Fraction(5, 3)            # no tail: mu = lambda
-    assert mu(branch12, 3) == Fraction(23, 12)
-    assert mu(branch6_tails, 1) == Fraction(5, 2)       # deg(2 t^5) / e_1
-    assert mu(branch6_tails, 2) == Fraction(10, 3)
+    assert pd_of(branch12, 2).mu == Fraction(5, 3)            # no tail: mu = lambda
+    assert pd_of(branch12, 3).mu == Fraction(23, 12)
+    assert pd_of(branch6_tails, 1).mu == Fraction(5, 2)       # deg(2 t^5) / e_1
+    assert pd_of(branch6_tails, 2).mu == Fraction(10, 3)
+
+
+def test_polygon_matches_tail_split(corpus_chains):
+    # N_i read off the truncation equals N_i built from lambda_1 and the
+    # degree of the level-i tail, on every corpus level
+    for branch, _, _ in corpus_chains.values():
+        for i in range(1, branch.cd.s + 1):
+            assert pd_of(branch, i) == tail_polygon(branch, i)
 
 
 def test_polygon_reference_level2(branch12):
-    pd = polygon_desc(branch12, 2)
+    pd = pd_of(branch12, 2)
     assert pd.lower == (2, 3, 18)
     assert pd.upper == (6, 10, 60)
     assert pd.vertices == ((0, 6), (9, 0), (10, 0))
@@ -28,7 +40,7 @@ def test_polygon_reference_level2(branch12):
 
 def test_polygon_apex_only_on_vertical_axis(branch12):
     for i in (1, 2, 3):
-        pd = polygon_desc(branch12, i)
+        pd = pd_of(branch12, i)
         e_i = branch12.cd.es[i]
         hits = [b for b in range(0, 3 * e_i + 1) if polygon_contains((0, b), pd)]
         assert hits == [e_i]
@@ -36,7 +48,7 @@ def test_polygon_apex_only_on_vertical_axis(branch12):
 
 def test_polygon_vertices_satisfy_inequalities(branch6_tails):
     for i in (1, 2):
-        pd = polygon_desc(branch6_tails, i)
+        pd = pd_of(branch6_tails, i)
         for v in pd.vertices:
             assert polygon_contains(v, pd)
 
@@ -45,11 +57,11 @@ def test_polygon_matches_pullback_interval(branch12, branch6_tails):
     # membership iff the monomial pullback support fits the stated interval
     for branch in (branch12, branch6_tails):
         for i in range(1, branch.cd.s + 1):
-            pd = polygon_desc(branch, i)
             p = truncation(branch, i)
+            pd = polygon_desc(p)
             e_i = branch.cd.es[i]
             lo = e_i * int(e_i * branch.cd.lambdas[0])
-            hi = e_i * int(e_i * mu(branch, i))
+            hi = e_i * int(e_i * tail_mu(branch, i))
             for a in range(0, 51):
                 for b in range(0, 51):
                     pb = p.pullback(BiPoly.monomial(a, b))
