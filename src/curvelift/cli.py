@@ -130,8 +130,8 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
 def load_curve(path) -> CurveFile:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CurveFileError(str(exc), str(path)) from None
     cf = parse_curve_text(text, str(path))
     if not cf.name:
@@ -364,20 +364,15 @@ def cmd_polygon(args) -> int:
     return 0
 
 
-def _chain_for(args, verify: bool) -> tuple[CurveFile, LiftChain]:
-    cf = load_curve(args.file)
-    branch = branch_from_file(cf)
-    chain = implicitize_all(branch, verify=verify, oracle_bound=args.oracle_bound)
-    return cf, chain
-
-
 def cmd_implicitize(args) -> int:
     if args.json and args.level:
         raise CurveLiftError("--level selects text output; --json always "
                              "emits every level")
     verify = not args.no_verify
-    cf, chain = _chain_for(args, verify)
-    levels = _levels(args.level, chain.cd.s)
+    cf = load_curve(args.file)
+    branch = branch_from_file(cf)
+    levels = _levels(args.level, branch.cd.s)
+    chain = implicitize_all(branch, verify=verify, oracle_bound=args.oracle_bound)
     if args.json:
         print(json.dumps(chain_to_doc(cf, chain), indent=2))
     else:
@@ -395,7 +390,8 @@ def cmd_implicitize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cf, chain = _chain_for(args, verify=True)
+    cf = load_curve(args.file)
+    chain = implicitize_all(branch_from_file(cf), oracle_bound=args.oracle_bound)
     if args.json:
         print(json.dumps(chain_to_doc(cf, chain), indent=2))
     else:

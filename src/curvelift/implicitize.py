@@ -53,7 +53,7 @@ sum_j (k_{j+1} - 1)*e_j = e_i - 1, so delta_i never touches the apex
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import prod
 
 from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual, _kronecker_mul
@@ -222,18 +222,21 @@ def implicitize_all(branch: Branch, verify: bool = True,
 def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftChain:
     """Evaluate all per-level certificates plus the full valuation table.
 
-    Recomputable from (branch, fs) alone except for the iteration-log
-    checks, which report "skipped" when a level's log is empty.
+    Each level's truncation and generators are built once here and shared
+    by the valuation table and the level checks. ``lift`` builds its own:
+    it is a separate pass, and the certificates stay recomputable from
+    (branch, fs) alone, as ``chain_from_polynomials`` needs, except for the
+    iteration-log checks, which report "skipped" when a level's log is empty.
     """
     branch = chain.branch
     cd = branch.cd
-    table = valuation_table(chain)
+    levels = [(truncation(branch, i), generators(cd, i)) for i in range(1, cd.s + 1)]
+    table = valuation_table(chain.fs, levels, cd.lambdas)
     certs = []
-    for i in range(1, cd.s + 1):
+    for i, (p, sd) in enumerate(levels, start=1):
         f_i = chain.fs[i - 1]
         delta_i = chain.deltas[i - 1]
-        e_i = cd.es[i]
-        p = truncation(branch, i)
+        e_i = p.e
         pd = polygon_desc(p)
 
         ok_w, deg = is_weierstrass(f_i)
@@ -247,7 +250,6 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
             increasing = all(a < b for a, b in zip(ns, ns[1:]))
             # each logged pivot is its own witness: non-negative, with
             # pivot . (e_i, gamma_1, ..., gamma_i) == n in plain ints
-            sd = generators(cd, i)
             sg = (sd.free, *sd.gamma)
             in_semigroup = all(
                 len(rec.pivot) == len(sg) and min(rec.pivot) >= 0
@@ -270,8 +272,7 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
             monic_weierstrass=monic, n_log_increasing=increasing,
             n_log_in_semigroup=in_semigroup, valuation_rows_ok=rows_ok,
             oracle=oracle))
-    return LiftChain(branch=branch, fs=chain.fs, deltas=chain.deltas,
-                     logs=chain.logs, certificates=tuple(certs), table=table)
+    return replace(chain, certificates=tuple(certs), table=table)
 
 
 def chain_from_polynomials(branch: Branch, fs) -> LiftChain:

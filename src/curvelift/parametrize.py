@@ -19,15 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .algebra import INFINITY, BiPoly, UniPoly
 from .chardata import Branch
 from .errors import InvariantError
-from .semigroup import generators
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .implicitize import LiftChain
 
 
 class Parametrization:
@@ -155,30 +150,28 @@ class ValuationTable:
         raise KeyError((i, j))
 
 
-def valuation_table(chain: "LiftChain") -> ValuationTable:
+def valuation_table(fs: tuple[BiPoly, ...], levels, lambdas) -> ValuationTable:
     """Check every prediction  val_j(f_{i-1}) = gamma_i^{(j)}  and
     val_j(d/dy f_{i-1}) = gamma_i^{(j)} - e_j*lambda_i  for 1 <= i <= j <= s.
 
-    Cells are independent; they are evaluated in a fixed order so the
-    result is deterministic.
+    ``levels`` holds the pairs (truncation(branch, j), generators(cd, j))
+    for j = 1 .. s, as ``certify`` builds them, and ``lambdas`` the
+    characteristic exponents; j and e_j are read off each truncation.
+    With f_0 = y, each f_{i-1} and its y-derivative are formed once. Cells
+    are independent; they are evaluated in a fixed order so the result is
+    deterministic.
     """
-    branch = chain.branch
-    cd = branch.cd
-    s = cd.s
+    prevs = [(f, f.partial_y()) for f in (BiPoly.y(), *fs[:-1])]
     rows = []
-    for j in range(1, s + 1):
-        p = truncation(branch, j)
-        sd = generators(cd, j)
-        e_j = cd.es[j]
-        for i in range(1, j + 1):
-            f_prev = BiPoly.y() if i == 1 else chain.fs[i - 2]
-            gamma_ij = sd.gamma[i - 1]
+    for p, sd in levels:
+        for i, ((f_prev, df_prev), gamma_ij) in enumerate(
+                zip(prevs, sd.gamma), start=1):
             rows.append(TableRow(
-                i=i, j=j,
+                i=i, j=p.level,
                 value=p.valuation(f_prev),
                 expected=gamma_ij,
-                dvalue=p.valuation(f_prev.partial_y()),
+                dvalue=p.valuation(df_prev),
                 # integral: generators(cd, j) checked e_j * lambda_i
-                dexpected=gamma_ij - int(e_j * cd.lambdas[i - 1]),
+                dexpected=gamma_ij - int(p.e * lambdas[i - 1]),
             ))
     return ValuationTable(rows=tuple(rows))

@@ -205,17 +205,29 @@ def test_json_output_deterministic(capsys):
     assert out1 == out2
 
 
-def test_error_exit_code(capsys):
-    code = main(["validate", str(CORPUS / "missing.curve")])
-    assert code == 2
-
-
-def test_polygon_level_out_of_range(capsys):
-    for level in ("5", "-1"):
-        code = main(["polygon", str(CORPUS / "cusp.curve"), "--level", level])
+def test_error_exit_code(capsys, tmp_path):
+    # a missing file and a file that is not UTF-8 are typed errors
+    undecodable = tmp_path / "undecodable.curve"
+    undecodable.write_bytes(b"k: 2\nterm: 3 1\n# \xff\n")
+    for path in (CORPUS / "missing.curve", undecodable):
+        code = main(["validate", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.splitlines() == [f"error: level {level} out of range 1..1"]
+        assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
+def test_polygon_level_out_of_range(capsys, monkeypatch):
+    # implicitize rejects the level before it lifts anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("implicitize lifted before checking --level")
+
+    monkeypatch.setattr("curvelift.cli.implicitize_all", refuse)
+    for cmd in ("polygon", "implicitize"):
+        for level in ("5", "-1"):
+            code = main([cmd, str(CORPUS / "cusp.curve"), "--level", level])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.splitlines() == [f"error: level {level} out of range 1..1"]
 
 
 def _flags(text: str) -> set[str]:

@@ -315,6 +315,35 @@ def test_certify_runs_no_pullback(branch12, monkeypatch):
             assert sum(level == i and f == f_i for level, f in seen) == 1, i
 
 
+def test_certify_derives_each_level_once(corpus_chains, monkeypatch):
+    # certify builds each level's truncation and generators once and hands
+    # them to both the valuation table and the level checks; the table forms
+    # d/dy f_{i-1} once per f_0 .. f_{s-1}, not once per cell
+    import curvelift.implicitize as implicitize
+    import curvelift.parametrize as parametrize
+    counts = {"init": 0, "generators": 0, "partial_y": 0}
+    init, partial_y = Parametrization.__init__, BiPoly.partial_y
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Parametrization, "__init__", counted("init", init))
+    monkeypatch.setattr(BiPoly, "partial_y", counted("partial_y", partial_y))
+    # parametrize holds no generators of its own; a call from there counts too
+    for module in (implicitize, parametrize):
+        monkeypatch.setattr(module, "generators",
+                            counted("generators", generators), raising=False)
+    for name, (b, chain, _) in sorted(corpus_chains.items()):
+        counts.update(dict.fromkeys(counts, 0))
+        again = certify(chain)
+        assert (again.certificates, again.table) == (chain.certificates, chain.table)
+        s = b.cd.s
+        assert counts == {"init": s, "generators": s, "partial_y": s}, name
+
+
 def test_pullback_zero_ignores_the_oracle(branch12, monkeypatch):
     # pullback_zero is p.valuation(f_i) is INFINITY at every level, an
     # integer evaluation the oracle plays no part in: an oracle that agrees

@@ -108,7 +108,9 @@ def test_naive_pullback_agrees_on_corpus(corpus_chains):
 
 
 def test_valuation_table_reference(branch12, chain12):
-    table = valuation_table(chain12)
+    cd = branch12.cd
+    levels = [(truncation(branch12, j), generators(cd, j)) for j in range(1, cd.s + 1)]
+    table = valuation_table(chain12.fs, levels, cd.lambdas)
     assert table.ok
     # val_3(f_1) is the third-level second generator
     assert table.row(2, 3).value == 38
