@@ -23,11 +23,35 @@ len(f_j)`` terms (L a longest factor), each below ``2**sum_j
 bits(max|f_j|)``, so with ``w = sum_j bits(max|f_j|) + sum_{j != L}
 bits(len(f_j)) + 1`` every digit lies strictly between ``-2**(w-1)`` and
 ``2**(w-1)``: it never overflows into its neighbour, and the digits are
-read back exactly. A monomial factor ``t**shift`` is never packed:
-``Residual.eliminate`` adds the shift to the product's lowest exponent.
-A ``BiPoly`` product is schoolbook over the numerators: its operands are
-sparse in two variables, so packing them into one int costs more than the
-term pairs it saves.
+read back exactly. A ``BiPoly`` product is schoolbook over the
+numerators: its operands are sparse in two variables, so packing them into
+one int costs more than the term pairs it saves.
+
+``Residual`` runs one lift level on the same substitution, at one digit
+width W, a whole number of bytes, for the whole level. Each basis
+pullback u_l = N_l/d_l is packed once, as N_l(2**W) over 2**W to its
+order; its powers (``PowerChain``) and each beta tuple's product
+prod_l u_l**b_l are int products of those; the residual's numerators,
+packed the same way from its order n, are one int U over one denominator
+D. A step decodes nothing. If every numerator lies strictly between
+-2**(W-1) and 2**(W-1), then U = U_n + 2**W*R with 0 < |U_n| < 2**W, so
+U's lowest set bit lies in its first digit: the next order is
+n + v2(U)//W, and U_n is U's low W bits read as a signed digit. The level
+tracks a bound B on the residual's numerators to keep that true. A
+product's numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
+products of one numerator per factor); the residual starts as
+u_{m-1}**k with B = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
+B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK``
+bits above B and above every basis numerator. A step whose new B would
+reach 2**(W-1) repacks first: U is decoded (the old B still holds, so
+every digit reads back), U/D is reduced to its canonical form, and the
+level is packed again at the width of the reduced numerators times
+|P_n| + B_P. Since s <= |P_n| and |r| <= the reduced |U_n|, that bounds
+the step's new B whatever the reduction left. A repack is the only place
+U/D is reduced: reducing keeps the numerators small and changes no value,
+so the coefficient a = -U_n*d_p / (D*P_n) that the step returns is the
+same rational either way. The monomial x**alpha of a pivot is never
+packed: ``eliminate`` adds e*alpha to the product's lowest exponent.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -262,8 +286,7 @@ class UniPoly(_IntMapPoly):
 def _kronecker_mul(maps) -> tuple[int, list[int]]:
     """The product of nonzero integer polynomials {exponent: value}, as its
     lowest exponent and its coefficients from there up (see the module
-    docstring); no factors give (0, [1]). Digits carry half the base, so
-    each reads back as unsigned bytes, with no borrow."""
+    docstring); no factors give (0, [1])."""
     bits = 1 - max(map(len, maps), default=0).bit_length()
     for m in maps:
         bits += max(map(abs, m.values())).bit_length() + len(m).bit_length()
@@ -275,12 +298,7 @@ def _kronecker_mul(maps) -> tuple[int, list[int]]:
         z *= _pack(m, lo_m, n_m, width)
         lo += lo_m
         n += n_m - 1
-    half = 1 << (8 * width - 1)
-    z += int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    raw = z.to_bytes(n * width, "little")
-    from_bytes = int.from_bytes
-    return lo, [from_bytes(raw[i - width:i], "little") - half
-                for i in range(width, n * width + 1, width)]
+    return lo, _unpack(z, n, width)
 
 
 def _pack(c: dict, lo: int, n: int, width: int) -> int:
@@ -292,6 +310,18 @@ def _pack(c: dict, lo: int, n: int, width: int) -> int:
         digits[e - lo] = (v + half).to_bytes(width, "little")
     return (int.from_bytes(b"".join(digits), "little")
             - int.from_bytes(zero * n, "little"))
+
+
+def _unpack(z: int, n: int, width: int) -> list[int]:
+    """The n signed base-256**width digits of z, lowest first, each strictly
+    between minus and plus half the base. Digits carry half the base, so
+    each reads back as unsigned bytes, with no borrow."""
+    half = 1 << (8 * width - 1)
+    z += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = z.to_bytes(n * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i - width:i], "little") - half
+            for i in range(width, n * width + 1, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,66 +397,137 @@ class BiPoly(_IntMapPoly):
 
 
 class PowerChain:
-    """Grow-on-demand cache of the powers base**0, base**1, ...; ``lift``
-    keeps one per basis pullback and reads it for each new beta tuple's
-    product."""
+    """Grow-on-demand cache of the powers base**0, base**1, ... of an int;
+    ``Residual`` keeps one per packed basis pullback and reads it for each
+    new beta tuple's product."""
 
     __slots__ = ("_base", "_pows")
 
-    def __init__(self, base):
+    def __init__(self, base: int):
         self._base = base
-        self._pows = [base.one()]
+        self._pows = [1]
 
-    def get(self, n: int):
+    def get(self, n: int) -> int:
         pows = self._pows
         while len(pows) <= n:
             pows.append(pows[-1] * self._base)
         return pows[n]
 
 
+# spare bits of a lift level's digit width over the bound it is sized for:
+# room for the residual's bound to grow before a repack
+_WIDTH_SLACK = 16
+
+
+def _width(bound: int) -> int:
+    """A digit width W in bits, a multiple of 8, with 2**(W-1) > bound and
+    ``_WIDTH_SLACK`` bits to spare."""
+    return (bound.bit_length() + _WIDTH_SLACK + 8) // 8 * 8
+
+
 class Residual:
-    """The pullback ``lift`` eliminates, lowest term first: a dense list of
-    int numerators over exponents 0 .. bound and one denominator, canonical
-    as in the module docstring. ``implicitize`` describes the step."""
+    """One lift level at one digit width W: the basis pullbacks u_0 ..
+    u_{m-1}, their powers, the products of the beta tuples met so far and
+    the residual U/D, each numerator packed as its value at t = 2**W (see
+    the module docstring). ``implicitize`` describes the step."""
 
-    __slots__ = ("_u", "_d", "_n")
+    __slots__ = ("_e", "_basis", "_ends", "_w", "_pows", "_memo",
+                 "_u", "_n", "_d", "_b")
 
-    def __init__(self, u: UniPoly, bound: int):
-        self._u = [0] * (max(bound, max(u._c, default=0)) + 1)
-        for e, v in u._c.items():
-            self._u[e] = v
-        self._d, self._n = u._d, 0
+    def __init__(self, basis: list[UniPoly], k: int, e: int):
+        """The residual u_{m-1}**k of a level with x = t**e."""
+        self._e = e
+        self._basis = basis
+        # per pullback: lowest exponent, lowest numerator, denominator, and
+        # ||.||_1 of the numerators, the base of every digit bound
+        self._ends = [(lo, u._c[lo], u._d, sum(map(abs, u._c.values())))
+                      for u in basis for lo in [min(u._c)]]
+        self._memo: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
+        lo, _, d, norm = self._ends[-1]
+        self._b = norm ** k
+        self._at_width(self._b)
+        self._u = self._pows[-1].get(k)
+        self._n, self._d = k * lo, d ** k
+
+    def _at_width(self, bound: int) -> None:
+        """Pack the basis at the width of ``bound`` and of the basis
+        numerators; drop the powers and products of the old width."""
+        self._w = w = _width(max(bound, *(max(map(abs, u._c.values()))
+                                          for u in self._basis)))
+        self._pows = [PowerChain(_pack(u._c, lo, max(u._c) - lo + 1, w // 8))
+                      for u, (lo, *_) in zip(self._basis, self._ends)]
+        self._memo.clear()
+
+    def _product(self, betas: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+        """prod_l u_l**beta_l as (lo, P, p_lo, d_p, bound): its lowest
+        exponent, its numerators packed from lo, the lowest of them, its
+        denominator, and a bound on the numerators."""
+        lo, P, p_lo, d_p, bound = 0, 1, 1, 1, 1
+        for (l_lo, lead, d, norm), chain, b in zip(self._ends, self._pows, betas):
+            if b:
+                lo += b * l_lo
+                P *= chain.get(b)
+                p_lo *= lead ** b
+                d_p *= d ** b
+                bound *= norm ** b
+        return lo, P, p_lo, d_p, bound
 
     def order(self):
-        """Lowest exponent with a nonzero term; INFINITY once u vanishes."""
-        U, n = self._u, self._n
-        while n < len(U) and not U[n]:
-            n += 1
-        self._n = n
-        return n if n < len(U) else INFINITY
+        """Lowest exponent with a nonzero term; INFINITY once U vanishes."""
+        return self._n if self._u else INFINITY
 
-    def eliminate(self, product, shift: int):
-        """u += a * t**shift * P/d_p, fraction-free, with the a that kills
-        u's lowest term; return a, or None unless the shifted product has
-        exactly u's order and fits in the bound. ``product`` is (lo, P,
-        d_p): the lowest exponent of the unshifted product, its int
-        numerators from there up and its denominator. ``lift`` shares one
-        product among every step of its beta tuple, so P is only read."""
-        U, D, n = self._u, self._d, self.order()
-        lo, P, d_p = product
-        end = n + len(P)
-        if lo + shift != n or end > len(U):
-            return None
-        p_n, u_n = P[0], U[n]
-        g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
-        s, r = p_n // g, u_n // g
-        if s != 1:
-            U[n:] = [v * s for v in U[n:]]
-            self._d = D * s
-        U[n:end] = [x - r * v for x, v in zip(U[n:end], P)]
-        if self._d != 1 and (g := gcd(self._d, *U[n:])) != 1:
-            U[n:] = [v // g for v in U[n:]]
-            self._d //= g
+    def _low(self) -> int:
+        """U's lowest numerator: the signed low digit (U is packed from its
+        order)."""
+        w = self._w
+        c = self._u & ((1 << w) - 1)
+        return c - (1 << w) if c >> (w - 1) else c
+
+    def value(self) -> UniPoly:
+        """U/D, decoded, in its canonical form."""
+        U, w = self._u, self._w
+        digits = _unpack(U, abs(U).bit_length() // w + 1, w // 8)
+        return UniPoly._reduced({e: v for e, v in enumerate(digits, self._n) if v},
+                                self._d)
+
+    def _repack(self, grow: int) -> None:
+        """Decode U, reduce U/D to its canonical form and pack the level
+        again at the width whose digits hold U's numerators times ``grow``."""
+        v = self.value()
+        lo = self._n
+        self._b = max(map(abs, v._c.values()))
+        self._at_width(self._b * grow)
+        self._u = _pack(v._c, lo, max(v._c) - lo + 1, self._w // 8)
+        self._d = v._d
+
+    def eliminate(self, betas: tuple[int, ...], alpha: int):
+        """U/D += a * t**(e*alpha) * prod_l u_l**beta_l, fraction-free, with
+        the a that kills U's lowest term; return a, or None unless the
+        shifted product has exactly U's order. Each beta tuple's product is
+        formed once, on its first step, and shared by every later one."""
+        n = self._n
+        while True:
+            product = self._memo.get(betas)
+            if product is None:
+                product = self._memo[betas] = self._product(betas)
+            lo, P, p_n, d_p, b_p = product
+            if lo + self._e * alpha != n:
+                return None
+            u_n = self._low()
+            g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
+            s, r = p_n // g, u_n // g
+            bound = s * self._b + abs(r) * b_p
+            if bound.bit_length() < self._w:
+                break
+            # s <= |p_n| and |r| <= the reduced U's numerators
+            self._repack(abs(p_n) + b_p)
+        D = self._d
+        U = (self._u if s == 1 else s * self._u) - r * P
+        if U:
+            q = ((U & -U).bit_length() - 1) // self._w
+            U >>= self._w * q
+            self._n = n + q
+        self._u, self._d, self._b = U, D * s, bound
         return coeff_div(-u_n * d_p, D * p_n)
 
 

@@ -297,6 +297,18 @@ def _levels(level: int, s: int):
     return [level]
 
 
+def _oracle_bound(text: str) -> int:
+    """The ``--oracle-bound`` value: an int >= 0, since no level degree is
+    negative (0 skips every oracle check)."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {bound}")
+    return bound
+
+
 def cmd_validate(args) -> int:
     cf = load_curve(args.file)
     branch = branch_from_file(cf)
@@ -446,7 +458,8 @@ def main(argv=None) -> int:
     def add_common(p, oracle=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if oracle:
-            p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
+            p.add_argument("--oracle-bound", type=_oracle_bound,
+                           default=DEFAULT_ORACLE_BOUND,
                            help="max level degree for the resultant oracle")
 
     p = sub.add_parser("validate", help="check a curve file and report its data")

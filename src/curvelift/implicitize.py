@@ -30,19 +30,21 @@ the step checks the two conditions instead, alpha >= 0 and
 VE.ls <= bound, and raises InvariantError when either fails (the bound
 is observed, not proved).
 
-The pullback is an ``algebra.Residual``: integer numerators U, dense over
-exponents 0 .. bound (the slice bound), one denominator D and an order n
-that only moves forward. Only the beta part of a pivot needs a product:
-x**alpha pulls back to the shift t**(e*alpha). ``lift`` keeps a memo, local
-to one call, from each beta tuple to its unshifted product P/d_p, formed
-on the tuple's first step as one n-ary Kronecker product of the pullback
+The pullback is an ``algebra.Residual``, which holds the whole level as
+integers at one digit width W: the basis pullbacks (yt, then the
+pullbacks of f_1 .. f_{i-1}), their powers, the basis products met so far
+and the residual U/D, each numerator as its value at t = 2**W (the
+``algebra`` docstring gives the width bound, the order read and the
+repack). Only the beta part of a pivot needs a product: x**alpha pulls
+back to the shift t**(e*alpha). The residual forms each beta tuple's
+product P/d_p on the tuple's first step, as one int product of packed
 powers; later steps with that tuple reuse it. Normal forms have
-0 <= beta_j < k_{j+1}, so the memo holds at most e_i entries, and it is
-dropped when the level ends. A step is fraction-free: with P shifted by
-e*alpha, g = gcd(P_n, U_n) signed as P_n, s = P_n/g and r = U_n/g, it
-scales U[n:] and D by s if s != 1, subtracts r*P over P's exponents only,
-divides U[n:] and D by their gcd and logs a = -U_n*d_p / (D*P_n) (U_n, D
-from before the step).
+0 <= beta_j < k_{j+1}, so it keeps at most e_i products, and they go
+with the level. A step reads n and U_n off U's low bits and is
+fraction-free: with P shifted by e*alpha, g = gcd(P_n, U_n) signed as
+P_n, s = P_n/g and r = U_n/g, it sets U := s*U - r*P and D := s*D, and
+logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step). The step does
+not reduce U/D (only a repack does); a is the same rational either way.
 
 Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
 be excluded. Every basis product has y-degree at most
@@ -54,9 +56,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
-from math import prod
 
-from .algebra import INFINITY, BiPoly, Coeff, PowerChain, Residual, _kronecker_mul
+from .algebra import INFINITY, BiPoly, Coeff, Residual
 from .chardata import Branch
 from .errors import InvariantError
 from .oracle import resultant_implicitize
@@ -147,7 +148,6 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
 
     # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
     pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
-    uni_pows = [PowerChain(u) for u in pullbacks]
 
     # ls = pullback degrees of x, f_0, ..., f_{i-1}; the bound encodes the
     # support polygon
@@ -155,16 +155,11 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * p.yt.degree()
 
-    u = Residual(uni_pows[-1].get(k_i), bound)
+    u = Residual(pullbacks, k_i, p.e)
 
     budget = bound - p.e * sd.gamma[0] + 1
     log: list[IterationRecord] = []
-    # beta tuple -> its unshifted product (lo, numerators, denominator)
-    products: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
-    while True:
-        n = u.order()
-        if n is INFINITY:
-            break
+    while (n := u.order()) is not INFINITY:
         if len(log) >= budget:
             raise InvariantError(
                 f"level {i}: more than {budget} iterations; internal error")
@@ -176,15 +171,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}: the normal form "
                 f"{pivot} is above the bound {bound}; corrupt input or bug")
-
-        betas = pivot[1:]
-        product = products.get(betas)
-        if product is None:
-            factors = [uni_pows[l].get(b) for l, b in enumerate(betas) if b]
-            product = products[betas] = (
-                *_kronecker_mul([f._c for f in factors]),
-                prod(f._d for f in factors))
-        a = u.eliminate(product, p.e * pivot[0])
+        a = u.eliminate(pivot[1:], pivot[0])
         if a is None:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")

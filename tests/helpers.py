@@ -17,7 +17,7 @@ from pathlib import Path
 
 from curvelift import (INFINITY, BiPoly, Coeff, PolygonDesc, UniPoly, basis_reconstruct,
                        generators, lattice_slice, truncation, validate_branch)
-from curvelift.algebra import PowerChain, coeff_div, sylvester_det
+from curvelift.algebra import coeff_div, sylvester_det
 from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery
 from curvelift.semigroup import SemigroupDesc
@@ -154,12 +154,11 @@ def reference_lift(branch, fs, i, pivot_rule="min", trail=None):
     k_i = cd.ks[i - 1]
     p = truncation(branch, i)
     pullbacks = [p.pullback(f) for f in (BiPoly.y(), *fs[:i - 1])]
-    uni_pows = [PowerChain(u) for u in pullbacks]
     sd = generators(cd, i)
     sg = (sd.free, *sd.gamma)
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
     bound = p.e * pullbacks[0].degree()
-    u = uni_pows[-1].get(k_i)
+    u = pullbacks[-1] ** k_i
     log = []
     g = (0,) * i + (k_i,)     # the tuple of f_{i-1}**k_i itself
     while (n := u.order()) is not INFINITY:
@@ -169,7 +168,7 @@ def reference_lift(branch, fs, i, pivot_rule="min", trail=None):
         u_p = UniPoly({p.e * pivot[0]: 1})
         for l, b in enumerate(pivot[1:]):
             if b:
-                u_p = u_p * uni_pows[l].get(b)
+                u_p = u_p * pullbacks[l] ** b
         a = coeff_div(-u.coeff(n), u_p.coeff(n))
         u = u + u_p * a
         log.append(IterationRecord(n=n, pivot=pivot, coeff=a))

@@ -181,34 +181,72 @@ def test_kronecker_product_of_n_factors():
 
 
 def test_residual_eliminate_leaves_a_shared_product_unchanged():
-    # lift hands every step of one beta tuple the same (lo, P, d_p): applied
-    # at two shifts to fresh residuals, the product's digits stay as they
-    # were, and each u + a * t**shift * P/d_p is the schoolbook sum
+    # the steps of one beta tuple share its packed product: applied at two
+    # orders in a row, the memo keeps the product it formed first unless a
+    # repack widened the level in between, a shift that misses the order
+    # changes nothing, and each U/D + a * t**shift * P/d_p is the schoolbook
+    # sum
     rng = random.Random(0xB8)
+    shared = 0
     for _ in range(20):
         factors = [_factor(rng) for _ in range(rng.randint(1, 3))]
-        product = (*_kronecker_mul([f._c for f in factors]),
-                   prod(f._d for f in factors))
-        digits = list(product[1])
+        betas = tuple(rng.randint(1, 2) for _ in factors) + (0,)
         full = {0: 1}
-        for f in factors:
-            full = naive_uni_mul(UniPoly(full), f)
-        lo, hi = product[0], max(full)
-        for shift in (rng.randint(0, 5), rng.randint(6, 40)):
-            n, bound = lo + shift, hi + shift + 3
-            u = UniPoly({e: Fraction(rng.randint(1, 99) * rng.choice((1, -1)),
-                                     rng.choice((1, 4, 7)))
-                         for e in [n] + rng.sample(range(n + 1, bound + 1), 3)})
-            r = Residual(u, bound)
-            assert r.eliminate(product, shift + 1) is None
-            a = r.eliminate(product, shift)
-            assert product[1] == digits
-            assert a == Fraction(-u.coeff(n)) / full[lo]
-            want = dict(u.terms())
+        for f, b in zip(factors, betas):
+            for _ in range(b):
+                full = naive_uni_mul(UniPoly(full), f)
+        lo, hi = min(full), max(full)
+        n = lo + rng.randint(0, 5)
+        want = UniPoly({e: Fraction(rng.randint(1, 99) * rng.choice((1, -1)),
+                                    rng.choice((1, 4, 7)))
+                        for e in [n] + rng.sample(range(n + 1, n + hi + 40), 3)})
+        r = Residual([*factors, want], 1, 1)
+        first = None
+        for _ in range(2):
+            n, w = r.order(), r._w
+            before = r.value()
+            assert r.eliminate(betas, n - lo + 1) is None
+            assert r.value() == before
+            a = r.eliminate(betas, n - lo)
+            if first is not None and r._w == w:
+                assert r._memo[betas] is first
+                shared += 1
+            first = r._memo[betas]
+            assert a == Fraction(-want.coeff(n)) / full[lo]
+            sums = dict(want.terms())
             for e, v in full.items():
-                want[e + shift] = want.get(e + shift, 0) + a * v
-            got = UniPoly._raw({e: v for e, v in enumerate(r._u) if v}, r._d)
-            assert dict(got.terms()) == {e: v for e, v in want.items() if v}
+                sums[e + n - lo] = sums.get(e + n - lo, 0) + a * v
+            want = UniPoly(sums)
+            assert r.value() == want
+    assert shared > 0
+
+
+def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
+    # order() is v2(U) // W past the packed order, and the lowest numerator
+    # is the low W bits, signed. Both agree with the UniPoly packed, for a
+    # negative digit, digits of +-(2**(W-1) - 1) side by side, a gap of zero
+    # digits and a residual that vanishes exactly
+    import curvelift.algebra as algebra
+    edge = (1 << 15) - 1
+    monkeypatch.setattr(algebra, "_width", lambda bound: 16)
+    for c in ({3: -7, 4: 1}, {0: -1, 1: -1}, {2: edge, 3: -edge, 4: edge},
+              {2: -edge, 3: edge, 4: -edge}, {5: 1, 6: -edge, 7: -edge}):
+        for d in (1, 3):
+            u = UniPoly({e: Fraction(v, d) for e, v in c.items()})
+            r = Residual([u], 1, 1)
+            assert r._w == 16 and r.value() == u
+            n = u.order()
+            assert r.order() == n and Fraction(r._low(), r._d) == u.coeff(n)
+    monkeypatch.undo()
+    for c in ({2: 3, 9: -4, 10: 1}, {4: -5}, {1: -edge, 2: edge, 8: -edge}):
+        u = UniPoly(c)
+        r = Residual([u], 1, 1)
+        while (n := r.order()) is not INFINITY:
+            assert n == u.order() and r._low() == u.coeff(n)
+            assert r.eliminate((0,), n) == -u.coeff(n)
+            u = u - UniPoly({n: u.coeff(n)})
+            assert r.value() == u
+        assert u.is_zero and r.value().is_zero
 
 
 def test_uni_canonical_equality():

@@ -251,6 +251,18 @@ def test_readme_command_table_matches_parser(capsys):
         assert _flags(capsys.readouterr().out) == flags, sub
 
 
+def test_negative_oracle_bound_is_rejected(capsys):
+    # a negative bound would skip every oracle check and still exit 0
+    for cmd in ("verify", "implicitize"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(CORPUS / "cusp.curve"), "--oracle-bound", "-3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--oracle-bound: must be >= 0, got -3" in err
+        assert "Traceback" not in err
+    assert main(["verify", str(CORPUS / "cusp.curve"), "--oracle-bound", "0"]) == 0
+
+
 def test_verify_rejects_no_verify(capsys):
     # verify always evaluates the certificates; only implicitize can skip them
     with pytest.raises(SystemExit) as exc:

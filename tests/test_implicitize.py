@@ -93,21 +93,9 @@ def test_pivot_rule_independence_reference(branch12, branch6_tails):
             assert reference_lift(b, fs, i, "min")[0] == fs[i - 1], i
 
 
-def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
-    # lift's residual against the loop on immutable UniPoly values that
-    # takes the largest tuple of the whole slice: the same (f_i, delta_i,
-    # log), and after every step the same canonical fields, so a residual
-    # whose gcd reduction is skipped (same log, bloated numerators) fails too
-    states = []
-    eliminate = Residual.eliminate
-
-    def recording(self, product, shift):
-        a = eliminate(self, product, shift)
-        c = {e: v for e, v in enumerate(self._u) if v}
-        states.append(UniPoly._raw(c, self._d))
-        return a
-
-    monkeypatch.setattr(Residual, "eliminate", recording)
+def _lift_cases(corpus_chains):
+    """(label, branch, fs) for the corpus and 40 seeded random branches, at
+    least 20 with tails and 20 with rational coefficients."""
     cases = [(name, b, chain.fs)
              for name, (b, chain, _) in sorted(corpus_chains.items())]
     rng = random.Random(0x12)
@@ -116,7 +104,23 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
         cases.append((f"random-{j}", b, implicitize_all(b, verify=False).fs))
     assert sum(any(b.phis) for _, b, _ in cases) >= 20
     assert sum(any(type(c) is Fraction for _, c in b.terms) for _, b, _ in cases) >= 20
-    for label, b, fs in cases:
+    return cases
+
+
+def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
+    # lift's residual against the loop on immutable UniPoly values that
+    # takes the largest tuple of the whole slice: the same (f_i, delta_i,
+    # log), and after every step the same value U/D, decoded and reduced
+    states = []
+    eliminate = Residual.eliminate
+
+    def recording(self, betas, alpha):
+        a = eliminate(self, betas, alpha)
+        states.append(self.value())
+        return a
+
+    monkeypatch.setattr(Residual, "eliminate", recording)
+    for label, b, fs in _lift_cases(corpus_chains):
         for i in range(1, b.cd.s + 1):
             states.clear()
             trail = []
@@ -125,25 +129,52 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
             assert states == trail, (label, i)
 
 
+def test_lift_repacks_without_width_slack(corpus_chains, monkeypatch):
+    # with no spare bits, levels outgrow their first width and repack: the
+    # levels are those of the full width, and each repack leaves U/D
+    # canonical (decoding and reducing it changes no denominator)
+    import curvelift.algebra as algebra
+    cases = [(label, b, [lift(b, fs, i) for i in range(1, b.cd.s + 1)])
+             for label, b, fs in _lift_cases(corpus_chains)]
+    repacks = []
+    repack = Residual._repack
+
+    def checked(self, grow):
+        repack(self, grow)
+        v = self.value()
+        assert v._d == self._d and self._b == max(map(abs, v._c.values()))
+        repacks.append(self._w)
+
+    monkeypatch.setattr(algebra, "_WIDTH_SLACK", 0)
+    monkeypatch.setattr(Residual, "_repack", checked)
+    levels = 0
+    for label, b, want in cases:
+        fs = tuple(f for f, _, _ in want)
+        for i in range(1, b.cd.s + 1):
+            before = len(repacks)
+            assert lift(b, fs, i) == want[i - 1], (label, i)
+            levels += len(repacks) > before
+    assert len(repacks) >= 10 and levels >= 5
+
+
 def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
-    # the steps of a level that share a beta tuple share its product:
-    # lift forms one Kronecker product per distinct beta tuple of the log
-    import curvelift.implicitize as implicitize
+    # the steps of a level that share a beta tuple share its product: the
+    # residual forms one product per distinct beta tuple of the log
     calls = []
-    kronecker_mul = implicitize._kronecker_mul
+    product = Residual._product
 
-    def counting(maps):
-        calls.append(len(maps))
-        return kronecker_mul(maps)
+    def counting(self, betas):
+        calls.append(betas)
+        return product(self, betas)
 
-    monkeypatch.setattr(implicitize, "_kronecker_mul", counting)
+    monkeypatch.setattr(Residual, "_product", counting)
     reused = {}
     for name, (b, chain, _) in sorted(corpus_chains.items()):
         for i, log in enumerate(chain.logs, start=1):
             calls.clear()
             assert lift(b, chain.fs, i)[2] == log, (name, i)
             distinct = {rec.pivot[1:] for rec in log}
-            assert len(calls) == len(distinct), (name, i)
+            assert sorted(calls) == sorted(distinct), (name, i)
             reused[name, b.cd.es[i]] = len(log) - len(distinct)
     assert reused["paper-ex3", 30] > 0
 
@@ -200,7 +231,7 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     ("normal_form", lambda a, sd: (-3, 0, 1), "no basis tuple of order"),
     ("normal_form", lambda a, sd: (2, 5, 0), "is above the bound"),
     ("normal_form", lambda a, sd: (1, 0, 0), "misses order"),
-    ("Residual.eliminate", lambda self, product, shift: 1, "more than"),
+    ("Residual.eliminate", lambda self, betas, alpha: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
