@@ -494,10 +494,9 @@ class Residual:
         """Decode U, reduce U/D to its canonical form and pack the level
         again at the width whose digits hold U's numerators times ``grow``."""
         v = self.value()
-        lo = self._n
         self._b = max(map(abs, v._c.values()))
         self._at_width(self._b * grow)
-        self._u = _pack(v._c, lo, max(v._c) - lo + 1, self._w // 8)
+        self._u = _pack(v._c, self._n, max(v._c) - self._n + 1, self._w // 8)
         self._d = v._d
 
     def eliminate(self, betas: tuple[int, ...], alpha: int):
@@ -506,21 +505,26 @@ class Residual:
         shifted product has exactly U's order. Each beta tuple's product is
         formed once, on its first step, and shared by every later one."""
         n = self._n
-        while True:
-            product = self._memo.get(betas)
-            if product is None:
-                product = self._memo[betas] = self._product(betas)
-            lo, P, p_n, d_p, b_p = product
-            if lo + self._e * alpha != n:
-                return None
+        product = self._memo.get(betas)
+        if product is None:
+            product = self._memo[betas] = self._product(betas)
+        lo, P, p_n, d_p, b_p = product
+        if lo + self._e * alpha != n:
+            return None
+        for _ in range(2):
             u_n = self._low()
             g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
             s, r = p_n // g, u_n // g
             bound = s * self._b + abs(r) * b_p
             if bound.bit_length() < self._w:
                 break
-            # s <= |p_n| and |r| <= the reduced U's numerators
+            # s <= |p_n| and |r| <= the reduced U's numerators, so the step
+            # fits the repacked width
             self._repack(abs(p_n) + b_p)
+            self._memo[betas] = product = self._product(betas)
+            P = product[1]
+        else:
+            raise ArithmeticError("a residual step outgrew its repacked width")
         D = self._d
         U = (self._u if s == 1 else s * self._u) - r * P
         if U:
