@@ -13,9 +13,8 @@ from .errors import CurveLiftError
 from .implicitize import LevelCertificate, LiftChain, certify, implicitize_all, lift
 from .oracle import resultant_implicitize
 from .parametrize import Parametrization, truncation, valuation_table
-from .polygon import (PolygonDesc, SliceQuery, lattice_slice, polygon_contains,
-                      polygon_desc)
-from .semigroup import SemigroupDesc, generators, normal_form, semigroup_member
+from .polygon import PolygonDesc, polygon_contains, polygon_desc
+from .semigroup import SemigroupDesc, generators, normal_form
 from .weierstrass import basis_reconstruct, is_weierstrass
 
 __version__ = "0.1.0"
@@ -27,8 +26,8 @@ __all__ = [
     "LevelCertificate", "LiftChain", "certify", "implicitize_all", "lift",
     "resultant_implicitize",
     "Parametrization", "truncation", "valuation_table",
-    "PolygonDesc", "SliceQuery", "lattice_slice", "polygon_contains", "polygon_desc",
-    "SemigroupDesc", "generators", "normal_form", "semigroup_member",
+    "PolygonDesc", "polygon_contains", "polygon_desc",
+    "SemigroupDesc", "generators", "normal_form",
     "basis_reconstruct", "is_weierstrass",
     "__version__",
 ]

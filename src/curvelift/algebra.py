@@ -13,45 +13,42 @@ canonical: ``gcd(_d, *_c.values()) == 1`` and zero is ``({}, 1)``, so
 equal polynomials have equal fields. ``+`` and ``-`` rescale the
 numerators to the lcm of the two denominators, scalar ``*`` scales
 numerators and denominator, and a product multiplies the denominators;
-each reduces once with one ``gcd``. Only the products differ. A
-``UniPoly`` product of any number of factors f_1 .. f_m is one bigint
-product (Kronecker substitution): numerators become the base-2**w digits
-of one signed int each, and the digits of the product are the product's
-numerators. Evaluation at 2**w is a ring homomorphism, so only the final
-decode needs a bound. A product coefficient sums at most ``prod_{j != L}
-len(f_j)`` terms (L a longest factor), each below ``2**sum_j
-bits(max|f_j|)``, so with ``w = sum_j bits(max|f_j|) + sum_{j != L}
-bits(len(f_j)) + 1`` every digit lies strictly between ``-2**(w-1)`` and
-``2**(w-1)``: it never overflows into its neighbour, and the digits are
-read back exactly. A ``BiPoly`` product is schoolbook over the
-numerators: its operands are sparse in two variables, so packing them into
-one int costs more than the term pairs it saves.
+each reduces once with one ``gcd``. Both products are schoolbook over the
+numerators, the shorter operand in the outer loop: a ``UniPoly`` product
+in the pipeline is a Horner step of ``Parametrization.pullback``, whose
+factor ``yt`` has a few terms, and ``BiPoly`` operands are sparse in two
+variables, so packing either into one int costs more than the term pairs
+it saves.
 
-``Residual`` runs one lift level on the same substitution, at one digit
-width W, a whole number of bytes, for the whole level. Each basis
-pullback u_l = N_l/d_l is packed once, as N_l(2**W) over 2**W to its
-order; its powers (``PowerChain``) and each beta tuple's product
+``Residual`` runs one lift level on packed integers, at one digit width
+W, a whole number of bytes, for the whole level. An integer map
+{e: c_e} with lowest exponent lo packs as the int sum c_e*2**(W*(e-lo)),
+its value at t = 2**W over t**lo. Evaluation at 2**W is a ring
+homomorphism, so sums and products of packed ints are the packed sums and
+products, and only a decode needs a bound: if every numerator lies
+strictly between -2**(W-1) and 2**(W-1), no digit overflows into its
+neighbour, and each reads back exactly. Each basis pullback u_l = N_l/d_l
+is packed once; its powers (``PowerChain``) and each beta tuple's product
 prod_l u_l**b_l are int products of those; the residual's numerators,
-packed the same way from its order n, are one int U over one denominator
-D. A step decodes nothing. If every numerator lies strictly between
--2**(W-1) and 2**(W-1), then U = U_n + 2**W*R with 0 < |U_n| < 2**W, so
-U's lowest set bit lies in its first digit: the next order is
+packed from its order n, are one int U over one denominator D. A step
+decodes nothing. Under that bound, U = U_n + 2**W*R with 0 < |U_n| < 2**W,
+so U's lowest set bit lies in its first digit: the next order is
 n + v2(U)//W, and U_n is U's low W bits read as a signed digit. The level
 tracks a bound B on the residual's numerators to keep that true. A
 product's numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
 products of one numerator per factor); the residual starts as
 u_{m-1}**k with B = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
-B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK``
-bits above B and above every basis numerator. A step whose new B would
-reach 2**(W-1) repacks first: U is decoded (the old B still holds, so
-every digit reads back), U/D is reduced to its canonical form, and the
-level is packed again at the width of the reduced numerators times
-|P_n| + B_P. Since s <= |P_n| and |r| <= the reduced |U_n|, that bounds
-the step's new B whatever the reduction left. A repack is the only place
-U/D is reduced: reducing keeps the numerators small and changes no value,
-so the coefficient a = -U_n*d_p / (D*P_n) that the step returns is the
-same rational either way. The monomial x**alpha of a pivot is never
-packed: ``eliminate`` adds e*alpha to the product's lowest exponent.
+B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK`` bits above B and above
+every basis numerator. A step whose new B would reach 2**(W-1) repacks
+first: U is decoded (the old B still holds, so every digit reads back),
+U/D is reduced to its canonical form, and the level is packed again at
+the width of the reduced numerators times |P_n| + B_P. Since
+s <= |P_n| and |r| <= the reduced |U_n|, that bounds the step's new B
+whatever the reduction left. A repack is the only place U/D is reduced:
+reducing keeps the numerators small and changes no value, so the
+coefficient a = -U_n*d_p / (D*P_n) that the step returns is the same
+rational either way. The monomial x**alpha of a pivot is never packed:
+``eliminate`` adds e*alpha to the product's lowest exponent.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
@@ -119,7 +116,9 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
 class _IntMapPoly:
     """The canonical form both polynomial types share (see the module
     docstring). A subclass sets ``_ONE_KEY``, checks its keys in ``_key``,
-    and defines its own ``__mul__``, which handles scalars by ``_scale``."""
+    and defines its own ``__mul__``, which handles scalars by ``_scale``.
+    The two products are one schoolbook loop, written out in each with its
+    own key sum: a shared loop that adds keys through a callback is slower."""
 
     __slots__ = ("_c", "_d")
 
@@ -243,8 +242,8 @@ class _IntMapPoly:
 
 class UniPoly(_IntMapPoly):
     """Sparse exact polynomial in a single variable t, stored as an integer
-    map over one denominator and multiplied by Kronecker substitution (see
-    the module docstring)."""
+    map from exponents over one denominator and multiplied by schoolbook
+    over the numerators (see the module docstring)."""
 
     __slots__ = ()
     _ONE_KEY = 0
@@ -267,11 +266,17 @@ class UniPoly(_IntMapPoly):
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             a, b = self._c, other._c
-            if not a or not b:
-                return UniPoly.zero()
-            lo, digits = _kronecker_mul((a, b))
-            c = {e: v for e, v in enumerate(digits, lo) if v}
-            return UniPoly._reduced(c, self._d * other._d)
+            if len(a) > len(b):
+                a, b = b, a
+            b = list(b.items())
+            out = {}
+            get = out.get
+            for e1, v1 in a.items():
+                for e2, v2 in b:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + v1 * v2
+            return UniPoly._reduced({e: v for e, v in out.items() if v},
+                                    self._d * other._d)
         return self._scale(other)
 
     __rmul__ = __mul__
@@ -281,47 +286,6 @@ class UniPoly(_IntMapPoly):
             return "UniPoly(0)"
         bits = [f"{v}*t^{e}" for e, v in sorted(self.terms())]
         return "UniPoly(" + " + ".join(bits) + ")"
-
-
-def _kronecker_mul(maps) -> tuple[int, list[int]]:
-    """The product of nonzero integer polynomials {exponent: value}, as its
-    lowest exponent and its coefficients from there up (see the module
-    docstring); no factors give (0, [1])."""
-    bits = 1 - max(map(len, maps), default=0).bit_length()
-    for m in maps:
-        bits += max(map(abs, m.values())).bit_length() + len(m).bit_length()
-    width = (bits + 7) // 8
-    z, lo, n = 1, 0, 1
-    for m in maps:
-        lo_m = min(m)
-        n_m = max(m) - lo_m + 1
-        z *= _pack(m, lo_m, n_m, width)
-        lo += lo_m
-        n += n_m - 1
-    return lo, _unpack(z, n, width)
-
-
-def _pack(c: dict, lo: int, n: int, width: int) -> int:
-    """Sum of c[e] * 256**(width * (e - lo)) over the n digits from lo."""
-    half = 1 << (8 * width - 1)
-    zero = half.to_bytes(width, "little")
-    digits = [zero] * n
-    for e, v in c.items():
-        digits[e - lo] = (v + half).to_bytes(width, "little")
-    return (int.from_bytes(b"".join(digits), "little")
-            - int.from_bytes(zero * n, "little"))
-
-
-def _unpack(z: int, n: int, width: int) -> list[int]:
-    """The n signed base-256**width digits of z, lowest first, each strictly
-    between minus and plus half the base. Digits carry half the base, so
-    each reads back as unsigned bytes, with no borrow."""
-    half = 1 << (8 * width - 1)
-    z += int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    raw = z.to_bytes(n * width, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(raw[i - width:i], "little") - half
-            for i in range(width, n * width + 1, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +336,6 @@ class BiPoly(_IntMapPoly):
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             a, b = self._c, other._c
-            if not a or not b:
-                return BiPoly.zero()
             if len(a) > len(b):
                 a, b = b, a
             b = list(b.items())
@@ -395,6 +357,10 @@ class BiPoly(_IntMapPoly):
         bits = [f"{v}*x^{a}*y^{b}" for (a, b), v in sorted(self.terms())]
         return "BiPoly(" + " + ".join(bits) + ")"
 
+
+# ---------------------------------------------------------------------------
+# one lift level, packed at t = 2**W
+# ---------------------------------------------------------------------------
 
 class PowerChain:
     """Grow-on-demand cache of the powers base**0, base**1, ... of an int;
@@ -423,6 +389,33 @@ def _width(bound: int) -> int:
     """A digit width W in bits, a multiple of 8, with 2**(W-1) > bound and
     ``_WIDTH_SLACK`` bits to spare."""
     return (bound.bit_length() + _WIDTH_SLACK + 8) // 8 * 8
+
+
+def _pack(c: dict, w: int) -> int:
+    """The nonzero integer map c packed from its lowest exponent lo: the
+    sum of c[e] * 2**(w*(e - lo)), for a width w in bits, a multiple of 8."""
+    width, lo = w // 8, min(c)
+    n = max(c) - lo + 1
+    half = 1 << (w - 1)
+    zero = half.to_bytes(width, "little")
+    digits = [zero] * n
+    for e, v in c.items():
+        digits[e - lo] = (v + half).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(digits), "little")
+            - int.from_bytes(zero * n, "little"))
+
+
+def _unpack(z: int, n: int, w: int) -> list[int]:
+    """The n signed base-2**w digits of z, lowest first, each strictly
+    between minus and plus half the base. Digits carry half the base, so
+    each reads back as unsigned bytes, with no borrow."""
+    width = w // 8
+    half = 1 << (w - 1)
+    z += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = z.to_bytes(n * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i - width:i], "little") - half
+            for i in range(width, n * width + 1, width)]
 
 
 class Residual:
@@ -454,8 +447,7 @@ class Residual:
         numerators; drop the powers and products of the old width."""
         self._w = w = _width(max(bound, *(max(map(abs, u._c.values()))
                                           for u in self._basis)))
-        self._pows = [PowerChain(_pack(u._c, lo, max(u._c) - lo + 1, w // 8))
-                      for u, (lo, *_) in zip(self._basis, self._ends)]
+        self._pows = [PowerChain(_pack(u._c, w)) for u in self._basis]
         self._memo.clear()
 
     def _product(self, betas: tuple[int, ...]) -> tuple[int, int, int, int, int]:
@@ -486,7 +478,7 @@ class Residual:
     def value(self) -> UniPoly:
         """U/D, decoded, in its canonical form."""
         U, w = self._u, self._w
-        digits = _unpack(U, abs(U).bit_length() // w + 1, w // 8)
+        digits = _unpack(U, abs(U).bit_length() // w + 1, w)
         return UniPoly._reduced({e: v for e, v in enumerate(digits, self._n) if v},
                                 self._d)
 
@@ -496,7 +488,7 @@ class Residual:
         v = self.value()
         self._b = max(map(abs, v._c.values()))
         self._at_width(self._b * grow)
-        self._u = _pack(v._c, self._n, max(v._c) - self._n + 1, self._w // 8)
+        self._u = _pack(v._c, self._w)
         self._d = v._d
 
     def eliminate(self, betas: tuple[int, ...], alpha: int):

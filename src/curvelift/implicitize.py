@@ -214,6 +214,11 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
     it is a separate pass, and the certificates stay recomputable from
     (branch, fs) alone, as ``chain_from_polynomials`` needs, except for the
     iteration-log checks, which report "skipped" when a level's log is empty.
+
+    ``pullback_zero`` and ``monic_weierstrass`` alone pin f_i at every
+    degree: ``truncation`` checks primitivity, so yt has degree e_i over
+    Q(x), x = t**e_i, and a monic f of y-degree e_i that vanishes on the
+    truncation is yt's minimal polynomial, the norm the oracle computes.
     """
     branch = chain.branch
     cd = branch.cd

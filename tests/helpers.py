@@ -16,10 +16,10 @@ from math import gcd, prod
 from pathlib import Path
 
 from curvelift import (INFINITY, BiPoly, Coeff, PolygonDesc, UniPoly, basis_reconstruct,
-                       generators, lattice_slice, truncation, validate_branch)
+                       generators, truncation, validate_branch)
 from curvelift.algebra import coeff_div, sylvester_det
 from curvelift.implicitize import IterationRecord
-from curvelift.polygon import SliceQuery
+from curvelift.polygon import SliceQuery, lattice_slice
 from curvelift.semigroup import SemigroupDesc
 
 

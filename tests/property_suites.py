@@ -8,10 +8,10 @@ import random
 from math import gcd
 
 from curvelift import (INFINITY, BiPoly, basis_reconstruct, generators,
-                       implicitize_all, lattice_slice, normal_form,
-                       polygon_contains, polygon_desc, semigroup_member,
-                       truncation)
-from curvelift.polygon import SliceQuery
+                       implicitize_all, normal_form, polygon_contains,
+                       polygon_desc, truncation)
+from curvelift.polygon import SliceQuery, lattice_slice
+from curvelift.semigroup import semigroup_member
 from helpers import (brute_capped_forms, naive_basis_reconstruct, naive_slice,
                      rand_bipoly, rand_branch, rand_coeff, reference_lift,
                      tail_mu, tail_polygon)

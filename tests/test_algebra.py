@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import pytest
 
 from curvelift import INFINITY, BiPoly, Parametrization, UniPoly
-from curvelift.algebra import Residual, _kronecker_mul, bipoly_exact_div, sylvester_det
+from curvelift.algebra import Residual, bipoly_exact_div, sylvester_det
 from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
 
 
@@ -92,8 +92,9 @@ def _wide_unipoly(rng):
 
 
 def _edge_pairs():
-    """Products whose middle digits cancel to zero, borrow, or come
-    closest to the bound on the digit width."""
+    """Products whose middle coefficients cancel to zero, whose heights
+    cancel against rational denominators, or whose middle coefficient sums
+    every term pair at the operands' largest height."""
     h = 1 << 200
     q = Fraction(h, 3)
     yield UniPoly({0: h, 1: h}), UniPoly({0: h, 1: -h})          # h^2 (1 - t^2)
@@ -104,9 +105,9 @@ def _edge_pairs():
     yield UniPoly({0: g, 1: -1}), UniPoly({i: g ** (11 - i) for i in range(12)})
     yield UniPoly({0: -h, 5: -h}), UniPoly({0: -h, 5: -h})
     for j, k in ((2, 3), (4, 2), (4, 6), (8, 100)):
-        # 2**j - 1 terms of height 2**k - 1: the middle coefficient is over
-        # half the bound, and the bound's bits, 2k + j + 1, fill whole
-        # bytes but for the sign bit
+        # 2**j - 1 terms of height 2**k - 1: the middle coefficient of the
+        # square sums all 2**j - 1 pairs, (2**j - 1) * (2**k - 1)**2, the
+        # largest any product of such operands holds
         full = UniPoly({i: (1 << k) - 1 for i in range((1 << j) - 1)})
         yield full, full
         yield full, -full
@@ -145,7 +146,7 @@ def test_uni_mul_matches_schoolbook_random():
 
 
 def _factor(rng):
-    """A nonzero factor for the n-ary product: up to 12 terms with gaps,
+    """A nonzero basis pullback for a residual: up to 12 terms with gaps,
     lowest exponent above 0, heights up to 2**64, either sign, integer or
     rational."""
     terms, e = {}, rng.randint(1, 20)
@@ -154,30 +155,6 @@ def _factor(rng):
         terms[e] = Fraction(v, rng.choice((1, 1, 2, 9, 1 << 40)))
         e += rng.choice((1, 1, 2, 17))
     return UniPoly(terms)
-
-
-def test_kronecker_product_of_n_factors():
-    rng = random.Random(0xB7)
-    cases = [[_factor(rng) for _ in range(m)]
-             for m in range(1, 6) for _ in range(25)]
-    # dense factors of one height: every product term adds up. m factors of
-    # 2**j - 1 terms of height 2**k - 1 give a width of m*k + (m-1)*j + 1
-    # bits, a multiple of 8 here, so rounding to bytes leaves no slack
-    for m, k, j in ((1, 7, 5), (2, 3, 1), (3, 5, 4), (4, 2, 5), (5, 3, 2),
-                    (3, 101, 4)):
-        full = UniPoly({i + 1: (1 << k) - 1 for i in range((1 << j) - 1)})
-        assert (m * k + (m - 1) * j + 1) % 8 == 0
-        cases += [[full] * m, [-full] * m]
-    for factors in cases:
-        lo, digits = _kronecker_mul([f._c for f in factors])
-        assert digits[0] and digits[-1]
-        got = UniPoly._reduced({e: v for e, v in enumerate(digits, lo) if v},
-                               prod(f._d for f in factors))
-        ref = {0: 1}
-        for f in factors:
-            ref = naive_uni_mul(UniPoly(ref), f)
-        assert dict(got.terms()) == ref, len(factors)
-    assert _kronecker_mul([]) == (0, [1])
 
 
 def test_residual_eliminate_leaves_a_shared_product_unchanged():

@@ -5,15 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from curvelift import (BiPoly, Parametrization, UniPoly, certify,
-                       generators, implicitize_all, lattice_slice, lift,
-                       resultant_implicitize, semigroup_member, truncation,
+from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, certify,
+                       generators, implicitize_all, lift, polygon_contains,
+                       polygon_desc, resultant_implicitize, truncation,
                        validate_branch)
 from curvelift.algebra import Residual
 from curvelift.cli import branch_from_file, load_curve
 from curvelift.errors import InvariantError
 from curvelift.implicitize import DEFAULT_ORACLE_BOUND, chain_from_polynomials, lift_levels
-from curvelift.polygon import SliceQuery
+from curvelift.polygon import SliceQuery, lattice_slice
+from curvelift.semigroup import semigroup_member
 from helpers import rand_branch, reference_lift
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})
@@ -388,3 +389,25 @@ def test_pullback_zero_ignores_the_oracle(branch12, monkeypatch):
     certs = certify(bad).certificates
     assert [c.oracle for c in certs] == ["match"] * 3
     assert [c.pullback_zero for c in certs] == [True, False, True]
+
+
+def test_pullback_zero_pins_f_above_the_oracle_bound(corpus_chains):
+    # paper-ex3 level 3 has e_3 = 30, above the oracle bound, so there only
+    # pullback_zero and monic_weierstrass pin f_3 (see certify): adding 1
+    # to any one coefficient, a term of f_3 or another lattice point of N_3
+    # below the apex, leaves a finite valuation
+    branch, chain, _ = corpus_chains["paper-ex3"]
+    p = truncation(branch, 3)
+    f_3 = chain.fs[2]
+    assert p.e == 30 > DEFAULT_ORACLE_BOUND
+    assert chain.certificates[2].oracle == "skipped"
+    pd = polygon_desc(p)
+    below = {(a, b) for b in range(p.e) for a in range(pd.vertices[2][0] + 1)
+             if polygon_contains((a, b), pd)}
+    assert f_3.support() - below == {(0, p.e)}
+    for a, b in sorted(below | f_3.support()):
+        assert p.valuation(f_3 + BiPoly.monomial(a, b)) is not INFINITY, (a, b)
+    # the certificate reads the same valuation
+    bumped = replace(chain, fs=(*chain.fs[:2], f_3 + BiPoly.monomial(36, 0)))
+    certs = certify(bumped).certificates
+    assert [c.pullback_zero for c in certs] == [True, True, False]

@@ -113,8 +113,8 @@ def test_no_assert_statements_in_package():
 
 # the lift's arithmetic: the norm oracle and the valuation that certify
 # reads must run none of it, so that they check f_i independently
-LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_kronecker_mul",
-                   "_pack", "_unpack", "_width"}
+LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_pack",
+                   "_unpack", "_width"}
 
 
 def _lift_arithmetic(tree) -> list[str]:

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, generators,
-                       implicitize_all, semigroup_member, truncation,
-                       validate_branch, valuation_table)
+                       implicitize_all, truncation, validate_branch,
+                       valuation_table)
 from curvelift.errors import InvariantError
+from curvelift.semigroup import semigroup_member
 from helpers import naive_pullback, rand_bipoly, rand_branch
 
 

@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction
 
-from curvelift import (BiPoly, lattice_slice, polygon_contains, polygon_desc,
-                       truncation)
-from curvelift.polygon import SliceQuery
+from curvelift import BiPoly, polygon_contains, polygon_desc, truncation
+from curvelift.polygon import SliceQuery, lattice_slice
 from helpers import naive_slice, tail_mu, tail_polygon
 
 
@@ -62,10 +61,13 @@ def test_polygon_matches_pullback_interval(branch12, branch6_tails):
             e_i = branch.cd.es[i]
             lo = e_i * int(e_i * branch.cd.lambdas[0])
             hi = e_i * int(e_i * tail_mu(branch, i))
+            # x**a pulls back to t**(e_i*a): the pullback of x**a * y**b
+            # is that of y**b, shifted
+            ys = [p.pullback(BiPoly.y(b)) for b in range(0, 51)]
             for a in range(0, 51):
-                for b in range(0, 51):
-                    pb = p.pullback(BiPoly.monomial(a, b))
-                    inside = pb.order() >= lo and pb.degree() <= hi
+                for b, pb in enumerate(ys):
+                    inside = (pb.order() + e_i * a >= lo
+                              and pb.degree() + e_i * a <= hi)
                     assert polygon_contains((a, b), pd) == inside
 
 

@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 
 from curvelift import (SemigroupDesc, extract_characteristics, generators,
-                       normal_form, semigroup_member)
+                       normal_form)
 from curvelift.errors import InvariantError
+from curvelift.semigroup import semigroup_member
 from helpers import brute_capped_forms, brute_semigroup_1d, rand_branch, run_optimized
 
 
