@@ -322,6 +322,32 @@ def test_polygon_json_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+# SHA-256 per command line of "<exit code>\n<stdout>" of ``curvelift CMD FILE
+# FLAGS``, concatenated over the corpus curves in name order: every text mode,
+# and the --json modes the tables above do not pin
+COMMAND_OUTPUT_SHA256 = {
+    "validate": "ee85c401fed3ba5b29f82ba36d9a66b8de17594fe6a1f54a251ebbcde91b5c71",
+    "validate --json": "f9b3716a4583efdb8226be314eeeb679c27d9010b8f06563dc2b24bea12921d3",
+    "semigroup": "309632903f477183d4268157ca09fddbe45515e1f6571122f11ec93e5a82d54e",
+    "semigroup --json": "3d30aa988e7d7dfdf29ee5b2ee79575b1dcf310ba57113db9126d6de4e4f8bcf",
+    "polygon": "a9708f839b2fe039ce5ffcef46da1e0db0edb7ca36d3d99ce8bcbe32a695d333",
+    "implicitize": "b26f6299fcab7a2bd56673d5076b63ac0649797b0e966ed10dc6937d67e0e981",
+    "implicitize --no-verify": "1daf5d3967bfa979277b096065b9bd21c85b2bebf83790597b1bddac44e69038",
+    "implicitize --level 1": "3294b5f7a43532d57831859d62683cdc25efcb45284a71f9283ba0db6c726ac1",
+    "verify": "65008c041ba5810c58229ee78c479d5dec6667c33908da96b1c59f43a4b78a01",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OUTPUT_SHA256))
+def test_command_output_bytes_pinned(capsys, command):
+    cmd, *flags = command.split()
+    h = hashlib.sha256()
+    for name in sorted(VERIFY_JSON_SHA256):
+        code, out = run(capsys, cmd, str(CORPUS / name), *flags)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == COMMAND_OUTPUT_SHA256[command]
+
+
 # SHA-256 per benchmark workload of the ``verify --json`` stdout of its seed-1
 # curves, concatenated in run order, each at the oracle bound the benchmark
 # uses: e_s where the workload raises it to the top level, else the default.
