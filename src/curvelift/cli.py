@@ -11,9 +11,10 @@ Curve files are plain text, one curve per file::
 There is one ``k:`` line and at most one ``name:`` line. Exponents must be
 strictly increasing positive integers, coefficients nonzero rationals, all
 in ASCII digits. Subcommands: validate, semigroup, polygon, implicitize,
-verify, bench. Output is deterministic; ``--json`` switches to a
-machine-readable document (identical across runs, timing fields aside).
-Exit status is 0 exactly when everything requested passed.
+verify, bench. Each builds one document; ``--json`` prints it, and the text
+output is rendered from it. Output is deterministic (identical across runs,
+timing fields aside). Exit status is 0 exactly when everything requested
+passed.
 """
 
 from __future__ import annotations
@@ -58,13 +59,20 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _quote(token: str) -> str:
+    """A bad token as an error message shows it: if long, a prefix and its length."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_rational(text: str) -> Coeff:
     if not _RATIONAL.fullmatch(text):
-        raise CurveFileError(f"bad rational {text!r}: write an integer or p/q")
+        raise CurveFileError(f"bad rational {_quote(text)}: write an integer or p/q")
     try:
         f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CurveFileError(f"bad rational {text!r}: {exc}") from None
+        raise CurveFileError(f"bad rational {_quote(text)}: {exc}") from None
     return f.numerator if f.denominator == 1 else f
 
 
@@ -74,7 +82,7 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
             return int(text)
         except ValueError:       # beyond int()'s digit limit
             pass
-    raise CurveFileError(f"bad {what} {text!r}: write an integer", path, line)
+    raise CurveFileError(f"bad {what} {_quote(text)}: write an integer", path, line)
 
 
 def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
@@ -119,7 +127,7 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
             last_exp = exp
             cf.terms.append((exp, coeff))
         elif key != "notes":     # free text, accepted and ignored
-            raise CurveFileError(f"unknown key {key!r}", path, lineno)
+            raise CurveFileError(f"unknown key {_quote(key)}", path, lineno)
     if cf.k == 0:
         raise CurveFileError("missing 'k:' line", path)
     if not cf.terms:
@@ -144,24 +152,28 @@ def branch_from_file(cf: CurveFile) -> Branch:
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# documents and their text
 # ---------------------------------------------------------------------------
 
-def format_poly(f: BiPoly) -> str:
+def poly_to_doc(f: BiPoly) -> list[dict]:
     """Fixed term order: ascending total degree, higher y-power first."""
-    if f.is_zero:
-        return "0"
     items = sorted(f.terms(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][1]))
+    return [{"x": a, "y": b, "c": str(c)} for (a, b), c in items]
+
+
+def format_poly(terms: list[dict]) -> str:
+    """A ``poly_to_doc`` term list as text, in its order: "y^2 - x^3"."""
     parts = []
-    for (a, b), c in items:
+    for t in terms:
+        a, b, c = t["x"], t["y"], t["c"]
         mono = "*".join(bit for bit in (
             "y" if b == 1 else f"y^{b}" if b else "",
             "x" if a == 1 else f"x^{a}" if a else "") if bit)
-        neg = c < 0
-        cabs = -c if neg else c
+        neg = c.startswith("-")
+        cabs = c[1:] if neg else c
         if not mono:
-            body = str(cabs)
-        elif cabs == 1:
+            body = cabs
+        elif cabs == "1":
             body = mono
         else:
             body = f"{cabs}*{mono}"
@@ -169,12 +181,7 @@ def format_poly(f: BiPoly) -> str:
             parts.append(("-" if neg else "") + body)
         else:
             parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
-
-
-def poly_to_doc(f: BiPoly) -> list[dict]:
-    items = sorted(f.terms(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][1]))
-    return [{"x": a, "y": b, "c": str(c)} for (a, b), c in items]
+    return " ".join(parts) or "0"
 
 
 def _field(obj, key: str, kind: type):
@@ -202,26 +209,35 @@ def _mark(ok: bool | str) -> str:
     return "skipped" if ok == "skipped" else "✓" if ok else "✗"
 
 
+# certificate_lines' label per LevelCertificate check, in the checks' order,
+# formatted with the level i, its degree e, the x-vertex a of the compact
+# face and the oracle's outcome; the valuation rows get one line each below
+CERTIFICATE_LABELS = {
+    "pullback_zero": "ι_{i}*f_{i} = 0",
+    "support_in_polygon": "Supp(f_{i}) ⊆ N_{i}",
+    "apex_absent_in_delta": "(0,{e}) ∉ Supp(δ_{i})",
+    "compact_face_present": "{{(0,{e}),({a},0)}} ⊆ Supp(f_{i})",
+    "monic_weierstrass": "f_{i} monic Weierstrass of degree {e}",
+    "n_log_increasing": "elimination orders strictly increasing",
+    "n_log_in_semigroup": "elimination orders in Γ",
+    "valuation_rows_ok": None,
+    "oracle": "resultant oracle: {oracle}",
+}
+
+
 def certificate_lines(chain: LiftChain) -> list[str]:
     """Human-readable certificate report, one line per check."""
     cd = chain.cd
     lines = []
     for cert in chain.certificates:
-        i = cert.level
-        e_i = cd.es[i]
-        lines.append(f"level {i} (e_{i} = {e_i}):")
-        lines.append(f"  ι_{i}*f_{i} = 0 {_mark(cert.pullback_zero)}")
-        lines.append(f"  Supp(f_{i}) ⊆ N_{i} {_mark(cert.support_in_polygon)}")
-        lines.append(f"  (0,{e_i}) ∉ Supp(δ_{i}) {_mark(cert.apex_absent_in_delta)}")
-        lines.append(f"  {{(0,{e_i}),({int(e_i * cd.lambdas[0])},0)}} ⊆ Supp(f_{i}) "
-                     f"{_mark(cert.compact_face_present)}")
-        lines.append(f"  f_{i} monic Weierstrass of degree {e_i} "
-                     f"{_mark(cert.monic_weierstrass)}")
-        lines.append(f"  elimination orders strictly increasing "
-                     f"{_mark(cert.n_log_increasing)}")
-        lines.append(f"  elimination orders in Γ {_mark(cert.n_log_in_semigroup)}")
-        lines.append(f"  resultant oracle: {cert.oracle} "
-                     f"{_mark(cert.oracle in ('match', 'skipped'))}")
+        i, e = cert.level, cd.es[cert.level]
+        values = {"i": i, "e": e, "a": int(e * cd.lambdas[0]), "oracle": cert.oracle}
+        lines.append(f"level {i} (e_{i} = {e}):")
+        for name, ok in cert.checks().items():
+            if name == "oracle":        # the label shows the outcome
+                ok = ok in ("match", "skipped")
+            if label := CERTIFICATE_LABELS[name]:
+                lines.append(f"  {label.format(**values)} {_mark(ok)}")
     if chain.table is not None:
         for row in chain.table.rows:
             m1 = _mark(row.value == row.expected)
@@ -285,7 +301,9 @@ def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (--json document, text lines, exit status). main
+# loads the curve files; a FILE command takes its file and branch, bench the
+# list of (file, branch) pairs of its corpus directory
 # ---------------------------------------------------------------------------
 
 def _levels(level: int, s: int):
@@ -309,115 +327,81 @@ def _oracle_bound(text: str) -> int:
     return bound
 
 
-def cmd_validate(args) -> int:
-    cf = load_curve(args.file)
-    branch = branch_from_file(cf)
+def cmd_validate(args, cf: CurveFile, branch: Branch):
     cd = branch.cd
-    if args.json:
-        doc = {
-            "name": cf.name, "k": cf.k,
-            "characteristic_exponents": [str(l) for l in cd.lambdas],
-            "ks": list(cd.ks), "es": list(cd.es),
-            "cs": [str(c) for c in branch.cs],
-            "tails": [sorted((e, str(c)) for e, c in phi.terms())
-                      for phi in branch.phis],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{cf.name}: valid branch, k = {cf.k}")
-        lams = ", ".join(str(l) for l in cd.lambdas)
-        print(f"  characteristic exponents: {lams}")
-        print(f"  ks = {list(cd.ks)}, es = {list(cd.es)}")
-        for i, phi in enumerate(branch.phis, start=1):
-            if not phi.is_zero:
-                terms = " + ".join(f"{c}*t^{e}"
-                                   for e, c in sorted(phi.terms()))
-                print(f"  tail phi_{i} = {terms}")
-    return 0
+    doc = {
+        "name": cf.name, "k": cf.k,
+        "characteristic_exponents": [str(l) for l in cd.lambdas],
+        "ks": list(cd.ks), "es": list(cd.es),
+        "cs": [str(c) for c in branch.cs],
+        "tails": [sorted((e, str(c)) for e, c in phi.terms())
+                  for phi in branch.phis],
+    }
+    lines = [f"{cf.name}: valid branch, k = {cf.k}",
+             "  characteristic exponents: "
+             + ", ".join(doc["characteristic_exponents"]),
+             f"  ks = {doc['ks']}, es = {doc['es']}"]
+    lines += [f"  tail phi_{i} = " + " + ".join(f"{c}*t^{e}" for e, c in tail)
+              for i, tail in enumerate(doc["tails"], start=1) if tail]
+    return doc, lines, 0
 
 
-def cmd_semigroup(args) -> int:
-    cf = load_curve(args.file)
-    branch = branch_from_file(cf)
-    cd = branch.cd
-    if args.json:
-        doc = {"name": cf.name,
-               "levels": [{"level": i, "generators": generators(cd, i).generators_list()}
-                          for i in range(1, cd.s + 1)]}
-        print(json.dumps(doc, indent=2))
-    else:
-        for i in range(1, cd.s + 1):
-            gens = generators(cd, i).generators_list()
-            print(f"({gens[0]}; " + ", ".join(str(g) for g in gens[1:]) + ")")
-    return 0
+def cmd_semigroup(args, cf: CurveFile, branch: Branch):
+    rows = [generators(branch.cd, i).generators_list()
+            for i in range(1, branch.cd.s + 1)]
+    doc = {"name": cf.name,
+           "levels": [{"level": i, "generators": gens}
+                      for i, gens in enumerate(rows, start=1)]}
+    return doc, [f"({gens[0]}; " + ", ".join(map(str, gens[1:])) + ")"
+                 for gens in rows], 0
 
 
-def cmd_polygon(args) -> int:
-    cf = load_curve(args.file)
-    branch = branch_from_file(cf)
-    docs = []
+def cmd_polygon(args, cf: CurveFile, branch: Branch):
+    polygons, lines = [], []
     for i in _levels(args.level, branch.cd.s):
         pd = polygon_desc(truncation(branch, i))
-        docs.append({
+        d = {
             "level": i,
             "lower": {"a": pd.lower[0], "b": pd.lower[1], "c": pd.lower[2]},
             "upper": {"a": pd.upper[0], "b": pd.upper[1], "c": pd.upper[2]},
             "vertices": [list(v) for v in pd.vertices],
             "mu": str(pd.mu),
-        })
-    if args.json:
-        print(json.dumps({"name": cf.name, "polygons": docs}, indent=2))
-    else:
-        for d in docs:
-            lo, up = d["lower"], d["upper"]
-            print(f"N_{d['level']}: {lo['a']}*a + {lo['b']}*b >= {lo['c']}  and  "
-                  f"{up['a']}*a + {up['b']}*b <= {up['c']}")
-            print(f"  vertices {d['vertices']}, mu = {d['mu']}")
-    return 0
+        }
+        lo, up = d["lower"], d["upper"]
+        lines.append(f"N_{i}: {lo['a']}*a + {lo['b']}*b >= {lo['c']}  and  "
+                     f"{up['a']}*a + {up['b']}*b <= {up['c']}")
+        lines.append(f"  vertices {d['vertices']}, mu = {d['mu']}")
+        polygons.append(d)
+    return {"name": cf.name, "polygons": polygons}, lines, 0
 
 
-def cmd_implicitize(args) -> int:
+def cmd_implicitize(args, cf: CurveFile, branch: Branch):
     if args.json and args.level:
         raise CurveLiftError("--level selects text output; --json always "
                              "emits every level")
     verify = not args.no_verify
-    cf = load_curve(args.file)
-    branch = branch_from_file(cf)
     levels = _levels(args.level, branch.cd.s)
     chain = implicitize_all(branch, verify=verify, oracle_bound=args.oracle_bound)
-    if args.json:
-        print(json.dumps(chain_to_doc(cf, chain), indent=2))
-    else:
-        for i in levels:
-            print(f"f_{i} = {format_poly(chain.fs[i - 1])}")
-        if not args.level:
-            print(APPROXIMATION_NOTE)
-        if verify:
-            bad = [c.level for c in chain.certificates if not c.ok]
-            print("certificates: " + ("all passed" if chain.ok else
-                                      f"FAILED at levels {bad}"))
-    if verify and not chain.ok:
-        return 1
-    return 0
+    doc = chain_to_doc(cf, chain)
+    lines = [f"f_{i} = {format_poly(doc['levels'][i - 1]['f'])}" for i in levels]
+    if not args.level:
+        lines.append(APPROXIMATION_NOTE)
+    if verify:
+        bad = [c.level for c in chain.certificates if not c.ok]
+        lines.append("certificates: " + ("all passed" if chain.ok else
+                                         f"FAILED at levels {bad}"))
+    return doc, lines, 1 if verify and not chain.ok else 0
 
 
-def cmd_verify(args) -> int:
-    cf = load_curve(args.file)
-    chain = implicitize_all(branch_from_file(cf), oracle_bound=args.oracle_bound)
-    if args.json:
-        print(json.dumps(chain_to_doc(cf, chain), indent=2))
-    else:
-        print(f"{cf.name}: certificate suite")
-        for line in certificate_lines(chain):
-            print(line)
-        print("ALL PASSED" if chain.ok else "FAILURES PRESENT")
-    return 0 if chain.ok else 1
+def cmd_verify(args, cf: CurveFile, branch: Branch):
+    chain = implicitize_all(branch, oracle_bound=args.oracle_bound)
+    lines = [f"{cf.name}: certificate suite", *certificate_lines(chain),
+             "ALL PASSED" if chain.ok else "FAILURES PRESENT"]
+    return chain_to_doc(cf, chain), lines, 0 if chain.ok else 1
 
 
-def _bench_one(path: str) -> dict:
+def _bench_one(cf: CurveFile, branch: Branch) -> dict:
     """Wall time of each level of a certificate-free chain run."""
-    cf = load_curve(path)
-    branch = branch_from_file(cf)
     levels = []
     t_start = t0 = time.perf_counter()
     for i, (f_i, _, log) in enumerate(lift_levels(branch), start=1):
@@ -429,24 +413,37 @@ def _bench_one(path: str) -> dict:
             "total_seconds": time.perf_counter() - t_start}
 
 
-def cmd_bench(args) -> int:
-    paths = sorted(str(p) for p in Path(args.corpus).glob("*.curve"))
-    if not paths:
-        raise CurveFileError("no .curve files found", args.corpus)
-    results = [_bench_one(p) for p in paths]
-    if args.json:
-        print(json.dumps({"corpus": results}, indent=2))
-    else:
-        print(f"{'curve':20} {'level':>5} {'e_i':>4} {'iters':>6} {'terms':>6} "
-              f"{'seconds':>9}")
-        for res in results:
-            for lv in res["levels"]:
-                print(f"{res['name'][:20]:20} {lv['level']:>5} {lv['e']:>4} "
-                      f"{lv['iterations']:>6} {lv['terms']:>6} "
-                      f"{lv['seconds']:>9.3f}")
-            print(f"{res['name'][:20]:20} {'total':>5} {'':>4} {'':>6} {'':>6} "
-                  f"{res['total_seconds']:>9.3f}")
-    return 0
+def cmd_bench(args, curves: list[tuple[CurveFile, Branch]]):
+    doc = {"corpus": [_bench_one(cf, branch) for cf, branch in curves]}
+    row = "{:20} {:>5} {:>4} {:>6} {:>6} {:>9}".format
+    lines = [row("curve", "level", "e_i", "iters", "terms", "seconds")]
+    for res in doc["corpus"]:
+        name = res["name"][:20]
+        lines += [row(name, lv["level"], lv["e"], lv["iterations"], lv["terms"],
+                      f"{lv['seconds']:.3f}") for lv in res["levels"]]
+        lines.append(row(name, "total", "", "", "", f"{res['total_seconds']:.3f}"))
+    return doc, lines, 0
+
+
+# every flag's argparse options, and per subcommand its handler, its help and
+# its flags; bench takes a corpus directory, every other command a curve file
+FLAGS = {
+    "--level": {"type": int, "default": 0},
+    "--no-verify": {"action": "store_true", "help": "skip certificate evaluation"},
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--oracle-bound": {"type": _oracle_bound, "default": DEFAULT_ORACLE_BOUND,
+                       "help": "max level degree for the resultant oracle"},
+}
+COMMANDS = {
+    "validate": (cmd_validate, "check a curve file and report its data", ["--json"]),
+    "semigroup": (cmd_semigroup, "value-semigroup generators per level", ["--json"]),
+    "polygon": (cmd_polygon, "support polygon inequalities and vertices",
+                ["--level", "--json"]),
+    "implicitize": (cmd_implicitize, "compute the equation chain",
+                    ["--level", "--no-verify", "--json", "--oracle-bound"]),
+    "verify": (cmd_verify, "full certificate suite", ["--json", "--oracle-bound"]),
+    "bench": (cmd_bench, "timed chain runs over a corpus directory", ["--json"]),
+}
 
 
 def main(argv=None) -> int:
@@ -454,51 +451,28 @@ def main(argv=None) -> int:
         prog="curvelift",
         description="implicit equations of plane-curve branch truncations")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, oracle=False):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if oracle:
-            p.add_argument("--oracle-bound", type=_oracle_bound,
-                           default=DEFAULT_ORACLE_BOUND,
-                           help="max level degree for the resultant oracle")
-
-    p = sub.add_parser("validate", help="check a curve file and report its data")
-    p.add_argument("file")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("semigroup", help="value-semigroup generators per level")
-    p.add_argument("file")
-    add_common(p)
-    p.set_defaults(func=cmd_semigroup)
-
-    p = sub.add_parser("polygon", help="support polygon inequalities and vertices")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_polygon)
-
-    p = sub.add_parser("implicitize", help="compute the equation chain")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip certificate evaluation")
-    add_common(p, oracle=True)
-    p.set_defaults(func=cmd_implicitize)
-
-    p = sub.add_parser("verify", help="full certificate suite")
-    p.add_argument("file")
-    add_common(p, oracle=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timed chain runs over a corpus directory")
-    p.add_argument("corpus")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("corpus" if name == "bench" else "file")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     args = ap.parse_args(argv)
+    handler = COMMANDS[args.command][0]
+    digit_limit = sys.get_int_max_str_digits()
     try:
-        status = args.func(args)
+        if args.command == "bench":
+            paths = sorted(str(p) for p in Path(args.corpus).glob("*.curve"))
+            if not paths:
+                raise CurveFileError("no .curve files found", args.corpus)
+        else:
+            paths = [args.file]
+        curves = [(cf, branch_from_file(cf)) for cf in map(load_curve, paths)]
+        # the files' numbers were read under the interpreter's digit limit;
+        # the f_i computed from them may have any number of digits
+        sys.set_int_max_str_digits(0)
+        doc, lines, status = (handler(args, curves) if args.command == "bench"
+                              else handler(args, *curves[0]))
+        print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
         sys.stdout.flush()
         return status
     except CurveLiftError as exc:
@@ -509,6 +483,8 @@ def main(argv=None) -> int:
         # devnull so it cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ from dataclasses import dataclass, fields, replace
 
 from .algebra import INFINITY, BiPoly, Coeff, Residual
 from .chardata import Branch
-from .errors import InvariantError
+from .errors import CurveLiftError, InvariantError
 from .oracle import resultant_implicitize
 from .parametrize import ValuationTable, truncation, valuation_table
 from .polygon import polygon_contains, polygon_desc
@@ -67,6 +67,9 @@ from .semigroup import generators, normal_form
 from .weierstrass import basis_reconstruct, is_weierstrass
 
 DEFAULT_ORACLE_BOUND = 12  # certify runs the norm oracle where e_i <= bound
+# the largest slice bound e_i*deg(yt) lift accepts: a packed pullback spans
+# that many t-degrees, so one residual at 2**32 would need more than 12 GB
+MAX_SLICE_BOUND = 2**32
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
         raise ValueError(f"lift to level {i} needs f_1..f_{i - 1}")
     k_i = cd.ks[i - 1]
     p = truncation(branch, i)
+    bound = p.e * p.yt.degree()
+    if bound > MAX_SLICE_BOUND:
+        raise CurveLiftError(f"level {i}: slice bound e_{i}*deg(yt) = {bound} is above "
+                             f"{MAX_SLICE_BOUND}; the lift would not fit in memory")
 
     # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
     pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
@@ -153,7 +160,6 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     # support polygon
     sd = generators(cd, i)
     ls = (p.e,) + tuple(u.degree() for u in pullbacks)
-    bound = p.e * p.yt.degree()
 
     u = Residual(pullbacks, k_i, p.e)
 

@@ -5,22 +5,27 @@ import re
 import runpy
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from curvelift import BiPoly, basis_reconstruct, certify
-from curvelift.cli import (branch_from_file, certificate_lines, chain_to_doc, doc_rebuild,
-                           format_poly, load_curve, main, parse_curve_text,
-                           parse_rational, poly_from_doc, poly_to_doc)
+from curvelift.cli import (CERTIFICATE_LABELS, branch_from_file, certificate_lines,
+                           chain_to_doc, doc_rebuild, format_poly, load_curve, main,
+                           parse_curve_text, parse_rational, poly_from_doc, poly_to_doc)
 from curvelift.errors import CurveFileError, CurveLiftError
-from curvelift.implicitize import DEFAULT_ORACLE_BOUND, chain_from_polynomials
+from curvelift.implicitize import (DEFAULT_ORACLE_BOUND, LevelCertificate,
+                                   chain_from_polynomials, implicitize_all)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 README = CORPUS.parent / "README.md"
 SRC = CORPUS.parent / "src"
 WORKLOADS = CORPUS.parent / "perfbench" / "workloads.py"
+# a child interpreter that imports curvelift from this checkout
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 
 def run(capsys, *argv):
@@ -71,15 +76,23 @@ def test_parse_rejects_all_but_p_over_q(capsys, tmp_path):
     path.write_text("k: 2\nterm: 3 1e-4000000\n")
     assert main(["validate", str(path)]) == 2
     assert "bad rational" in capsys.readouterr().err
+    # a long bad token is echoed as a prefix and its length, not whole
+    for text in (f"k: 2\nterm: 3 {'9' * 4400}\n", f"k: {'1' * 4400}\nterm: 3 1\n",
+                 f"k: 2\nterm: 3 {'9' * 4399}x\n", f"{'a' * 4400}: 1\nk: 2\n"):
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+        assert "... (4400 characters)" in err and len(err) < 300
 
 
 def test_format_poly_reference():
     f1 = BiPoly({(0, 2): 1, (3, 0): -1})
-    assert format_poly(f1) == "y^2 - x^3"
+    assert format_poly(poly_to_doc(f1)) == "y^2 - x^3"
     f2 = f1 ** 3 + BiPoly({(5, 3): -2, (8, 1): -6, (10, 0): 1})
-    assert format_poly(f2) == ("y^6 - 3*y^4*x^3 - 2*y^3*x^5 + 3*y^2*x^6 "
-                               "- 6*y*x^8 - x^9 + x^10")
-    assert format_poly(BiPoly.zero()) == "0"
+    assert format_poly(poly_to_doc(f2)) == ("y^6 - 3*y^4*x^3 - 2*y^3*x^5 + 3*y^2*x^6 "
+                                            "- 6*y*x^8 - x^9 + x^10")
+    assert format_poly(poly_to_doc(BiPoly.zero())) == "0"
 
 
 def test_cmd_semigroup_rows(capsys):
@@ -117,6 +130,9 @@ def test_cmd_verify_certificate_lines(capsys):
     assert code == 0
     assert "ϑ_{ι_3}(f_2) = 117 = γ_3^{(3)} ✓" in out
     assert "ALL PASSED" in out
+    # the report has one label per certificate check, in the checks' order
+    assert list(CERTIFICATE_LABELS) == [
+        f.name for f in fields(LevelCertificate) if f.name != "level"]
 
 
 def test_cmd_bench(capsys, tmp_path):
@@ -434,15 +450,13 @@ def test_closed_stdout_exits_1_quietly(argv):
     # the reader is gone before the first write, as after `| head -1`
     # finishes early: exit 1, and no traceback on stderr
     argv = [str(CORPUS / a) if a.endswith(".curve") else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     r, w = os.pipe()
     os.close(r)
     try:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from curvelift.cli import main; sys.exit(main())", *argv],
-            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=w, stderr=subprocess.PIPE, env=SUBPROCESS_ENV, timeout=120)
     finally:
         os.close(w)
     assert b"Traceback" not in proc.stderr
@@ -458,3 +472,52 @@ def test_corpus_polynomials_round_trip(corpus_chains):
             assert BiPoly(dict(f.terms())) == f, name
             assert poly_from_doc(poly_to_doc(f)) == f, name
         assert chain_from_polynomials(branch, chain.fs).deltas == chain.deltas, name
+
+
+def test_coefficients_of_any_size_are_printed_exactly(capsys, tmp_path):
+    # f_i coefficients grow like powers of the input's, here past the
+    # interpreter's limit on the digits of an int converted to or from str;
+    # main lifts that limit after the file is read and restores it on return
+    nines = tmp_path / "nines.curve"
+    nines.write_text(f"k: 12\nterm: 18 1\nterm: 20 1\nterm: 23 {'9' * 400}\n")
+    cusp = tmp_path / "cusp.curve"
+    c = int("7" * 3000)
+    cusp.write_text(f"k: 2\nterm: 3 {c}\n")
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "verify", str(nines), "--json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    code, text = run(capsys, "implicitize", str(cusp))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    chain = implicitize_all(branch_from_file(load_curve(nines)))
+    sys.set_int_max_str_digits(0)
+    try:
+        levels = json.loads(out)["levels"]
+        assert max(len(t["c"]) for level in levels for t in level["f"]) > limit
+        assert tuple(poly_from_doc(level["f"]) for level in levels) == chain.fs
+        assert text.splitlines()[0] == f"f_1 = y^2 - {c * c}*x^3"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_huge_exponent_is_a_typed_error(capsys, tmp_path):
+    # a valid branch whose top level has slice bound e_3*deg(yt) ~ 1.2e14:
+    # lift refuses it before packing. Run under a 1 GB address-space cap, so
+    # a regression fails here without exhausting the machine's memory.
+    path = tmp_path / "huge-exponent.curve"
+    path.write_text("k: 12\nterm: 18 1\nterm: 20 1\nterm: 9999999999923 1\n")
+    assert main(["validate", str(path)]) == 0
+    child = ("import resource, sys, time\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from curvelift.cli import main\n"
+             "t0 = time.perf_counter()\n"
+             "status = main(sys.argv[1:])\n"
+             "print(time.perf_counter() - t0)\n"
+             "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", child, "implicitize", str(path)],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: level 3: slice bound")
+    assert float(proc.stdout) < 1.0
