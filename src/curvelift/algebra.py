@@ -51,8 +51,8 @@ rational either way. The monomial x**alpha of a pivot is never packed:
 ``eliminate`` adds e*alpha to the product's lowest exponent.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
-the ``INFINITY`` sentinel (a symbolic value, deliberately not a float);
-callers must branch on it explicitly.
+the ``INFINITY`` sentinel (a symbolic value, deliberately not a float,
+with no order); callers test it with ``is``.
 """
 
 from __future__ import annotations
@@ -64,21 +64,10 @@ Coeff = int | Fraction
 
 
 class _Infinity:
-    """Order/degree sentinel: compares greater than every integer."""
+    """Order/degree sentinel of the zero polynomial. It has no order: test
+    it with ``is``; comparing it with < or > raises TypeError."""
 
     __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
     def __repr__(self):
         return "Infinity"

@@ -26,13 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import Coeff, UniPoly, _norm_coeff
-from .errors import (
-    EmptySupportError,
-    InconsistentCharDataError,
-    IntegerExponentError,
-    InvalidBranchError,
-    NonPrimitiveError,
-)
+from .errors import InvalidBranchError
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,7 @@ class CharData:
                 and all(ki >= 2 and self.es[i + 1] == ki * self.es[i]
                         for i, ki in enumerate(self.ks))
                 and all(a < b for a, b in zip(self.lambdas, self.lambdas[1:]))):
-            raise InconsistentCharDataError(
+            raise InvalidBranchError(
                 f"inconsistent characteristic data: k={self.k}, "
                 f"lambdas={self.lambdas}, ks={self.ks}, es={self.es}")
 
@@ -86,7 +80,7 @@ def extract_characteristics(k: int, support) -> CharData:
     _check_k(k)
     exps = set(support)
     if not exps:
-        raise EmptySupportError("the parametrization has no terms")
+        raise InvalidBranchError("the parametrization has no terms")
     if any(type(e) is not int or e <= 0 for e in exps):
         raise InvalidBranchError("support must consist of positive integers")
     g = k
@@ -99,7 +93,7 @@ def extract_characteristics(k: int, support) -> CharData:
             ks.append(g // g2)
             g = g2
     if g != 1:
-        raise NonPrimitiveError(
+        raise InvalidBranchError(
             f"gcd(k, support) = {g} > 1: parametrization is not primitive")
     es = [1]
     for ki in ks:
@@ -130,11 +124,10 @@ def validate_branch(k: int, terms) -> Branch:
     its characteristic data.
 
     ``terms`` is a mapping {e: c} or an iterable of (e, c) pairs. A
-    malformed k, exponent or coefficient, a zero coefficient or a repeated
-    exponent raises InvalidBranchError; an exponent divisible by k (the
-    normalized coordinates carry no integer-exponent monomials)
-    IntegerExponentError, no terms EmptySupportError and a non-primitive
-    support NonPrimitiveError. The split meets the tail conditions by
+    malformed k, exponent or coefficient, a zero coefficient, a repeated
+    exponent, an exponent divisible by k (the normalized coordinates carry
+    no integer-exponent monomials), no terms or a non-primitive support
+    raises InvalidBranchError. The split meets the tail conditions by
     construction.
     """
     _check_k(k)
@@ -151,7 +144,7 @@ def validate_branch(k: int, terms) -> Branch:
         if e in seen:
             raise InvalidBranchError(f"duplicate exponent {e}")
         if e % k == 0:
-            raise IntegerExponentError(
+            raise InvalidBranchError(
                 f"exponent {e} is divisible by k = {k}; integer-exponent "
                 f"monomials must be removed by a coordinate change")
         try:

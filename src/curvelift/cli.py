@@ -25,6 +25,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,6 +84,18 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
         except ValueError:       # beyond int()'s digit limit
             pass
     raise CurveFileError(f"bad {what} {_quote(text)}: write an integer", path, line)
+
+
+@contextmanager
+def _unlimited_digits():
+    """Lift the int/str digit limit: the f_i may have any number of digits,
+    while a curve file's numbers and a document's terms are read under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
@@ -297,7 +310,9 @@ def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
     if len(levels) != branch.cd.s:
         raise CurveFileError(f"document key 'levels': {len(levels)} levels, "
                              f"the branch has {branch.cd.s}")
-    return branch, tuple(poly_from_doc(_field(level, "f", list)) for level in levels)
+    with _unlimited_digits():
+        return branch, tuple(poly_from_doc(_field(level, "f", list))
+                             for level in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +473,6 @@ def main(argv=None) -> int:
             p.add_argument(flag, **FLAGS[flag])
     args = ap.parse_args(argv)
     handler = COMMANDS[args.command][0]
-    digit_limit = sys.get_int_max_str_digits()
     try:
         if args.command == "bench":
             paths = sorted(str(p) for p in Path(args.corpus).glob("*.curve"))
@@ -467,13 +481,11 @@ def main(argv=None) -> int:
         else:
             paths = [args.file]
         curves = [(cf, branch_from_file(cf)) for cf in map(load_curve, paths)]
-        # the files' numbers were read under the interpreter's digit limit;
-        # the f_i computed from them may have any number of digits
-        sys.set_int_max_str_digits(0)
-        doc, lines, status = (handler(args, curves) if args.command == "bench"
-                              else handler(args, *curves[0]))
-        print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
-        sys.stdout.flush()
+        with _unlimited_digits():
+            doc, lines, status = (handler(args, curves) if args.command == "bench"
+                                  else handler(args, *curves[0]))
+            print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+            sys.stdout.flush()
         return status
     except CurveLiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -483,8 +495,6 @@ def main(argv=None) -> int:
         # devnull so it cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -8,25 +8,10 @@ class CurveLiftError(Exception):
 # --- branch / characteristic data validation -------------------------------
 
 class InvalidBranchError(CurveLiftError, ValueError):
-    """Malformed branch input: k, an exponent or a coefficient of the wrong
-    type or sign, a zero coefficient or a repeated exponent."""
-
-
-class InconsistentCharDataError(CurveLiftError):
-    """Characteristic data whose k, lambda, k_i and e_i chains disagree."""
-
-
-class EmptySupportError(CurveLiftError):
-    """The parametrization has no terms."""
-
-
-class NonPrimitiveError(CurveLiftError):
-    """gcd(k, exponents) > 1: the parametrization is not primitive."""
-
-
-class IntegerExponentError(CurveLiftError):
-    """A term has exponent divisible by k; forbidden by the coordinate
-    normalization that removes integer-exponent monomials."""
+    """Not a primitive branch with characteristic data: k, an exponent or a
+    coefficient of the wrong type or sign, a zero coefficient, a repeated
+    exponent, an exponent divisible by k, no terms, gcd(k, exponents) > 1,
+    or CharData whose k, lambda, k_i and e_i chains disagree."""
 
 
 # --- internal invariants -----------------------------------------------------

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,11 +24,14 @@ def test_uni_order_of_pullback():
 
 
 def test_infinity_comparisons():
-    assert INFINITY > 10 ** 9
-    assert not (INFINITY < 5)
-    assert 3 < INFINITY and not (3 > INFINITY)
-    assert min(7, INFINITY) == 7
-    assert INFINITY >= INFINITY and INFINITY <= INFINITY
+    # INFINITY has no order: a comparison that forgot the zero case raises
+    for other in (5, 10 ** 9, INFINITY):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(INFINITY, other)
+            with pytest.raises(TypeError):
+                op(other, INFINITY)
+    assert INFINITY == INFINITY and INFINITY != 5 and repr(INFINITY) == "Infinity"
 
 
 def test_compose_cusp_vanishes():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +7,7 @@ import pytest
 
 from curvelift import extract_characteristics, validate_branch
 from curvelift.chardata import split_tails
-from curvelift.errors import (CurveLiftError, EmptySupportError, IntegerExponentError,
-                              InvalidBranchError, NonPrimitiveError)
+from curvelift.errors import CurveLiftError, InvalidBranchError
 from curvelift.algebra import UniPoly
 from helpers import rand_branch, run_optimized
 
@@ -39,9 +39,10 @@ def test_extract_with_inner_lattice_terms():
 
 
 def test_extract_errors():
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(InvalidBranchError, match="the parametrization has no terms"):
         extract_characteristics(4, set())
-    with pytest.raises(NonPrimitiveError):
+    with pytest.raises(InvalidBranchError, match=r"gcd\(k, support\) = 2 > 1: "
+                       "parametrization is not primitive"):
         extract_characteristics(4, {6, 10})
     with pytest.raises(InvalidBranchError):
         extract_characteristics(0, {3})
@@ -73,7 +74,8 @@ def test_validate_splits_tails():
 
 
 def test_validate_rejects_integer_exponent():
-    with pytest.raises(IntegerExponentError):
+    with pytest.raises(InvalidBranchError, match="exponent 8 is divisible by k = 4; "
+                       "integer-exponent monomials must be removed"):
         validate_branch(4, {6: 1, 8: 1})
 
 
@@ -85,27 +87,27 @@ def test_validate_checks_directly_built_input():
             validate_branch(k, terms)
 
 
-@pytest.mark.parametrize("k, terms, error", [
-    (0, {3: 1}, InvalidBranchError),
-    (-2, {3: 1}, InvalidBranchError),
-    ("2", {3: 1}, InvalidBranchError),
-    (2, {0: 1, 3: 1}, InvalidBranchError),
-    (2, {-3: 1}, InvalidBranchError),
-    (3, {2.0: 1}, InvalidBranchError),
-    (2, {True: 1}, InvalidBranchError),
-    (2, {3: 0}, InvalidBranchError),
-    (2, {3: 0.5}, InvalidBranchError),
-    (2, {3: "1"}, InvalidBranchError),
-    (2, [(3, 1), (5, 1), (3, 2)], InvalidBranchError),
-    (2, [3, 5], InvalidBranchError),
-    (4, {6: 1, 8: 1}, IntegerExponentError),
-    (2, {}, EmptySupportError),
-    (4, {6: 1, 10: 1}, NonPrimitiveError),
+@pytest.mark.parametrize("k, terms, message", [
+    (0, {3: 1}, "multiplicity k must be a positive int, got 0"),
+    (-2, {3: 1}, "multiplicity k must be a positive int, got -2"),
+    ("2", {3: 1}, "multiplicity k must be a positive int, got '2'"),
+    (2, {0: 1, 3: 1}, "t-exponent must be a positive int, got 0"),
+    (2, {-3: 1}, "t-exponent must be a positive int, got -3"),
+    (3, {2.0: 1}, "t-exponent must be a positive int, got 2.0"),
+    (2, {True: 1}, "t-exponent must be a positive int, got True"),
+    (2, {3: 0}, "zero coefficient at exponent 3"),
+    (2, {3: 0.5}, "exponent 3: coefficient must be int or Fraction, got float"),
+    (2, {3: "1"}, "exponent 3: coefficient must be int or Fraction, got str"),
+    (2, [(3, 1), (5, 1), (3, 2)], "duplicate exponent 3"),
+    (2, [3, 5], "terms must be a mapping or (exponent, coefficient) pairs"),
+    (4, {6: 1, 8: 1}, "exponent 8 is divisible by k = 4"),
+    (2, {}, "the parametrization has no terms"),
+    (4, {6: 1, 10: 1}, "gcd(k, support) = 2 > 1: parametrization is not primitive"),
 ], ids=["k=0", "k=-2", "k=str", "exp=0", "exp=-3", "exp=float", "exp=bool",
         "coeff=0", "coeff=float", "coeff=str", "duplicate-pair", "not-pairs",
         "k-divides-exp", "empty", "non-primitive"])
-def test_validate_rejects_invalid_input_typed(k, terms, error):
-    with pytest.raises(error) as info:
+def test_validate_rejects_invalid_input_typed(k, terms, message):
+    with pytest.raises(InvalidBranchError, match=re.escape(message)) as info:
         validate_branch(k, terms)
     assert isinstance(info.value, CurveLiftError)
 
@@ -160,12 +162,12 @@ def test_chardata_rejects_inconsistent_chains_under_optimize():
     # es must run 1, k_1, k_1*k_2, ... up to k
     code = ("from fractions import Fraction\n"
             "from curvelift.chardata import CharData\n"
-            "from curvelift.errors import InconsistentCharDataError\n"
+            "from curvelift.errors import InvalidBranchError\n"
             "try:\n"
             "    CharData(k=4, lambdas=(Fraction(3, 2),), ks=(2,), es=(1,))\n"
-            "except InconsistentCharDataError:\n"
-            "    print('rejected')\n")
-    assert run_optimized(code) == "rejected\n"
+            "except InvalidBranchError as exc:\n"
+            "    print(str(exc).split(':')[0])\n")
+    assert run_optimized(code) == "inconsistent characteristic data\n"
 
 
 def test_slice_query_rejects_bad_weights_under_optimize():
@@ -190,8 +192,11 @@ def test_validated_branches_meet_tail_conditions():
         terms = {m: rng.choice((-2, -1, 1, F(3, 2))) for m in exps}
         try:
             b = validate_branch(k, terms)
-        except (IntegerExponentError, NonPrimitiveError):
-            assert any(m % k == 0 for m in exps) or gcd(k, *exps) > 1
+        except InvalidBranchError as exc:
+            if "is divisible by k" in str(exc):
+                assert any(m % k == 0 for m in exps)
+            else:
+                assert "not primitive" in str(exc) and gcd(k, *exps) > 1
             continue
         accepted += 1
         # characteristic exponents m_i and e_i, read off the running gcd

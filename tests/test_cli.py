@@ -499,13 +499,39 @@ def test_coefficients_of_any_size_are_printed_exactly(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+def test_doc_rebuild_reads_coefficients_of_any_size(capsys, tmp_path):
+    # the f_i of a verify --json document may exceed the interpreter's digit
+    # limit; doc_rebuild reads them with the limit lifted, the curve's terms
+    # under it, and restores it on return
+    nines = tmp_path / "nines.curve"
+    nines.write_text(f"k: 12\nterm: 18 1\nterm: 20 1\nterm: 23 {'9' * 400}\n")
+    code, out = run(capsys, "verify", str(nines), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    limit = sys.get_int_max_str_digits()
+    branch, fs = doc_rebuild(doc)
+    assert sys.get_int_max_str_digits() == limit
+    chain = implicitize_all(branch_from_file(load_curve(nines)))
+    assert fs == chain.fs
+    rebuilt = certify(chain_from_polynomials(branch, fs))
+    log_checks = ("n_log_increasing", "n_log_in_semigroup")
+    assert rebuilt.ok and rebuilt.table.ok
+    for cert in rebuilt.certificates:
+        checks = cert.checks()
+        assert all(checks.pop(key) == "skipped" for key in log_checks)
+        assert all(v in (True, "match", "skipped") for v in checks.values())
+    too_long = {**doc, "terms": [*doc["terms"][:2], {"exp": 23, "coeff": "9" * (limit + 1)}]}
+    with pytest.raises(CurveFileError, match="bad rational"):
+        doc_rebuild(too_long)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_huge_exponent_is_a_typed_error(capsys, tmp_path):
-    # a valid branch whose top level has slice bound e_3*deg(yt) ~ 1.2e14:
-    # lift refuses it before packing. Run under a 1 GB address-space cap, so
-    # a regression fails here without exhausting the machine's memory.
+    # valid branches whose top level has a slice bound e_i*deg(yt) above the
+    # ceiling, ~1.2e14 and 4.0e8: lift refuses each before packing. Run under
+    # a 1 GB address-space cap, so a regression fails here without exhausting
+    # the machine's memory.
     path = tmp_path / "huge-exponent.curve"
-    path.write_text("k: 12\nterm: 18 1\nterm: 20 1\nterm: 9999999999923 1\n")
-    assert main(["validate", str(path)]) == 0
     child = ("import resource, sys, time\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
              "from curvelift.cli import main\n"
@@ -513,11 +539,15 @@ def test_huge_exponent_is_a_typed_error(capsys, tmp_path):
              "status = main(sys.argv[1:])\n"
              "print(time.perf_counter() - t0)\n"
              "sys.exit(status)\n")
-    proc = subprocess.run([sys.executable, "-c", child, "implicitize", str(path)],
-                          capture_output=True, text=True, env=SUBPROCESS_ENV,
-                          timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: level 3: slice bound")
-    assert float(proc.stdout) < 1.0
+    for text, level in (("k: 12\nterm: 18 1\nterm: 20 1\nterm: 9999999999923 1\n", 3),
+                        ("k: 4\nterm: 6 1\nterm: 7 1\nterm: 99999999 1\n", 2)):
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0
+        proc = subprocess.run([sys.executable, "-c", child, "implicitize", str(path)],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV,
+                              timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: level {level}: slice bound")
+        assert float(proc.stdout) < 1.0

@@ -142,3 +142,23 @@ def test_valuation_runs_none_of_the_lift_arithmetic():
     # the scan sees the route it replaced: the order of the full pullback
     valuation.body = ast.parse("return self.pullback(f).order()").body
     assert _lift_arithmetic(valuation) == ["1: pullback"]
+
+
+def test_readme_library_example_runs():
+    # the README's Library block runs as written, and each expression it
+    # shows evaluates to the value its comment states
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"\n## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    values = {}
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if isinstance(stmt, ast.Expr):
+            values[source] = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                                  namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert "(= 38)" in block
+    assert values["chain.table.row(2, 3).value"] == 38
+    assert values["resultant_implicitize(truncation(branch, 2)) == chain.fs[1]"] is True
+    assert values["chain.certificates[1].ok"] is True
