@@ -118,7 +118,10 @@ class _IntMapPoly:
             key = self._key(key)
             if type(v) is not int and not isinstance(v, Fraction):
                 v = _norm_coeff(v)      # a bool raises its TypeError
-            acc[key] = acc.get(key, 0) + v
+            if key in acc:
+                acc[key] += v
+            else:
+                acc[key] = v
         d = lcm(*(v.denominator for v in acc.values()))
         self._c = {k: v.numerator * (d // v.denominator)
                    for k, v in acc.items() if v}

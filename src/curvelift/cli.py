@@ -28,6 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .algebra import BiPoly, Coeff
@@ -151,7 +152,7 @@ def parse_curve_text(text: str, path: str = "<string>") -> CurveFile:
 def load_curve(path) -> CurveFile:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CurveFileError(str(exc), str(path)) from None
     cf = parse_curve_text(text, str(path))
@@ -169,9 +170,16 @@ def branch_from_file(cf: CurveFile) -> Branch:
 # ---------------------------------------------------------------------------
 
 def poly_to_doc(f: BiPoly) -> list[dict]:
-    """Fixed term order: ascending total degree, higher y-power first."""
-    items = sorted(f.terms(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][1]))
-    return [{"x": a, "y": b, "c": str(c)} for (a, b), c in items]
+    """Fixed term order: ascending total degree, higher y-power first. Each
+    coefficient v/d is written as ``str(Fraction(v, d))`` would write it,
+    reduced by one gcd: "p/q", or the integer when q is 1."""
+    items = sorted(f._c.items(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][1]))
+    d = f._d
+    out = []
+    for (a, b), v in items:
+        g = gcd(v, d)
+        out.append({"x": a, "y": b, "c": str(v // g) if g == d else f"{v // g}/{d // g}"})
+    return out
 
 
 def format_poly(terms: list[dict]) -> str:

@@ -27,11 +27,24 @@ are integral over Z[x], so the coefficients C_m of their characteristic
 polynomial lie in Z[x], Newton's divisions by m are exact there, and
 c_m = C_m / d**m = C_m * d**(e-m) / d**e: one denominator for the norm.
 
+The power sums are read off one integer evaluation. Write Y = t**q0 * R(t)
+with q0 the lowest exponent of Y. Every coefficient of Y**m, m <= e, is at
+most ||Y||_1**m <= ||Y||_1**e in absolute value (each sums products of m
+coefficients of Y), so one digit width W, a whole number of bytes with
+2**(W-1) > ||Y||_1**e, holds them all. z = R(2**W)**m follows from
+R(2**W)**(m-1) by one shifted add per term of Y; each of its m*deg R + 1
+digits lies strictly between -2**(W-1) and 2**(W-1), so adding 2**(W-1)
+to every digit puts each in [0, 2**W) and no digit borrows from or
+carries into its neighbour. One ``to_bytes`` then lays the digits out
+exactly, and only those at exponents m*q0 + j divisible by e are read
+back: they are P_m / e.
+
 Nothing here calls the UniPoly, BiPoly, PowerChain or pullback
-arithmetic the lift runs on: the powers of Y and the products of Newton's
+arithmetic the lift runs on: the power sums come from plain ``int``
+evaluations and this module's own decode, the products of Newton's
 identities are sparse schoolbook convolutions of plain ``int`` maps, and
-only BiPoly's canonical-form constructor wraps the result. Agreement with
-the chain's f_i therefore certifies it independently.
+only BiPoly's canonical-form constructor wraps the result. Agreement with the chain's f_i therefore
+certifies it independently.
 """
 
 from __future__ import annotations
@@ -50,19 +63,41 @@ def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]
     return acc
 
 
+def _power_sums(e: int, ys: dict[int, int]) -> list[dict[int, int]]:
+    """[{}, P_1, .., P_e] for Y = ys: P_m = e * sum_q [t**(e*q)] Y**m * x**q,
+    the power sums of the scaled roots Y(w**j s) as {x-power: int}, each
+    read off one packed power of Y (see the module docstring)."""
+    q0 = min(ys)
+    deg = max(ys) - q0
+    # 2**(W-1) > ||Y||_1**e, with W = 8*nb bits
+    nb = (sum(map(abs, ys.values())) ** e).bit_length() // 8 + 1
+    half = 1 << 8 * nb - 1
+    digit = b"\x00" * (nb - 1) + b"\x80"
+    shifts = [(8 * nb * (q - q0), c) for q, c in ys.items()]
+    psums = [{}]
+    z = 1
+    for m in range(1, e + 1):
+        z = sum(c * (z << s) for s, c in shifts)
+        n = m * deg + 1
+        buf = (z + int.from_bytes(digit * n, "little")).to_bytes(nb * n, "little")
+        lo = m * q0
+        p_m = {}
+        for j in range(-lo % e, n, e):
+            v = int.from_bytes(buf[nb * j:nb * j + nb], "little") - half
+            if v:
+                p_m[(lo + j) // e] = e * v
+        psums.append(p_m)
+    return psums
+
+
 def resultant_implicitize(p: Parametrization) -> BiPoly:
     """The norm of y - yt(t) from Q(x)[t]/(t**e - x), monic in y**e, from
     power sums of traces and Newton's identities (see the module docstring).
 
     Equality with the chain's equation is the caller's check.
     """
-    e, y_int, d = p.e, p.yt._c, p.yt._d
-    # P_m: power sums of the scaled roots Y(w**j s), as {x-power: int}
-    psums = [{}]
-    y_pow = {0: 1}
-    for _ in range(e):
-        y_pow = _add_product({}, y_pow, y_int)
-        psums.append({n // e: e * v for n, v in y_pow.items() if v and n % e == 0})
+    e, d = p.e, p.yt._d
+    psums = _power_sums(e, p.yt._c)
     # Newton's identities over Z[x]: m*C_m = -sum_{i=1..m} C_{m-i} P_i
     cs = [{0: 1}]
     for m in range(1, e + 1):

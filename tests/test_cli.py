@@ -232,6 +232,21 @@ def test_error_exit_code(capsys, tmp_path):
         assert err.startswith(f"error: {path}:") and "Traceback" not in err
 
 
+def test_utf8_bom_is_accepted(capsys, tmp_path):
+    # a byte-order mark before line 1 changes nothing; bytes that are not
+    # UTF-8 after it are still a typed error
+    for src in sorted(CORPUS.glob("*.curve")):
+        bom = tmp_path / src.name
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        for command in ("validate", "verify"):
+            plain = run(capsys, command, str(src))
+            assert plain[0] == 0 and run(capsys, command, str(bom)) == plain
+    undecodable = tmp_path / "undecodable.curve"
+    undecodable.write_bytes(b"\xef\xbb\xbfk: 2\nterm: 3 1\n# \xff\n")
+    assert main(["validate", str(undecodable)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {undecodable}:")
+
+
 def test_polygon_level_out_of_range(capsys, monkeypatch):
     # implicitize rejects the level before it lifts anything
     def refuse(*args, **kwargs):

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
-from curvelift import (BiPoly, implicitize_all, polygon_contains, polygon_desc,
-                       resultant_implicitize, truncation)
-from helpers import rand_branch, sylvester_implicitize
+from curvelift import (BiPoly, UniPoly, implicitize_all, polygon_contains, polygon_desc,
+                       resultant_implicitize, truncation, validate_branch)
+from curvelift.oracle import _power_sums
+from helpers import naive_uni_mul, rand_branch, sylvester_implicitize
 
 CUSP = BiPoly({(0, 2): 1, (3, 0): -1})
 
@@ -79,3 +81,59 @@ def test_oracle_above_default_bound(corpus_chains):
             assert res == chain.fs[i - 1]
             top = max(top, e_i)
     assert top == 30
+
+
+def naive_power_sums(e, ys):
+    """[{}, P_1, .., P_e]: e times the coefficients of Y**m at exponents
+    divisible by e, with Y**m built by schoolbook products."""
+    y, power, out = UniPoly(ys), UniPoly.one(), [{}]
+    for _ in range(e):
+        power = UniPoly(naive_uni_mul(power, y))
+        out.append({n // e: e * v for n, v in power.terms() if n % e == 0})
+    return out
+
+
+def test_power_sums_equal_schoolbook_powers():
+    # a single term c*t fills its top digit: c**e sits just below or just
+    # above a power of two
+    for e, c in ((1, 127), (1, -127), (1, 128), (3, -5), (7, -2), (8, 2),
+                 (15, -2), (16, 2)):
+        assert _power_sums(e, {1: c}) == naive_power_sums(e, {1: c})
+        assert _power_sums(e, {1: c})[e] == {1: e * c ** e}
+    # seeded Y with negative terms and numerators up to 10**40, e up to 64
+    rng = random.Random(0x24)
+    for e in (2, 3, 7, 12, 30, 41, 64):
+        for digits in (1, 4, 40):
+            q0 = rng.randint(0, e)
+            ys = {q0: rng.choice((-1, 1)) * rng.randint(1, 10 ** digits)}
+            for _ in range(rng.randint(1, 3)):
+                ys[q0 + rng.randint(1, 12)] = rng.choice((-1, 1)) * rng.randint(1, 10 ** digits)
+            assert _power_sums(e, ys) == naive_power_sums(e, ys)
+
+
+def test_oracle_equals_chain_up_to_e60():
+    # every level of four branches whose last level is e = 40, 48, 60 and 40
+    # with rational coefficients: the corpus stops at e = 30
+    half, third = Fraction(3, 2), Fraction(2, 3)
+    for k, terms in ((40, {60: 1, 70: 1, 75: 1, 76: 1}),
+                     (48, {72: 1, 84: 1, 90: 1, 91: 1}),
+                     (60, {90: 1, 105: 1, 110: 1, 111: 1}),
+                     (40, {60: third, 70: -half, 75: -third, 76: half})):
+        branch = validate_branch(k, terms)
+        chain = implicitize_all(branch, verify=False)
+        assert branch.cd.es[-1] == k
+        for i in range(1, branch.cd.s + 1):
+            assert resultant_implicitize(truncation(branch, i)) == chain.fs[i - 1]
+
+
+def test_oracle_wide_coefficients():
+    # numerators and denominators of 20 to 30 digits at e = 12, against the
+    # chain and the Sylvester resultant
+    branch = validate_branch(12, {18: Fraction(10 ** 30 + 7, 2 ** 61 - 1),
+                                  20: -10 ** 25, 23: Fraction(-7, 10 ** 20 + 3)})
+    chain = implicitize_all(branch, verify=False)
+    assert branch.cd.es[-1] == 12
+    for i in range(1, branch.cd.s + 1):
+        p = truncation(branch, i)
+        res = resultant_implicitize(p)
+        assert res == chain.fs[i - 1] == sylvester_implicitize(p)[0]
