@@ -7,8 +7,9 @@ survives). validate_branch(k, terms) is the one input boundary: it checks
 k and every term, raising a typed CurveLiftError on invalid input, and
 returns the Branch every later stage takes. The characteristic exponents
 lambda_1 < ... < lambda_s are the places where the gcd of k and the
-exponents read so far strictly drops; they determine the index jumps k_i,
-the chain e_i = k_1 * ... * k_i and the exponent lattices
+exponents read so far strictly drops. From them follow e_0 = 1,
+e_i = lcm(e_{i-1}, denominator of lambda_i) = k / (the gcd after lambda_i),
+the index jumps k_i = e_i / e_{i-1} and the exponent lattices
 
     M_i = Z + Z*lambda_1 + ... + Z*lambda_i = (1/e_i) Z.
 
@@ -16,14 +17,15 @@ The remaining terms split into per-level tails phi_i with
 ord(phi_i) > k*lambda_i, deg(phi_i) < k*lambda_{i+1} and
 Supp(phi_i) in k*M_i. These hold by construction: split_tails files each
 tail term strictly between k*lambda_i and k*lambda_{i+1}, and a term that
-is not a gcd drop is divisible by k/e_i, so it lies in k*M_i.
+is not a gcd drop is divisible by k/e_i, so it lies in k*M_i. The split
+is computed where it is printed, by ``curvelift validate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import Coeff, UniPoly, _norm_coeff
 from .errors import InvalidBranchError
@@ -31,19 +33,20 @@ from .errors import InvalidBranchError
 
 @dataclass(frozen=True)
 class CharData:
-    """Multiplicity k, characteristic exponents and derived chains."""
+    """Multiplicity k and characteristic exponents; ks and es are derived."""
 
     k: int
     lambdas: tuple[Fraction, ...]
-    ks: tuple[int, ...]
-    es: tuple[int, ...]  # e_0 = 1, e_1, ..., e_s with e_s = k
+    ks: tuple[int, ...] = field(init=False)
+    es: tuple[int, ...] = field(init=False)  # e_0 = 1, e_1, ..., e_s
 
     def __post_init__(self):
-        s = len(self.lambdas)
-        if not (len(self.ks) == s and len(self.es) == s + 1
-                and self.es[0] == 1 and self.es[-1] == self.k
-                and all(ki >= 2 and self.es[i + 1] == ki * self.es[i]
-                        for i, ki in enumerate(self.ks))
+        es = [1]
+        for lam in self.lambdas:
+            es.append(lcm(es[-1], lam.denominator))
+        object.__setattr__(self, "es", tuple(es))
+        object.__setattr__(self, "ks", tuple(b // a for a, b in zip(es, es[1:])))
+        if not (es[-1] == self.k and all(ki >= 2 for ki in self.ks)
                 and all(a < b for a, b in zip(self.lambdas, self.lambdas[1:]))):
             raise InvalidBranchError(
                 f"inconsistent characteristic data: k={self.k}, "
@@ -56,13 +59,11 @@ class CharData:
 
 @dataclass(frozen=True)
 class Branch:
-    """A validated branch: raw terms plus the per-level split."""
+    """A validated branch: its sorted raw terms and characteristic data."""
 
     k: int
     terms: tuple[tuple[int, Coeff], ...]
     cd: CharData
-    cs: tuple[Coeff, ...]        # leading coefficients c_1, ..., c_s
-    phis: tuple[UniPoly, ...]    # tails phi_1, ..., phi_s, in t
 
 
 def _check_k(k) -> None:
@@ -74,8 +75,7 @@ def extract_characteristics(k: int, support) -> CharData:
     """Read the characteristic exponents off a t-exponent support set.
 
     The running gcd g_j = gcd(k, first j exponents) strictly drops exactly
-    at the characteristic terms; k_i is the drop ratio, and
-    lambda_i = exponent / k.
+    at the characteristic terms, and lambda_i = exponent / k.
     """
     _check_k(k)
     exps = set(support)
@@ -85,20 +85,14 @@ def extract_characteristics(k: int, support) -> CharData:
         raise InvalidBranchError("support must consist of positive integers")
     g = k
     lambdas = []
-    ks = []
     for m in sorted(exps):
-        g2 = gcd(g, m)
-        if g2 < g:
+        if (g2 := gcd(g, m)) < g:
             lambdas.append(Fraction(m, k))
-            ks.append(g // g2)
             g = g2
     if g != 1:
         raise InvalidBranchError(
             f"gcd(k, support) = {g} > 1: parametrization is not primitive")
-    es = [1]
-    for ki in ks:
-        es.append(es[-1] * ki)
-    return CharData(k=k, lambdas=tuple(lambdas), ks=tuple(ks), es=tuple(es))
+    return CharData(k=k, lambdas=tuple(lambdas))
 
 
 def split_tails(cd: CharData, terms):
@@ -127,8 +121,7 @@ def validate_branch(k: int, terms) -> Branch:
     malformed k, exponent or coefficient, a zero coefficient, a repeated
     exponent, an exponent divisible by k (the normalized coordinates carry
     no integer-exponent monomials), no terms or a non-primitive support
-    raises InvalidBranchError. The split meets the tail conditions by
-    construction.
+    raises InvalidBranchError.
     """
     _check_k(k)
     items = terms.items() if isinstance(terms, dict) else terms
@@ -154,7 +147,5 @@ def validate_branch(k: int, terms) -> Branch:
         if not c:
             raise InvalidBranchError(f"zero coefficient at exponent {e}")
         seen[e] = c
-    cd = extract_characteristics(k, seen)
-    terms = tuple(sorted(seen.items()))
-    cs, phis = split_tails(cd, terms)
-    return Branch(k=k, terms=terms, cd=cd, cs=cs, phis=phis)
+    return Branch(k=k, terms=tuple(sorted(seen.items())),
+                  cd=extract_characteristics(k, seen))

@@ -32,9 +32,10 @@ from math import gcd
 from pathlib import Path
 
 from .algebra import BiPoly, Coeff
-from .chardata import Branch, validate_branch
+from .chardata import Branch, split_tails, validate_branch
 from .errors import CurveFileError, CurveLiftError
-from .implicitize import DEFAULT_ORACLE_BOUND, LiftChain, implicitize_all, lift_levels
+from .implicitize import (DEFAULT_ORACLE_BOUND, MAX_SLICE_BOUND, LiftChain,
+                          implicitize_all, lift_levels)
 from .parametrize import truncation
 from .polygon import polygon_desc
 from .semigroup import generators
@@ -246,29 +247,26 @@ CERTIFICATE_LABELS = {
 }
 
 
-def certificate_lines(chain: LiftChain) -> list[str]:
-    """Human-readable certificate report, one line per check."""
-    cd = chain.cd
+def certificate_lines(doc: dict) -> list[str]:
+    """Human-readable report of a certified chain's document, one line per
+    check. The face vertex a is gamma_1 = e_i * lambda_1."""
     lines = []
-    for cert in chain.certificates:
-        i, e = cert.level, cd.es[cert.level]
-        values = {"i": i, "e": e, "a": int(e * cd.lambdas[0]), "oracle": cert.oracle}
+    for level in doc["levels"]:
+        i, e, checks = level["level"], level["e"], level["certificates"]
+        values = {"i": i, "e": e, "a": level["semigroup"][1], "oracle": checks["oracle"]}
         lines.append(f"level {i} (e_{i} = {e}):")
-        for name, ok in cert.checks().items():
+        for name, ok in checks.items():
             if name == "oracle":        # the label shows the outcome
                 ok = ok in ("match", "skipped")
             if label := CERTIFICATE_LABELS[name]:
                 lines.append(f"  {label.format(**values)} {_mark(ok)}")
-    if chain.table is not None:
-        for row in chain.table.rows:
-            m1 = _mark(row.value == row.expected)
-            m2 = _mark(row.dvalue == row.dexpected)
-            lines.append(
-                f"ϑ_{{ι_{row.j}}}(f_{row.i - 1}) = {row.value} = "
-                f"γ_{row.i}^{{({row.j})}} {m1}")
-            lines.append(
-                f"ϑ_{{ι_{row.j}}}(∂_yf_{row.i - 1}) = {row.dvalue} = "
-                f"γ_{row.i}^{{({row.j})}} - e_{row.j}λ_{row.i} {m2}")
+    for r in doc["valuation_table"]:
+        i, j = r["i"], r["j"]
+        lines.append(f"ϑ_{{ι_{j}}}(f_{i - 1}) = {r['value']} = γ_{i}^{{({j})}} "
+                     + _mark(r["value"] == str(r["expected"])))
+        lines.append(f"ϑ_{{ι_{j}}}(∂_yf_{i - 1}) = {r['dvalue']} = "
+                     f"γ_{i}^{{({j})}} - e_{j}λ_{i} "
+                     + _mark(r["dvalue"] == str(r["dexpected"])))
     return lines
 
 
@@ -310,17 +308,29 @@ def chain_to_doc(cf: CurveFile, chain: LiftChain) -> dict:
 
 
 def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
-    """Rebuild (branch, chain polynomials) from a --json document."""
+    """Rebuild (branch, chain polynomials) from a --json document. With m
+    the largest exponent, a top slice bound k*m above MAX_SLICE_BOUND or an
+    f_i term (x, y) with y > k or k*x + m*y above it raises CurveFileError;
+    a genuine f_i has y-degree e_i <= k and k*x + m*y <= e_i*m on N_i."""
     terms = [(_field(t, "exp", int), parse_rational(_field(t, "coeff", str)))
              for t in _field(doc, "terms", list)]
     branch = validate_branch(_field(doc, "k", int), terms)
+    k, m = branch.k, branch.terms[-1][0]
+    if k * m > MAX_SLICE_BOUND:
+        raise CurveFileError(f"document key 'terms': slice bound k*m = {k * m} "
+                             f"is above {MAX_SLICE_BOUND}")
     levels = _field(doc, "levels", list)
     if len(levels) != branch.cd.s:
         raise CurveFileError(f"document key 'levels': {len(levels)} levels, "
                              f"the branch has {branch.cd.s}")
     with _unlimited_digits():
-        return branch, tuple(poly_from_doc(_field(level, "f", list))
-                             for level in levels)
+        fs = tuple(poly_from_doc(_field(level, "f", list)) for level in levels)
+    for i, f in enumerate(fs, start=1):
+        for x, y in f.support():
+            if y > k or k * x + m * y > MAX_SLICE_BOUND:
+                raise CurveFileError(f"document key 'f': term ({x}, {y}) of f_{i} "
+                                     f"is above the lift's ceilings")
+    return branch, fs
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +362,13 @@ def _oracle_bound(text: str) -> int:
 
 def cmd_validate(args, cf: CurveFile, branch: Branch):
     cd = branch.cd
+    cs, phis = split_tails(cd, branch.terms)
     doc = {
         "name": cf.name, "k": cf.k,
         "characteristic_exponents": [str(l) for l in cd.lambdas],
         "ks": list(cd.ks), "es": list(cd.es),
-        "cs": [str(c) for c in branch.cs],
-        "tails": [sorted((e, str(c)) for e, c in phi.terms())
-                  for phi in branch.phis],
+        "cs": [str(c) for c in cs],
+        "tails": [sorted((e, str(c)) for e, c in phi.terms()) for phi in phis],
     }
     lines = [f"{cf.name}: valid branch, k = {cf.k}",
              "  characteristic exponents: "
@@ -417,10 +427,10 @@ def cmd_implicitize(args, cf: CurveFile, branch: Branch):
 
 
 def cmd_verify(args, cf: CurveFile, branch: Branch):
-    chain = implicitize_all(branch, oracle_bound=args.oracle_bound)
-    lines = [f"{cf.name}: certificate suite", *certificate_lines(chain),
-             "ALL PASSED" if chain.ok else "FAILURES PRESENT"]
-    return chain_to_doc(cf, chain), lines, 0 if chain.ok else 1
+    doc = chain_to_doc(cf, implicitize_all(branch, oracle_bound=args.oracle_bound))
+    lines = [f"{cf.name}: certificate suite", *certificate_lines(doc),
+             "ALL PASSED" if doc["ok"] else "FAILURES PRESENT"]
+    return doc, lines, 0 if doc["ok"] else 1
 
 
 def _bench_one(cf: CurveFile, branch: Branch) -> dict:

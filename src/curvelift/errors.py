@@ -11,7 +11,7 @@ class InvalidBranchError(CurveLiftError, ValueError):
     """Not a primitive branch with characteristic data: k, an exponent or a
     coefficient of the wrong type or sign, a zero coefficient, a repeated
     exponent, an exponent divisible by k, no terms, gcd(k, exponents) > 1,
-    or CharData whose k, lambda, k_i and e_i chains disagree."""
+    or CharData whose lambdas do not form an index chain up to k."""
 
 
 # --- internal invariants -----------------------------------------------------
@@ -20,9 +20,8 @@ class InvariantError(CurveLiftError):
     """An internal consistency check failed: corrupt data or a bug, such as
     a lift pivot whose normal form has alpha < 0 or lies above the slice
     bound, a basis product that misses its order, an exhausted iteration
-    budget, a non-integral semigroup generator or generators that do not
-    span Z. Raised instead of asserting, so the check also runs under
-    ``python -O``."""
+    budget or generators that do not span Z. Raised instead of asserting,
+    so the check also runs under ``python -O``."""
 
 
 # --- CLI --------------------------------------------------------------------

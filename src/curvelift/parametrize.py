@@ -171,7 +171,7 @@ def valuation_table(fs: tuple[BiPoly, ...], levels, lambdas) -> ValuationTable:
                 value=p.valuation(f_prev),
                 expected=gamma_ij,
                 dvalue=p.valuation(df_prev),
-                # integral: generators(cd, j) checked e_j * lambda_i
+                # integral: e_j is a multiple of the denominator of lambda_i
                 dexpected=gamma_ij - int(p.e * lambdas[i - 1]),
             ))
     return ValuationTable(rows=tuple(rows))

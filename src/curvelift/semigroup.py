@@ -55,11 +55,7 @@ def generators(cd: CharData, i: int) -> SemigroupDesc:
     gamma: list[int] = []
     prev_lam = 0
     for j, lam in enumerate(cd.lambdas[:i]):
-        lam_e = lam * e_i
-        if lam_e.denominator != 1:
-            raise InvariantError(
-                f"{e_i} * lambda_{j + 1} is not an integer")
-        lam_e = int(lam_e)
+        lam_e = int(lam * e_i)   # e_i is a multiple of lambda_1..lambda_i's denominators
         gamma.append(lam_e if j == 0 else cd.ks[j - 1] * gamma[-1] - prev_lam + lam_e)
         prev_lam = lam_e
     return SemigroupDesc(free=e_i, gamma=tuple(gamma), ks=cd.ks[:i])

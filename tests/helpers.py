@@ -18,6 +18,7 @@ from pathlib import Path
 from curvelift import (INFINITY, BiPoly, Coeff, PolygonDesc, UniPoly, basis_reconstruct,
                        generators, truncation, validate_branch)
 from curvelift.algebra import coeff_div, sylvester_det
+from curvelift.chardata import split_tails
 from curvelift.implicitize import IterationRecord
 from curvelift.polygon import SliceQuery, lattice_slice
 from curvelift.semigroup import SemigroupDesc
@@ -235,7 +236,7 @@ def sylvester_implicitize(p) -> tuple[BiPoly, Coeff, BiPoly]:
 
 def tail_mu(branch, i: int) -> Fraction:
     """deg(phi_i)/k from the tail split; lambda_i when the tail is empty."""
-    phi = branch.phis[i - 1]
+    phi = split_tails(branch.cd, branch.terms)[1][i - 1]
     return branch.cd.lambdas[i - 1] if phi.is_zero else Fraction(phi.degree(), branch.k)
 
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from curvelift import extract_characteristics, validate_branch
-from curvelift.chardata import split_tails
+from curvelift.chardata import CharData, split_tails
 from curvelift.errors import CurveLiftError, InvalidBranchError
 from curvelift.algebra import UniPoly
 from helpers import rand_branch, run_optimized
@@ -61,16 +61,17 @@ def test_in_lattice_characteristic_jumps():
 def test_validate_paper_level2_example():
     b = validate_branch(6, {9: 1, 10: 1})
     assert b.cd.lambdas == (F(3, 2), F(5, 3))
-    assert b.cs == (1, 1)
-    assert all(phi.is_zero for phi in b.phis)
+    cs, phis = split_tails(b.cd, b.terms)
+    assert cs == (1, 1)
+    assert all(phi.is_zero for phi in phis)
 
 
 def test_validate_splits_tails():
     b = validate_branch(6, {9: 1, 15: 2, 16: 1, 20: 5})
     assert b.cd.lambdas == (F(3, 2), F(8, 3))
-    assert b.phis[0] == UniPoly({15: 2})
-    assert b.phis[1] == UniPoly({20: 5})
-    assert b.cs == (1, 1)
+    cs, phis = split_tails(b.cd, b.terms)
+    assert phis == (UniPoly({15: 2}), UniPoly({20: 5}))
+    assert cs == (1, 1)
 
 
 def test_validate_rejects_integer_exponent():
@@ -150,7 +151,6 @@ def test_extraction_ignores_lattice_exponents_random():
 def test_split_roundtrip():
     b = validate_branch(6, {9: 1, 15: 2, 16: 1, 20: 5})
     cs, phis = split_tails(b.cd, b.terms)
-    assert cs == b.cs and phis == b.phis
     total = UniPoly(b.terms)
     rebuilt = UniPoly.zero()
     for i, (c, phi) in enumerate(zip(cs, phis), start=1):
@@ -158,16 +158,35 @@ def test_split_roundtrip():
     assert rebuilt == total
 
 
+def test_chardata_derives_the_index_chain():
+    # e_i = lcm(e_{i-1}, denominator of lambda_i), k_i = e_i / e_{i-1}
+    cd = CharData(k=12, lambdas=(F(3, 2), F(5, 3), F(23, 12)))
+    assert cd == extract_characteristics(12, {18, 20, 23})
+    assert cd.ks == (2, 3, 2) and cd.es == (1, 2, 6, 12)
+    with pytest.raises(TypeError):
+        CharData(k=2, lambdas=(F(3, 2),), ks=(2,), es=(1, 2))
+
+
+# hand-built CharData(k, lambdas) that miss the index chain: lambdas not
+# increasing, a lambda that adds no denominator factor (k_i = 1), e_s != k
+INCONSISTENT_CHARDATA = (
+    (6, (F(5, 3), F(3, 2))), (6, (F(3, 2), F(3, 2))),
+    (6, (F(4, 3), F(3, 2), F(5, 2))),
+    (4, (F(3, 2),)), (4, (F(5, 8),)), (2, ()))
+
+
 def test_chardata_rejects_inconsistent_chains_under_optimize():
-    # es must run 1, k_1, k_1*k_2, ... up to k
+    # the check is no assert, so every case also raises under python -O
     code = ("from fractions import Fraction\n"
             "from curvelift.chardata import CharData\n"
             "from curvelift.errors import InvalidBranchError\n"
-            "try:\n"
-            "    CharData(k=4, lambdas=(Fraction(3, 2),), ks=(2,), es=(1,))\n"
-            "except InvalidBranchError as exc:\n"
-            "    print(str(exc).split(':')[0])\n")
-    assert run_optimized(code) == "inconsistent characteristic data\n"
+            f"for k, lambdas in {INCONSISTENT_CHARDATA!r}:\n"
+            "    try:\n"
+            "        CharData(k=k, lambdas=lambdas)\n"
+            "    except InvalidBranchError as exc:\n"
+            "        print(str(exc).split(':')[0])\n")
+    expected = "inconsistent characteristic data\n" * len(INCONSISTENT_CHARDATA)
+    assert run_optimized(code) == expected
 
 
 def test_slice_query_rejects_bad_weights_under_optimize():
@@ -200,15 +219,17 @@ def test_validated_branches_meet_tail_conditions():
             continue
         accepted += 1
         # characteristic exponents m_i and e_i, read off the running gcd
-        g, chars, es = k, [], [1]
+        g, chars, ks, es = k, [], [], [1]
         for m in sorted(exps):
             if gcd(g, m) < g:
                 chars.append(m)
+                ks.append(g // gcd(g, m))
                 es.append(k // gcd(g, m))
                 g = gcd(g, m)
         assert [int(lam * k) for lam in b.cd.lambdas] == chars
+        assert b.cd.ks == tuple(ks) and b.cd.es == tuple(es)
         rebuilt = {}
-        for i, (c, phi) in enumerate(zip(b.cs, b.phis), start=1):
+        for i, (c, phi) in enumerate(zip(*split_tails(b.cd, b.terms)), start=1):
             assert c != 0 and c == terms[chars[i - 1]]
             rebuilt[chars[i - 1]] = c
             for m, v in phi.terms():

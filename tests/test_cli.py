@@ -168,7 +168,7 @@ def test_json_roundtrip_reverifies_identically(capsys):
             level["certificates"].update(dict.fromkeys(log_checks, "skipped"))
             level["iterations"] = []
         assert chain_to_doc(load_curve(path), rebuilt) == doc
-        lines = certificate_lines(rebuilt)
+        lines = certificate_lines(doc)
         assert "  elimination orders strictly increasing skipped" in lines
         assert "  elimination orders in Γ skipped" in lines
 
@@ -194,7 +194,13 @@ def test_doc_rebuild_rejects_invalid_terms():
                          ({**cusp, "levels": [{}]}, "'f'"),
                          (level({"x": 0, "c": "1"}), "'y'"),
                          (level({"x": 0, "y": 2, "c": 1}), "'c'"),
-                         (level({"x": -1, "y": 2, "c": "1"}), "'x'")):
+                         (level({"x": -1, "y": 2, "c": "1"}), "'x'"),
+                         # above the lift's ceilings: y > k, k*x + m*y > 2**23,
+                         # a top slice bound k*m > 2**23
+                         (level({"x": 0, "y": 3, "c": "1"}), "ceilings"),
+                         (level({"x": 10**9, "y": 0, "c": "1"}), "ceilings"),
+                         ({"k": 2, "terms": [{"exp": 2**22 + 1, "coeff": "1"}],
+                           "levels": []}, "slice bound")):
         with pytest.raises(CurveFileError, match=pattern):
             doc_rebuild(doc)
     # poly_to_doc writes each (x, y) once and no zero coefficient; summing a

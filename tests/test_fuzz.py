@@ -1,8 +1,9 @@
 """Seeded fuzzing of the input boundary. Mutated corpus curve files go through
-``validate`` and mutated ``verify --json`` documents through ``doc_rebuild``;
-every input must either pass or fail with a typed error. Each mutation kind
-runs on every corpus file; lower the repeat counts to cut the run time,
-never drop a kind."""
+``validate``, and those it accepts through ``verify --json``; mutated
+``verify --json`` documents go through ``doc_rebuild``, and those it rebuilds
+through re-certification. Every input must either pass or fail with a typed
+error. Each mutation kind runs on every corpus file; lower the repeat counts
+to cut the run time, never drop a kind."""
 
 import json
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from curvelift.cli import chain_to_doc, doc_rebuild, load_curve, main
 from curvelift.errors import CurveFileError, InvalidBranchError
+from curvelift.implicitize import certify, chain_from_polynomials
 
 CURVE_REPEATS = 4
 DOC_REPEATS = 60
@@ -79,9 +81,27 @@ CURVE_MUTATIONS = (_byte_edit, _duplicate_line, _drop_line, _truncate_line,
                    _numeric_edit, _crlf, _bom, _not_utf8)
 
 
+def _exit_0_or_2(capsys, data, *argv):
+    """(status, stdout, stderr) of main(argv): no exception, exit 0 with an
+    empty stderr or exit 2 with one ``error:`` line."""
+    try:
+        status = main(list(argv))
+    except Exception as exc:
+        pytest.fail(f"{argv[:1] + argv[2:]} on {data!r}: {exc!r}")
+    out, err = capsys.readouterr()
+    assert status in (0, 2), (argv[0], data)
+    if status == 2:
+        assert len(err.splitlines()) == 1, (data, err)
+        assert err.startswith("error: "), (data, err)
+    else:
+        assert err == "", (data, err)
+    return status, out, err
+
+
 def test_mutated_curve_files_exit_0_or_2(capsys, tmp_path, corpus_files):
     rng = random.Random(0xF0221)
     path = tmp_path / "case.curve"
+    verified = 0
     for source in corpus_files:
         original = source.read_bytes()
         for kind in CURVE_MUTATIONS:
@@ -91,18 +111,21 @@ def test_mutated_curve_files_exit_0_or_2(capsys, tmp_path, corpus_files):
                 for extra in rng.sample(CURVE_MUTATIONS, rng.randrange(3)):
                     data = extra(rng, data)
                 path.write_bytes(data)
-                for argv in (["validate", str(path)], ["validate", str(path), "--json"]):
-                    try:
-                        status = main(argv)
-                    except Exception as exc:
-                        pytest.fail(f"{argv[1:]} on {data!r}: {exc!r}")
-                    err = capsys.readouterr().err
-                    assert status in (0, 2), data
-                    if status == 2:
-                        assert len(err.splitlines()) == 1, (data, err)
-                        assert err.startswith("error: "), (data, err)
-                    else:
-                        assert err == "", (data, err)
+                # a list, not a generator, so that both modes always run
+                if any([_exit_0_or_2(capsys, data, "validate", str(path), *flags)[0]
+                        for flags in ((), ("--json",))]):
+                    continue
+                # the pipeline half: what validate accepts verifies and its
+                # document re-certifies, or it is above the slice-bound ceiling
+                status, out, err = _exit_0_or_2(capsys, data, "verify", str(path), "--json")
+                if status == 2:
+                    assert "slice bound" in err, (data, err)
+                    continue
+                doc = json.loads(out)
+                assert doc["ok"] is True, data
+                assert certify(chain_from_polynomials(*doc_rebuild(doc))).ok, data
+                verified += 1
+    assert verified >= 100
 
 
 # --- verify --json documents -------------------------------------------------
@@ -172,9 +195,15 @@ def test_mutated_documents_rebuild_or_raise_typed(corpus_files, corpus_chains):
                 for mutate in (kind, *rng.sample(DOC_MUTATIONS, rng.randrange(3))):
                     mutate(rng, doc)
                 try:
-                    doc_rebuild(doc)
+                    rebuilt = doc_rebuild(doc)
                 except (CurveFileError, InvalidBranchError):
-                    pass
+                    continue
                 except Exception as exc:
                     pytest.fail(f"{kind.__name__} on {path.name}: {exc!r}")
+                # whatever rebuilds re-certifies to a chain, with no exception
+                try:
+                    chain = certify(chain_from_polynomials(*rebuilt))
+                except Exception as exc:
+                    pytest.fail(f"re-certifying {kind.__name__} on {path.name}: {exc!r}")
+                assert chain.certificates, (kind.__name__, path.name)
     assert sys.get_int_max_str_digits() == limit
