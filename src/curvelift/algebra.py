@@ -60,6 +60,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InvariantError
+
 Coeff = int | Fraction
 
 
@@ -508,7 +510,7 @@ class Residual:
             self._memo[betas] = product = self._product(betas)
             P = product[1]
         else:
-            raise ArithmeticError("a residual step outgrew its repacked width")
+            raise InvariantError("a residual step outgrew its repacked width")
         D = self._d
         U = (self._u if s == 1 else s * self._u) - r * P
         if U:

@@ -3,9 +3,10 @@
 A branch is given by its parametrization x = t**k, y = zeta(t) with zeta a
 polynomial whose exponents are positive integers not divisible by k
 (coordinates are assumed normalized so that no integer-exponent monomial
-survives). validate_branch(k, terms) is the one input boundary: it checks
-k and every term, raising a typed CurveLiftError on invalid input, and
-returns the Branch every later stage takes. The characteristic exponents
+survives). Building a Branch (by validate_branch, by hand or by
+dataclasses.replace) is the one input boundary: it checks k and every
+term, raising a typed CurveLiftError on invalid input, and derives the
+characteristic data later stages take unchecked. The characteristic exponents
 lambda_1 < ... < lambda_s are the places where the gcd of k and the
 exponents read so far strictly drops. From them follow e_0 = 1,
 e_i = lcm(e_{i-1}, denominator of lambda_i) = k / (the gcd after lambda_i),
@@ -59,11 +60,43 @@ class CharData:
 
 @dataclass(frozen=True)
 class Branch:
-    """A validated branch: its sorted raw terms and characteristic data."""
+    """x = t**k, y = sum of c * t**e, checked when built. terms are a
+    mapping {e: c} or (e, c) pairs, stored as sorted, normalized pairs; cd
+    is derived. A malformed k, exponent or coefficient, a zero coefficient,
+    a repeated exponent, an exponent divisible by k, no terms or a
+    non-primitive support raises InvalidBranchError."""
 
     k: int
     terms: tuple[tuple[int, Coeff], ...]
-    cd: CharData
+    cd: CharData = field(init=False)
+
+    def __post_init__(self):
+        _check_k(self.k)
+        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
+        try:
+            pairs = [(e, c) for e, c in items]
+        except (TypeError, ValueError):
+            raise InvalidBranchError(
+                "terms must be a mapping or (exponent, coefficient) pairs") from None
+        seen = {}
+        for e, c in pairs:
+            if type(e) is not int or e <= 0:
+                raise InvalidBranchError(f"t-exponent must be a positive int, got {e!r}")
+            if e in seen:
+                raise InvalidBranchError(f"duplicate exponent {e}")
+            if e % self.k == 0:
+                raise InvalidBranchError(
+                    f"exponent {e} is divisible by k = {self.k}; integer-exponent "
+                    f"monomials must be removed by a coordinate change")
+            try:
+                c = _norm_coeff(c)
+            except TypeError as exc:
+                raise InvalidBranchError(f"exponent {e}: {exc}") from None
+            if not c:
+                raise InvalidBranchError(f"zero coefficient at exponent {e}")
+            seen[e] = c
+        object.__setattr__(self, "terms", tuple(sorted(seen.items())))
+        object.__setattr__(self, "cd", extract_characteristics(self.k, seen))
 
 
 def _check_k(k) -> None:
@@ -114,38 +147,5 @@ def split_tails(cd: CharData, terms):
 
 
 def validate_branch(k: int, terms) -> Branch:
-    """Validate the parametrization x = t**k, y = sum of c * t**e and derive
-    its characteristic data.
-
-    ``terms`` is a mapping {e: c} or an iterable of (e, c) pairs. A
-    malformed k, exponent or coefficient, a zero coefficient, a repeated
-    exponent, an exponent divisible by k (the normalized coordinates carry
-    no integer-exponent monomials), no terms or a non-primitive support
-    raises InvalidBranchError.
-    """
-    _check_k(k)
-    items = terms.items() if isinstance(terms, dict) else terms
-    try:
-        pairs = [(e, c) for e, c in items]
-    except (TypeError, ValueError):
-        raise InvalidBranchError(
-            "terms must be a mapping or (exponent, coefficient) pairs") from None
-    seen = {}
-    for e, c in pairs:
-        if type(e) is not int or e <= 0:
-            raise InvalidBranchError(f"t-exponent must be a positive int, got {e!r}")
-        if e in seen:
-            raise InvalidBranchError(f"duplicate exponent {e}")
-        if e % k == 0:
-            raise InvalidBranchError(
-                f"exponent {e} is divisible by k = {k}; integer-exponent "
-                f"monomials must be removed by a coordinate change")
-        try:
-            c = _norm_coeff(c)
-        except TypeError as exc:
-            raise InvalidBranchError(f"exponent {e}: {exc}") from None
-        if not c:
-            raise InvalidBranchError(f"zero coefficient at exponent {e}")
-        seen[e] = c
-    return Branch(k=k, terms=tuple(sorted(seen.items())),
-                  cd=extract_characteristics(k, seen))
+    """The checked Branch x = t**k, y = sum of c * t**e (see Branch)."""
+    return Branch(k=k, terms=terms)

@@ -17,11 +17,12 @@ class InvalidBranchError(CurveLiftError, ValueError):
 # --- internal invariants -----------------------------------------------------
 
 class InvariantError(CurveLiftError):
-    """An internal consistency check failed: corrupt data or a bug, such as
-    a lift pivot whose normal form has alpha < 0 or lies above the slice
-    bound, a basis product that misses its order, an exhausted iteration
-    budget or generators that do not span Z. Raised instead of asserting,
-    so the check also runs under ``python -O``."""
+    """An internal consistency check failed: a bug, such as a lift pivot
+    whose normal form has alpha < 0 or lies above the slice bound, a basis
+    product that misses its order, an exhausted iteration budget or a
+    residual step that outgrew its width; or a SemigroupDesc off an index
+    chain, refused when built, so no bad record reaches a computation.
+    Raised instead of asserting, so it also runs under ``python -O``."""
 
 
 # --- CLI --------------------------------------------------------------------

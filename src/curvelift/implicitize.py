@@ -222,9 +222,10 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
     iteration-log checks, which report "skipped" when a level's log is empty.
 
     ``pullback_zero`` and ``monic_weierstrass`` alone pin f_i at every
-    degree: ``truncation`` checks primitivity, so yt has degree e_i over
-    Q(x), x = t**e_i, and a monic f of y-degree e_i that vanishes on the
-    truncation is yt's minimal polynomial, the norm the oracle computes.
+    degree: every Branch is validated when it is built, so each truncation
+    is primitive, yt has degree e_i over Q(x), x = t**e_i, and a monic f of
+    y-degree e_i that vanishes on the truncation is yt's minimal
+    polynomial, the norm the oracle computes.
     """
     branch = chain.branch
     cd = branch.cd

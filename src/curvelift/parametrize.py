@@ -18,11 +18,9 @@ off ``pullback``, the lift's expansion: the valuation table and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .algebra import INFINITY, BiPoly, UniPoly
 from .chardata import Branch
-from .errors import InvariantError
 
 
 class Parametrization:
@@ -92,31 +90,19 @@ class Parametrization:
 
 
 def truncation(branch: Branch, i: int) -> Parametrization:
-    """Build the level-i truncation of a validated branch."""
+    """Build the level-i truncation of a validated branch. The kept
+    exponents lie below k*lambda_{i+1}, where the running gcd of k and the
+    exponents is k/e_i: so each is a multiple of k/e_i, the truncation is
+    primitive, and its order is e_i*lambda_1."""
     cd = branch.cd
     if not 1 <= i <= cd.s:
         raise IndexError(f"truncation level {i} out of range 1..{cd.s}")
     k, e_i = cd.k, cd.es[i]
+    terms = branch.terms
     if i < cd.s:
         cutoff = cd.lambdas[i] * k  # keep exponents strictly below k*lambda_{i+1}
-        kept = [(m, c) for m, c in branch.terms if m < cutoff]
-    else:
-        kept = list(branch.terms)
-    yt = {}
-    for m, c in kept:
-        q, r = divmod(m * e_i, k)
-        if r:
-            raise InvariantError(
-                f"non-integral exponent {m}*{e_i}/{k} in truncation (corrupt branch)")
-        yt[q] = c
-    g = e_i
-    for q in yt:
-        g = gcd(g, q)
-    if g != 1:
-        raise InvariantError(f"level {i} truncation lost primitivity (corrupt branch)")
-    if min(yt) != int(cd.lambdas[0] * e_i):
-        raise InvariantError(f"level {i} truncation order drifted (corrupt branch)")
-    return Parametrization(level=i, e=e_i, yt=UniPoly(yt))
+        terms = [(m, c) for m, c in terms if m < cutoff]
+    return Parametrization(level=i, e=e_i, yt=UniPoly({m * e_i // k: c for m, c in terms}))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from curvelift import extract_characteristics, validate_branch
-from curvelift.chardata import CharData, split_tails
+from curvelift.chardata import Branch, CharData, split_tails
 from curvelift.errors import CurveLiftError, InvalidBranchError
 from curvelift.algebra import UniPoly
 from helpers import rand_branch, run_optimized
@@ -165,6 +166,23 @@ def test_chardata_derives_the_index_chain():
     assert cd.ks == (2, 3, 2) and cd.es == (1, 2, 6, 12)
     with pytest.raises(TypeError):
         CharData(k=2, lambdas=(F(3, 2),), ks=(2,), es=(1, 2))
+
+
+def test_replaced_branch_is_checked_and_rederived(branch12):
+    # a Branch built by replace() or by hand is checked as validate_branch
+    # checks one, and its characteristic data are derived afresh: 19 drops
+    # the running gcd from 6 to 1, so the chain ends at the second level
+    b = replace(branch12, terms=branch12.terms + ((19, 1),))
+    assert b.cd.s == 2 and b.cd.lambdas == (F(3, 2), F(19, 12))
+    assert b.terms == ((18, 1), (19, 1), (20, 1), (23, 1))
+    assert b == validate_branch(12, dict(b.terms)) == Branch(12, b.terms)
+    for extra, message in (((24, 1), "exponent 24 is divisible by k = 12"),
+                           ((19, 0), "zero coefficient at exponent 19"),
+                           ((18, 2), "duplicate exponent 18")):
+        with pytest.raises(InvalidBranchError, match=re.escape(message)):
+            replace(branch12, terms=branch12.terms + (extra,))
+    with pytest.raises(TypeError):
+        Branch(k=12, terms=branch12.terms, cd=branch12.cd)
 
 
 # hand-built CharData(k, lambdas) that miss the index chain: lambdas not

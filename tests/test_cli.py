@@ -267,6 +267,18 @@ def test_polygon_level_out_of_range(capsys, monkeypatch):
             assert err.splitlines() == [f"error: level {level} out of range 1..1"]
 
 
+def test_residual_overflow_is_a_typed_error(capsys, monkeypatch):
+    # with no width slack and no repack, a residual step on quartic-deep
+    # outgrows its packed width: the check exits 2 with one error line,
+    # not a traceback
+    monkeypatch.setattr("curvelift.algebra._WIDTH_SLACK", 0)
+    monkeypatch.setattr("curvelift.algebra.Residual._repack", lambda self, grow: None)
+    code = main(["implicitize", str(CORPUS / "quartic-deep.curve"), "--no-verify", "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: a residual step outgrew its repacked width"]
+
+
 def _flags(text: str) -> set[str]:
     return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--help"}
 

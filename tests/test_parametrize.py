@@ -1,13 +1,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from curvelift import (INFINITY, BiPoly, Parametrization, UniPoly, generators,
                        implicitize_all, truncation, validate_branch,
                        valuation_table)
-from curvelift.errors import InvariantError
+from curvelift.errors import InvalidBranchError
 from curvelift.semigroup import semigroup_member
 from helpers import naive_pullback, rand_bipoly, rand_branch
 
@@ -23,12 +24,42 @@ def test_truncation_reference_levels(branch12):
         truncation(branch12, 4)
 
 
-def test_truncation_rejects_non_integral_exponent(branch12):
-    # 19 * e_1 / k = 19 * 2 / 12: a corrupt branch, reported like the other
-    # corrupt-branch checks
-    bad = replace(branch12, terms=tuple(sorted(branch12.terms + ((19, 1),))))
-    with pytest.raises(InvariantError, match="non-integral exponent 19"):
-        truncation(bad, 1)
+def test_truncations_of_mutated_corpus_branches_are_primitive(corpus_chains):
+    # truncation checks nothing: every Branch that builds must give, at
+    # every level, exponents m*e_i/k that are integral, primitive (gcd 1
+    # with e_i) and of order e_i*lambda_1
+    rng = random.Random(0xD4)
+    built = 0
+    for _ in range(600):
+        branch = rng.choice(sorted(corpus_chains.items()))[1][0]
+        terms = list(branch.terms)
+        for _ in range(rng.randint(1, 3)):
+            top = terms[-1][0] if terms else 3 * branch.k
+            move = rng.randrange(3)
+            if move == 0 or not terms:
+                terms.append((rng.randint(1, top + branch.k), rng.choice((1, -2, Fraction(2, 3)))))
+            elif move == 1:
+                terms.pop(rng.randrange(len(terms)))
+            else:
+                j = rng.randrange(len(terms))
+                terms[j] = (terms[j][0], rng.choice((0, 1, -1, Fraction(1, 3))))
+        try:
+            mutant = replace(branch, terms=tuple(terms))
+        except InvalidBranchError:
+            continue
+        built += 1
+        cd = mutant.cd
+        for i in range(1, cd.s + 1):
+            e_i = cd.es[i]
+            kept = [(m, c) for m, c in mutant.terms
+                    if i == cd.s or m < cd.lambdas[i] * cd.k]
+            assert all(m * e_i % cd.k == 0 for m, _ in kept)
+            yt = {m * e_i // cd.k: c for m, c in kept}
+            assert gcd(e_i, *yt) == 1
+            assert min(yt) == cd.lambdas[0] * e_i
+            p = truncation(mutant, i)
+            assert p.e == e_i and p.yt == UniPoly(yt)
+    assert built > 250
 
 
 def test_truncation_keeps_tails(branch6_tails):

@@ -69,24 +69,32 @@ def test_group_and_semigroup_membership():
     assert 1 % gcd(sd.free, *sd.gamma) == 0 and not semigroup_member(1, sd)
     sd2 = generators(cd_of(12, {18, 20, 23}), 2)   # (6; 9, 19)
     assert semigroup_member(25, sd2)
-    # a malformed desc gives no normal form for any input: corrupt data.
-    # (2; 4) does not span Z; in (6; 10, 25) gamma_1 = 10 is not in 3Z;
-    # in (4; 3) with caps (2,) the caps multiply to 2, not 4
-    for desc in (SemigroupDesc(free=2, gamma=(4,), ks=(2,)),
-                 SemigroupDesc(free=6, gamma=(10, 25), ks=(2, 3)),
-                 SemigroupDesc(free=4, gamma=(3,), ks=(2,))):
-        for a in (*range(-30, 31), 75):
-            for fn in (normal_form, semigroup_member):
-                with pytest.raises(InvariantError, match="no normal form"):
-                    fn(a, desc)
+    # a desc is checked when it is built, and free = k_1 * ... * k_i is
+    # derived: a hand-built index chain equals the generated one
+    assert SemigroupDesc(gamma=(9, 25), ks=(2, 3)) == generators(cd_of(6, {9, 16}), 2)
+    with pytest.raises(TypeError):
+        SemigroupDesc(free=4, gamma=(3,), ks=(2,))
+    # no index chain: (2; 4) does not span Z, in (6; 10, 25) gamma_1 = 10
+    # is not in 3Z, and two gammas over one cap
+    for gamma, ks in (((4,), (2,)), ((10, 25), (2, 3)), ((9, 25), (3,))):
+        with pytest.raises(InvariantError, match="is no index chain"):
+            SemigroupDesc(gamma=gamma, ks=ks)
     # raised, not asserted: python -O keeps the check
-    code = ("from curvelift import SemigroupDesc, normal_form\n"
+    code = ("from curvelift import SemigroupDesc\n"
             "from curvelift.errors import InvariantError\n"
-            "try:\n"
-            "    normal_form(75, SemigroupDesc(free=4, gamma=(3,), ks=(2,)))\n"
-            "except InvariantError:\n"
-            "    print('raised')\n")
-    assert run_optimized(code) == "raised\n"
+            "for gamma, ks in (((4,), (2,)), ((10, 25), (2, 3))):\n"
+            "    try:\n"
+            "        SemigroupDesc(gamma=gamma, ks=ks)\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n")
+    assert run_optimized(code) == "raised\n" * 2
+
+
+def test_generators_free_is_e_i_on_corpus(corpus_chains):
+    for branch, _, _ in corpus_chains.values():
+        cd = branch.cd
+        for i in range(1, cd.s + 1):
+            assert generators(cd, i).free == cd.es[i]
 
 
 def test_semigroup_member_matches_brute_force_689():
