@@ -34,7 +34,9 @@ from .errors import InvalidBranchError
 
 @dataclass(frozen=True)
 class CharData:
-    """Multiplicity k and characteristic exponents; ks and es are derived."""
+    """Multiplicity k and characteristic exponents; ks and es are derived.
+    A k that is no positive int, a lambda that is no positive Fraction, or
+    lambdas off an index chain up to k raise InvalidBranchError."""
 
     k: int
     lambdas: tuple[Fraction, ...]
@@ -42,8 +44,12 @@ class CharData:
     es: tuple[int, ...] = field(init=False)  # e_0 = 1, e_1, ..., e_s
 
     def __post_init__(self):
+        _check_k(self.k)
         es = [1]
         for lam in self.lambdas:
+            if type(lam) is not Fraction or lam <= 0:
+                raise InvalidBranchError(
+                    f"characteristic exponent must be a positive Fraction, got {lam!r}")
             es.append(lcm(es[-1], lam.denominator))
         object.__setattr__(self, "es", tuple(es))
         object.__setattr__(self, "ks", tuple(b // a for a, b in zip(es, es[1:])))

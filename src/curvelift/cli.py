@@ -26,7 +26,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -34,8 +34,8 @@ from pathlib import Path
 from .algebra import BiPoly, Coeff
 from .chardata import Branch, split_tails, validate_branch
 from .errors import CurveFileError, CurveLiftError
-from .implicitize import (DEFAULT_ORACLE_BOUND, MAX_SLICE_BOUND, LiftChain,
-                          implicitize_all, lift_levels)
+from .implicitize import (DEFAULT_ORACLE_BOUND, MAX_SLICE_BOUND, LevelCertificate,
+                          LiftChain, implicitize_all, lift_levels)
 from .parametrize import truncation
 from .polygon import polygon_desc
 from .semigroup import generators
@@ -231,22 +231,6 @@ def _mark(ok: bool | str) -> str:
     return "skipped" if ok == "skipped" else "✓" if ok else "✗"
 
 
-# certificate_lines' label per LevelCertificate check, in the checks' order,
-# formatted with the level i, its degree e, the x-vertex a of the compact
-# face and the oracle's outcome; the valuation rows get one line each below
-CERTIFICATE_LABELS = {
-    "pullback_zero": "ι_{i}*f_{i} = 0",
-    "support_in_polygon": "Supp(f_{i}) ⊆ N_{i}",
-    "apex_absent_in_delta": "(0,{e}) ∉ Supp(δ_{i})",
-    "compact_face_present": "{{(0,{e}),({a},0)}} ⊆ Supp(f_{i})",
-    "monic_weierstrass": "f_{i} monic Weierstrass of degree {e}",
-    "n_log_increasing": "elimination orders strictly increasing",
-    "n_log_in_semigroup": "elimination orders in Γ",
-    "valuation_rows_ok": None,
-    "oracle": "resultant oracle: {oracle}",
-}
-
-
 def certificate_lines(doc: dict) -> list[str]:
     """Human-readable report of a certified chain's document, one line per
     check. The face vertex a is gamma_1 = e_i * lambda_1."""
@@ -255,10 +239,11 @@ def certificate_lines(doc: dict) -> list[str]:
         i, e, checks = level["level"], level["e"], level["certificates"]
         values = {"i": i, "e": e, "a": level["semigroup"][1], "oracle": checks["oracle"]}
         lines.append(f"level {i} (e_{i} = {e}):")
-        for name, ok in checks.items():
-            if name == "oracle":        # the label shows the outcome
-                ok = ok in ("match", "skipped")
-            if label := CERTIFICATE_LABELS[name]:
+        for f in fields(LevelCertificate):
+            if label := f.metadata.get("label"):
+                ok = checks[f.name]
+                if f.name == "oracle":  # the label shows the outcome
+                    ok = ok in ("match", "skipped")
                 lines.append(f"  {label.format(**values)} {_mark(ok)}")
     for r in doc["valuation_table"]:
         i, j = r["i"], r["j"]

@@ -11,7 +11,8 @@ class InvalidBranchError(CurveLiftError, ValueError):
     """Not a primitive branch with characteristic data: k, an exponent or a
     coefficient of the wrong type or sign, a zero coefficient, a repeated
     exponent, an exponent divisible by k, no terms, gcd(k, exponents) > 1,
-    or CharData whose lambdas do not form an index chain up to k."""
+    or CharData with a lambda that is no positive Fraction or lambdas that
+    do not form an index chain up to k."""
 
 
 # --- internal invariants -----------------------------------------------------

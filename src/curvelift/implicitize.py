@@ -55,7 +55,7 @@ sum_j (k_{j+1} - 1)*e_j = e_i - 1, so delta_i never touches the apex
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .algebra import INFINITY, BiPoly, Coeff, Residual
 from .chardata import Branch
@@ -67,8 +67,11 @@ from .semigroup import generators, normal_form
 from .weierstrass import basis_reconstruct, is_weierstrass
 
 DEFAULT_ORACLE_BOUND = 12  # certify runs the norm oracle where e_i <= bound
-# the largest slice bound e_i*deg(yt) lift accepts; implicitize --no-verify
-# on k = 4 peaks at 387 MB RSS there (770 MB at 2**24; CPython 3.11, x86-64)
+# the largest slice bound e_i*deg(yt) lift accepts. It bounds a k = 4 lift:
+# implicitize --no-verify peaks at 387 MB RSS there (770 MB at 2**24;
+# CPython 3.11, x86-64). Memory also grows with k_i**2, since the residual
+# keeps the powers 0..k_i of each packed pullback: a one-level k = 2895
+# file below the ceiling peaks at 2.0 GB
 MAX_SLICE_BOUND = 2**23
 
 
@@ -82,23 +85,31 @@ class IterationRecord:
     coeff: Coeff
 
 
+def _check(label: str | None):
+    """A LevelCertificate check. ``label`` is its line in the verify report,
+    formatted with the level i, its degree e, the x-vertex a of the compact
+    face and the oracle's outcome; None for the valuation rows, which the
+    report prints one line each."""
+    return field(metadata={"label": label})
+
+
 @dataclass(frozen=True)
 class LevelCertificate:
-    """Per-level checks behind the chain's correctness claims."""
+    """Per-level checks behind the chain's correctness claims, declared
+    once: the field order is the JSON key order."""
 
     level: int
-    pullback_zero: bool            # the truncation annihilates f_i: its
-                                   # valuation is INFINITY
-    support_in_polygon: bool       # Supp(f_i) inside N_i
-    apex_absent_in_delta: bool     # (0, e_i) not in Supp(delta_i)
-    compact_face_present: bool     # (0, e_i) and (e_i*lam_1, 0) in Supp(f_i)
-    monic_weierstrass: bool        # f_i is Weierstrass of degree e_i
-    n_log_increasing: bool | str   # logged orders strictly increase
-    n_log_in_semigroup: bool | str  # every logged pivot is a non-negative
-                                    # witness of its order; both "skipped"
-                                    # on an empty log
-    valuation_rows_ok: bool        # the level-i rows of the valuation table
-    oracle: str                    # "match" | "mismatch" | "skipped"
+    # the truncation annihilates f_i: its valuation is INFINITY
+    pullback_zero: bool = _check("ι_{i}*f_{i} = 0")
+    support_in_polygon: bool = _check("Supp(f_{i}) ⊆ N_{i}")
+    apex_absent_in_delta: bool = _check("(0,{e}) ∉ Supp(δ_{i})")
+    compact_face_present: bool = _check("{{(0,{e}),({a},0)}} ⊆ Supp(f_{i})")
+    monic_weierstrass: bool = _check("f_{i} monic Weierstrass of degree {e}")
+    # the two log checks are "skipped" on an empty log
+    n_log_increasing: bool | str = _check("elimination orders strictly increasing")
+    n_log_in_semigroup: bool | str = _check("elimination orders in Γ")
+    valuation_rows_ok: bool = _check(None)  # the level-i rows of the valuation table
+    oracle: str = _check("resultant oracle: {oracle}")  # "match" | "mismatch" | "skipped"
 
     def checks(self) -> dict[str, bool | str]:
         """Every outcome but the level, in field order (the JSON key order)."""
@@ -127,8 +138,9 @@ class LiftChain:
 
     @property
     def ok(self) -> bool:
-        return bool(self.certificates) and all(c.ok for c in self.certificates) \
-            and self.table is not None and self.table.ok
+        # every table row has 1 <= i <= s, so the levels' valuation_rows_ok
+        # together are the table's ok
+        return bool(self.certificates) and all(c.ok for c in self.certificates)
 
 
 def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
@@ -150,8 +162,8 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     p = truncation(branch, i)
     bound = p.e * p.yt.degree()
     if bound > MAX_SLICE_BOUND:
-        raise CurveLiftError(f"level {i}: slice bound e_{i}*deg(yt) = {bound} is above "
-                             f"{MAX_SLICE_BOUND}, where a lift peaks at about 390 MB")
+        raise CurveLiftError(f"level {i}: slice bound e_{i}*deg(yt) = {bound} "
+                             f"is above {MAX_SLICE_BOUND}")
 
     # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
     pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
@@ -233,44 +245,26 @@ def certify(chain: LiftChain, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> LiftC
     table = valuation_table(chain.fs, levels, cd.lambdas)
     certs = []
     for i, (p, sd) in enumerate(levels, start=1):
-        f_i = chain.fs[i - 1]
-        delta_i = chain.deltas[i - 1]
-        e_i = p.e
+        f_i, delta_i, log = chain.fs[i - 1], chain.deltas[i - 1], chain.logs[i - 1]
         pd = polygon_desc(p)
-
-        ok_w, deg = is_weierstrass(f_i)
-        monic = ok_w and deg == e_i
-        support_ok = all(polygon_contains(key, pd) for key in f_i.support())
-        apex_ok = (0, e_i) not in delta_i.support()
-        face_ok = set(pd.vertices[:2]) <= f_i.support()
-        log = chain.logs[i - 1]
-        if log:
-            ns = [rec.n for rec in log]
-            increasing = all(a < b for a, b in zip(ns, ns[1:]))
+        certs.append(LevelCertificate(
+            level=i,
+            pullback_zero=p.valuation(f_i) is INFINITY,
+            support_in_polygon=all(polygon_contains(key, pd) for key in f_i.support()),
+            apex_absent_in_delta=(0, p.e) not in delta_i.support(),
+            compact_face_present=set(pd.vertices[:2]) <= f_i.support(),
+            monic_weierstrass=is_weierstrass(f_i) == (True, p.e),
+            n_log_increasing=all(a.n < b.n for a, b in zip(log, log[1:]))
+            if log else "skipped",
             # each logged pivot is its own witness: non-negative, with
             # pivot . (e_i, gamma_1, ..., gamma_i) == n in plain ints
-            sg = (sd.free, *sd.gamma)
-            in_semigroup = all(
-                len(rec.pivot) == len(sg) and min(rec.pivot) >= 0
-                and sum(c * w for c, w in zip(rec.pivot, sg)) == rec.n
-                for rec in log)
-        else:
-            increasing = in_semigroup = "skipped"
-
-        rows_ok = all(r.ok for r in table.rows if r.i == i)
-
-        if e_i <= oracle_bound:
-            oracle = "match" if resultant_implicitize(p) == f_i else "mismatch"
-        else:
-            oracle = "skipped"
-        pull_zero = p.valuation(f_i) is INFINITY
-
-        certs.append(LevelCertificate(
-            level=i, pullback_zero=pull_zero, support_in_polygon=support_ok,
-            apex_absent_in_delta=apex_ok, compact_face_present=face_ok,
-            monic_weierstrass=monic, n_log_increasing=increasing,
-            n_log_in_semigroup=in_semigroup, valuation_rows_ok=rows_ok,
-            oracle=oracle))
+            n_log_in_semigroup=all(
+                len(rec.pivot) == len(sd.gamma) + 1 and min(rec.pivot) >= 0
+                and sum(c * w for c, w in zip(rec.pivot, (sd.free, *sd.gamma))) == rec.n
+                for rec in log) if log else "skipped",
+            valuation_rows_ok=all(r.ok for r in table.rows if r.i == i),
+            oracle="skipped" if p.e > oracle_bound
+            else "match" if resultant_implicitize(p) == f_i else "mismatch"))
     return replace(chain, certificates=tuple(certs), table=table)
 
 

@@ -168,6 +168,18 @@ def test_chardata_derives_the_index_chain():
         CharData(k=2, lambdas=(F(3, 2),), ks=(2,), es=(1, 2))
 
 
+@pytest.mark.parametrize("k, lambdas, message", [
+    (2, (1.5,), "characteristic exponent must be a positive Fraction, got 1.5"),
+    (2, (F(-1, 2),), "characteristic exponent must be a positive Fraction"),
+    (2.0, (F(3, 2),), "multiplicity k must be a positive int, got 2.0"),
+])
+def test_chardata_rejects_malformed_input_typed(k, lambdas, message):
+    # a float lambda, a negative one (it would give the "semigroup"
+    # (2; -1)) and a float k raise the typed error, not AttributeError
+    with pytest.raises(InvalidBranchError, match=re.escape(message)):
+        CharData(k=k, lambdas=lambdas)
+
+
 def test_replaced_branch_is_checked_and_rederived(branch12):
     # a Branch built by replace() or by hand is checked as validate_branch
     # checks one, and its characteristic data are derived afresh: 19 drops

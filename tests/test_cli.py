@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from curvelift import BiPoly, basis_reconstruct, certify
-from curvelift.cli import (CERTIFICATE_LABELS, branch_from_file, certificate_lines,
+from curvelift.cli import (branch_from_file, certificate_lines,
                            chain_to_doc, doc_rebuild, format_poly, load_curve, main,
                            parse_curve_text, parse_rational, poly_from_doc, poly_to_doc)
 from curvelift.errors import CurveFileError, CurveLiftError
@@ -130,9 +130,20 @@ def test_cmd_verify_certificate_lines(capsys):
     assert code == 0
     assert "ϑ_{ι_3}(f_2) = 117 = γ_3^{(3)} ✓" in out
     assert "ALL PASSED" in out
-    # the report has one label per certificate check, in the checks' order
-    assert list(CERTIFICATE_LABELS) == [
-        f.name for f in fields(LevelCertificate) if f.name != "level"]
+
+
+def test_certificate_fields_declare_labels_and_key_order(capsys):
+    # each LevelCertificate check field carries its verify label; only the
+    # valuation rows, printed one line per row, have none
+    checks = [f for f in fields(LevelCertificate) if f.name != "level"]
+    for f in checks:
+        label = f.metadata["label"]
+        assert (label is None) if f.name == "valuation_rows_ok" else label, f.name
+    # the field order is the order of the JSON certificate keys
+    code, out = run(capsys, "verify", str(CORPUS / "paper-ex1.curve"), "--json")
+    assert code == 0
+    for level in json.loads(out)["levels"]:
+        assert list(level["certificates"]) == [f.name for f in checks]
 
 
 def test_cmd_bench(capsys, tmp_path):

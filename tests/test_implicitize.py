@@ -288,6 +288,34 @@ def test_chain_from_polynomials_roundtrip(branch12, chain12):
     assert cert.ok
 
 
+def _three_part_verdict(chain):
+    # chain.ok with the valuation table checked on its own as well
+    return bool(chain.certificates) and all(c.ok for c in chain.certificates) \
+        and chain.table is not None and chain.table.ok
+
+
+def test_chain_ok_reads_the_table_off_the_levels(corpus_chains, branch12, monkeypatch):
+    # every valuation table row has 1 <= i <= s, so the levels'
+    # valuation_rows_ok together are table.ok, and chain.ok needs no table
+    for name, (_, chain, _) in sorted(corpus_chains.items()):
+        assert chain.ok is _three_part_verdict(chain) is True, name
+        assert all(c.valuation_rows_ok for c in chain.certificates) is chain.table.ok
+    chain = implicitize_all(branch12, verify=False)
+    assert chain.ok is _three_part_verdict(chain) is False
+    # one row forced false: val_1(f_0) = val_1(y) read one too high
+    valuation = Parametrization.valuation
+
+    def off_by_one(self, f):
+        v = valuation(self, f)
+        return v + 1 if self.level == 1 and f == BiPoly.y() else v
+
+    monkeypatch.setattr(Parametrization, "valuation", off_by_one)
+    bad = certify(chain)
+    assert [r.ok for r in bad.table.rows].count(False) == 1
+    assert [c.valuation_rows_ok for c in bad.certificates] == [False, True, True]
+    assert bad.ok is _three_part_verdict(bad) is False
+
+
 def test_four_level_chain():
     # k_i = (2, 2, 2, 2): lambdas (3/2, 9/4, 21/8, 45/16)
     b = validate_branch(16, {24: 1, 36: 1, 42: 1, 45: 1})

@@ -1,14 +1,17 @@
 """Bounded-exhaustive sweep: every characteristic shape with k <= 16 and
 characteristic exponents in (k, 3k], 1008 branches and 2180 levels, under
-two coefficient patterns. Each chain must certify and match the norm
-oracle at every level."""
+three coefficient patterns, the last with one tail per level. Each chain
+must certify and match the norm oracle at every level, and a tailed
+chain's document must rebuild and re-certify."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from curvelift import implicitize_all, validate_branch
+from curvelift import certify, implicitize_all, validate_branch
+from curvelift.cli import CurveFile, chain_to_doc, doc_rebuild
+from curvelift.implicitize import chain_from_polynomials
 
 
 def shapes(k: int, top: int):
@@ -34,6 +37,7 @@ SHAPES = [(k, chars) for k in range(2, 17) for chars in shapes(k, 3 * k)]
 def test_sweep_scope():
     assert len(SHAPES) == 1008
     assert sum(len(chars) for _, chars in SHAPES) == 2180
+    assert sum(len(tailed(k, chars)) - len(chars) for k, chars in SHAPES) == 1681
 
 
 def unit(chars):
@@ -54,3 +58,30 @@ def test_sweep_certifies_and_matches_oracle(pattern):
         chain = implicitize_all(branch, oracle_bound=16)
         assert chain.ok, (k, chars)
         assert all(c.oracle == "match" for c in chain.certificates), (k, chars)
+
+
+def tailed(k, chars):
+    """Alternating unit characteristic terms and, after each m_j, one 2/3
+    tail at the first multiple of gcd(k, m_1..m_j) above m_j that k does
+    not divide, where it lies below m_{j+1} (at the top level, anywhere)."""
+    terms = {m: (-1) ** j for j, m in enumerate(chars)}
+    g = k
+    for j, m in enumerate(chars):
+        g = gcd(g, m)
+        tail = m + g
+        while tail % k == 0:
+            tail += g
+        if j + 1 == len(chars) or tail < chars[j + 1]:
+            terms[tail] = Fraction(2, 3)
+    return terms
+
+
+def test_sweep_with_tails_certifies_and_rebuilds():
+    for k, chars in SHAPES:
+        cf = CurveFile(k=k, terms=sorted(tailed(k, chars).items()))
+        chain = implicitize_all(validate_branch(k, dict(cf.terms)), oracle_bound=16)
+        assert chain.ok, (k, chars)
+        assert all(c.oracle == "match" for c in chain.certificates), (k, chars)
+        branch, fs = doc_rebuild(chain_to_doc(cf, chain))
+        rebuilt = certify(chain_from_polynomials(branch, fs), oracle_bound=16)
+        assert rebuilt.ok and rebuilt.fs == chain.fs, (k, chars)
