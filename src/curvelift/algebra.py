@@ -13,21 +13,47 @@ canonical: ``gcd(_d, *_c.values()) == 1`` and zero is ``({}, 1)``, so
 equal polynomials have equal fields. ``+`` and ``-`` rescale the
 numerators to the lcm of the two denominators, scalar ``*`` scales
 numerators and denominator, and a product multiplies the denominators;
-each reduces once with one ``gcd``. Both products are schoolbook over the
-numerators, the shorter operand in the outer loop: a ``UniPoly`` product
-in the pipeline is a Horner step of ``Parametrization.pullback``, whose
-factor ``yt`` has a few terms, and ``BiPoly`` operands are sparse in two
-variables, so packing either into one int costs more than the term pairs
-it saves.
+each reduces once with one ``gcd``.
+
+An integer map {e: c_e} with lowest exponent lo packs, at a digit width W
+that is a whole number of bytes, as the int sum c_e*2**(W*(e-lo)): its
+value at t = 2**W over t**lo. Evaluation at 2**W is a ring homomorphism,
+so sums and products of packed ints are the packed sums and products, and
+only a decode needs a bound: if every numerator lies strictly between
+-2**(W-1) and 2**(W-1), no digit overflows into its neighbour, and each
+reads back exactly.
+
+A ``UniPoly`` product is schoolbook over the numerators, the shorter
+operand in the outer loop: in the pipeline it is a Horner step of
+``Parametrization.pullback``, whose factor ``yt`` has a few terms. A
+``BiPoly`` product takes the same loop below ``_PACKED_PAIRS`` term pairs.
+Above it, the lift's large products (``f_{i-1}**k_i`` and the Horner steps
+of ``basis_reconstruct``) have banded operands: each y-row of f_i is one
+short run of x-powers, and the runs slide down as y grows. Such a product
+is one int product at the skewed key x + s*y (Kronecker substitution with
+a skew chosen per product; von zur Gathen and Gerhard, *Modern Computer
+Algebra*, 8.4). Let [L_y, H_y] be the x-range of the product's row y,
+taken over the pairs of operand rows with ya + yb = y as the least
+la + lb and the greatest ha + hb. The skew s is the least s >= 1 with
+H_y + s*y < L_y' + s*y' for each two consecutive rows y < y'. Then the
+key maps the rows to disjoint intervals that increase with y, so it is
+injective on the product's support, and on each operand's: an operand row
+shifted by one fixed row of the other lies inside a product row. Keys add
+as monomials multiply, so packing each operand by key and multiplying the
+two ints gives the product packed by key (a square packs once). The digit
+at the key of (x, y) is the numerator there, a sum of a_i*b_j over pairs
+with at most one b_j for each a_i and one a_i for each b_j, so it is at
+most min(||A||_1*||B||_inf, ||A||_inf*||B||_1) in size, and W is
+``_width`` of that bound; keys between the row intervals read 0, and only
+the intervals are read back. Packing costs digits, not term pairs, so
+the product stays on the schoolbook loop unless it has at least
+``_PACKED_FILL`` term pairs per pair of operand rows (reading the ranges
+off each row pair costs as much as a term pair) and per digit of the
+packed product. Operands with few terms per row, or with wide gaps in x,
+miss these; the lift's large products meet them.
 
 ``Residual`` runs one lift level on packed integers, at one digit width
-W, a whole number of bytes, for the whole level. An integer map
-{e: c_e} with lowest exponent lo packs as the int sum c_e*2**(W*(e-lo)),
-its value at t = 2**W over t**lo. Evaluation at 2**W is a ring
-homomorphism, so sums and products of packed ints are the packed sums and
-products, and only a decode needs a bound: if every numerator lies
-strictly between -2**(W-1) and 2**(W-1), no digit overflows into its
-neighbour, and each reads back exactly. Each basis pullback u_l = N_l/d_l
+W for the whole level. Each basis pullback u_l = N_l/d_l
 is packed once; its powers (``PowerChain``) and each beta tuple's product
 prod_l u_l**b_l are int products of those; the residual's numerators,
 packed from its order n, are one int U over one denominator D. A step
@@ -109,7 +135,11 @@ class _IntMapPoly:
     docstring). A subclass sets ``_ONE_KEY``, checks its keys in ``_key``,
     and defines its own ``__mul__``, which handles scalars by ``_scale``.
     The two products are one schoolbook loop, written out in each with its
-    own key sum: a shared loop that adds keys through a callback is slower."""
+    own key sum: a shared loop that adds keys through a callback is slower.
+    A ``BiPoly`` product of at least ``_PACKED_PAIRS`` term pairs whose
+    packing is dense enough (``_PACKED_FILL``) is one int product at the
+    key x + s*y instead (``_skewed_product``); the module docstring says
+    why that key is injective and every digit fits."""
 
     __slots__ = ("_c", "_d")
 
@@ -286,10 +316,70 @@ class UniPoly(_IntMapPoly):
 # bivariate polynomials in (x, y)
 # ---------------------------------------------------------------------------
 
+# a BiPoly product of fewer term pairs runs the schoolbook loop; from here
+# on it tries one packed int product (crossover measured on the lift's f_i)
+_PACKED_PAIRS = 1024
+# the packed product needs this many term pairs per pair of operand rows
+# and per digit it packs, or it leaves the product to the loop
+_PACKED_FILL = 4
+
+
+def _row_ranges(keys) -> dict[int, list[int]]:
+    """{y: [lowest x, highest x]} over the keys (x, y)."""
+    rows = {}
+    for x, y in keys:
+        r = rows.get(y)
+        if r is None:
+            rows[y] = [x, x]
+        elif x < r[0]:
+            r[0] = x
+        elif x > r[1]:
+            r[1] = x
+    return rows
+
+
+def _skewed_product(a: dict, b: dict) -> dict | None:
+    """The product of the numerator maps a and b by one int product at the
+    key x + s*y (see the module docstring), or None when the packing is too
+    sparse to pay; ``a is b`` squares."""
+    pairs = len(a) * len(b)
+    ra = _row_ranges(a)
+    rb = ra if b is a else _row_ranges(b)
+    if not pairs or _PACKED_FILL * len(ra) * len(rb) > pairs:
+        return None
+    rows = {}                   # the product's, from each pair of operand rows
+    for ya, (la, ha) in ra.items():
+        for yb, (lb, hb) in rb.items():
+            r = rows.get(ya + yb)
+            if r is None:
+                rows[ya + yb] = [la + lb, ha + hb]
+            else:
+                if la + lb < r[0]:
+                    r[0] = la + lb
+                if ha + hb > r[1]:
+                    r[1] = ha + hb
+    ys = sorted(rows)
+    s = max([1] + [(rows[y0][1] - rows[y1][0]) // (y1 - y0) + 1
+                   for y0, y1 in zip(ys, ys[1:])])
+    lo = rows[ys[0]][0] + s * ys[0]
+    n = rows[ys[-1]][1] + s * ys[-1] - lo + 1
+    if _PACKED_FILL * n > pairs:
+        return None
+    va, vb = a.values(), b.values()
+    w = _width(min(sum(map(abs, va)) * max(map(abs, vb)),
+                   max(map(abs, va)) * sum(map(abs, vb))))
+    za = _pack({x + s * y: v for (x, y), v in a.items()}, w)
+    zb = za if b is a else _pack({x + s * y: v for (x, y), v in b.items()}, w)
+    digits = _unpack(za * zb, n, w)
+    return {(x, y): v for y in ys for x in range(rows[y][0], rows[y][1] + 1)
+            if (v := digits[x + s * y - lo])}
+
+
 class BiPoly(_IntMapPoly):
     """Sparse exact polynomial in x and y, stored as an integer map from
-    (x-power, y-power) over one denominator and multiplied by schoolbook
-    over the numerators (see the module docstring)."""
+    (x-power, y-power) over one denominator and multiplied over the
+    numerators, by schoolbook or, for large banded operands, by one packed
+    int product (see the module docstring)."""
 
     __slots__ = ()
     _ONE_KEY = (0, 0)
@@ -330,6 +420,10 @@ class BiPoly(_IntMapPoly):
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             a, b = self._c, other._c
+            if len(a) * len(b) >= _PACKED_PAIRS:
+                out = _skewed_product(a, b)
+                if out is not None:
+                    return BiPoly._reduced(out, self._d * other._d)
             if len(a) > len(b):
                 a, b = b, a
             b = list(b.items())
@@ -353,7 +447,7 @@ class BiPoly(_IntMapPoly):
 
 
 # ---------------------------------------------------------------------------
-# one lift level, packed at t = 2**W
+# integer maps packed at t = 2**W, and one lift level on them
 # ---------------------------------------------------------------------------
 
 class PowerChain:

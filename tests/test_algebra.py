@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import curvelift.algebra as algebra
 from curvelift import INFINITY, BiPoly, Parametrization, UniPoly
 from curvelift.algebra import Residual, bipoly_exact_div, sylvester_det
 from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_unipoly
@@ -277,7 +278,43 @@ def _nonzero(c: dict) -> dict:
     return {k: v for k, v in c.items() if v}
 
 
-def test_bi_ops_match_fraction_reference_random():
+def _band(rng, rows, width, coeff=lambda rng: 1, fixed=False):
+    """Rows y = 0 .. rows-1, each one run of x-powers (``width`` long, or up
+    to it) starting 1.5 lower per row: the shape of the lift's f_i."""
+    return BiPoly({(x, y): coeff(rng) for y in range(rows)
+                   for x0 in [3 * (rows - 1 - y) // 2]
+                   for x in range(x0, x0 + (width if fixed else rng.randint(1, width)))})
+
+
+def _large_pairs(rng):
+    """(a, b, packs): operands with at least ``_PACKED_PAIRS`` term pairs
+    (or a zero one), and whether their product takes the packed route."""
+    edge = (1 << 63) - 1
+    sign = lambda rng: rng.choice((1, -1))
+    gappy = lambda: BiPoly({(x, y): rng.randint(-9, 9) or 1 for y in (0, 1, 4, 5)
+                            for x in range(25) if rng.random() < 0.6})
+    f = _band(rng, 17, 8, fixed=True)
+    big = _band(rng, 40, 30, fixed=True)
+    return [
+        (_band(rng, 33, 16), _band(rng, 17, 4), True),      # f_5 * f_4-like
+        (f, f, True),                                       # squares
+        (gappy(), gappy(), True),                           # empty rows, gaps
+        (BiPoly({(x, 2): x + 1 for x in range(40)}),        # one row
+         BiPoly({(x, 0): -x for x in range(5, 35)}), True),
+        (BiPoly({(3, y): y - 20 for y in range(40)}),       # one column:
+         BiPoly({(0, y): 1 for y in range(30)}), False),    # a term per row
+        (BiPoly.monomial(4, 9, Fraction(-7, 3)), big, False),
+        (BiPoly.zero(), big, False),
+        (_band(rng, 20, 12, lambda rng: edge * sign(rng)),
+         _band(rng, 12, 12, lambda rng: edge * sign(rng)), True),
+        (_band(rng, 20, 10, lambda rng: Fraction(rng.randint(1, 9) * sign(rng),
+                                                 rng.choice((1, 2, 3, 7)))),
+         _band(rng, 15, 6, lambda rng: Fraction(sign(rng), rng.choice((1, 6)))),
+         True),
+    ]
+
+
+def test_bi_ops_match_fraction_reference_random(monkeypatch):
     rng = random.Random(0xA7)
     x, y = BiPoly.monomial(1, 0), BiPoly.y()
     h = Fraction(1 << 200, 3)
@@ -292,6 +329,10 @@ def test_bi_ops_match_fraction_reference_random():
                 _wide_bipoly(rng)
         else:
             b = _wide_bipoly(rng)
+        pairs.append((a, b))
+    for a, b, packs in _large_pairs(rng):
+        assert not a or len(a) * len(b) >= algebra._PACKED_PAIRS
+        assert (algebra._skewed_product(a._c, b._c) is not None) == packs
         pairs.append((a, b))
     scalars = (0, 1, -1, 6, 1 << 130, Fraction(1, 2), Fraction(-7, 6),
                Fraction(3, 1 << 70))
@@ -321,6 +362,25 @@ def test_bi_ops_match_fraction_reference_random():
             _assert_bi_canonical(got)
             if not want or not any(want.values()):
                 assert got._c == {} and got._d == 1 and got == BiPoly.zero()
+    # a power whose last squaring packs
+    f = _band(rng, 9, 6)
+    f2 = f * f
+    assert algebra._skewed_product(f2._c, f2._c) is not None
+    want = {(0, 0): Fraction(1)}
+    for _ in range(4):
+        want = naive_bi_mul(BiPoly(want), f)
+    assert _ref(f ** 4) == want
+    # at the least byte-aligned width, the middle numerator 256*m**2 of a
+    # 256-term row squared fills all but the sign bit of its digit, and a
+    # bound 256 times too small would give a byte less
+    monkeypatch.setattr(algebra, "_width", lambda bound: (bound.bit_length() + 8) // 8 * 8)
+    m = (1 << 59) + (1 << 57)
+    row = BiPoly({(x, 0): m for x in range(256)})
+    assert algebra._width(256 * m * m) - 1 == (256 * m * m).bit_length() == 127
+    assert algebra._width(m * m) == 120
+    for a, b in ((row, row), (row, -row)):
+        assert algebra._skewed_product(a._c, b._c) is not None
+        assert _ref(a * b) == naive_bi_mul(a, b)
 
 
 def test_bi_canonical_equality():

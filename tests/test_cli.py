@@ -434,6 +434,43 @@ def test_workload_verify_json_bytes_pinned(capsys, tmp_path):
         assert h.hexdigest() == digest, name
 
 
+# the routes of a BiPoly product, by the settings of algebra's constants:
+# as shipped, every nonzero product packed, and none packed
+PRODUCT_ROUTES = {"shipped": {}, "packed": {"_PACKED_PAIRS": 0, "_PACKED_FILL": 0},
+                  "schoolbook": {"_PACKED_PAIRS": float("inf")}}
+
+
+def test_product_routes_give_equal_chains_and_bytes(capsys, monkeypatch, tmp_path):
+    # on the corpus and a deep-integer branch (k_i = 2, 2, 2, 5, unit
+    # coefficients), each route lifts the same f_i, deltas and logs and
+    # prints the same ``verify --json`` bytes; the shipped route packs some
+    # of the deep branch's products
+    import curvelift.algebra as algebra
+    deep = tmp_path / "deep.curve"
+    deep.write_text("name: deep\nk: 40\nterm: 60 1\nterm: 70 1\nterm: 75 1\nterm: 76 1\n")
+    paths = sorted(CORPUS.glob("*.curve")) + [deep]
+    assert len(paths) == len(VERIFY_JSON_SHA256) + 1
+    skewed = algebra._skewed_product
+    results, packs = {}, dict.fromkeys(PRODUCT_ROUTES, 0)
+    for route, settings in PRODUCT_ROUTES.items():
+        def counted(a, b):
+            out = skewed(a, b)
+            packs[route] += out is not None
+            return out
+        monkeypatch.setattr(algebra, "_skewed_product", counted)
+        for name, value in settings.items():
+            monkeypatch.setattr(algebra, name, value)
+        results[route] = []
+        for path in paths:
+            chain = implicitize_all(branch_from_file(load_curve(path)), verify=False)
+            code, out = run(capsys, "verify", str(path), "--json")
+            assert code == 0, (route, path.name)
+            results[route].append((chain.fs, chain.deltas, chain.logs, out))
+        monkeypatch.undo()
+    assert results["shipped"] == results["packed"] == results["schoolbook"]
+    assert 0 == packs["schoolbook"] < packs["shipped"] < packs["packed"]
+
+
 # SHA-256 of the same documents with every level's "iterations" key removed
 # and re-emitted as ``verify --json`` prints: the f_i, deltas, certificates
 # and valuation table, which a change of elimination pivot must not move.

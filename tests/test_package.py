@@ -111,10 +111,11 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-# the lift's arithmetic: the norm oracle and the valuation that certify
-# reads must run none of it, so that they check f_i independently
+# the lift's arithmetic, with the packed BiPoly product that forms its f_i:
+# the norm oracle and the valuation that certify reads must run none of it,
+# so that they check f_i independently
 LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_pack",
-                   "_unpack", "_width"}
+                   "_unpack", "_width", "_skewed_product", "_row_ranges"}
 
 
 def _lift_arithmetic(tree) -> list[str]:
