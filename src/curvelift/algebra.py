@@ -52,18 +52,21 @@ off each row pair costs as much as a term pair) and per digit of the
 packed product. Operands with few terms per row, or with wide gaps in x,
 miss these; the lift's large products meet them.
 
-``Residual`` runs one lift level on packed integers, at one digit width
-W for the whole level. Each basis pullback u_l = N_l/d_l
-is packed once; its powers (``PowerChain``) and each beta tuple's product
-prod_l u_l**b_l are int products of those; the residual's numerators,
-packed from its order n, are one int U over one denominator D. A step
+``Residual`` runs one lift level on packed integers, at one digit width W
+for the whole level. Each basis pullback u_l = N_l/d_l is packed once; its
+powers (``PowerChain``) and each beta tuple's product prod_l u_l**b_l are
+int products of those. A product starts from its first factor, so a
+one-factor product is the cached power itself, shared and not copied. The
+residual's numerators, packed from its order n, are one int U over one
+denominator D; it starts as the basis product of the tuple (0, ..., 0, k),
+u_{m-1}**k, taking its order, packed value, denominator and bound. A step
 decodes nothing. Under that bound, U = U_n + 2**W*R with 0 < |U_n| < 2**W,
 so U's lowest set bit lies in its first digit: the next order is
 n + v2(U)//W, and U_n is U's low W bits read as a signed digit. The level
 tracks a bound B on the residual's numerators to keep that true. A
 product's numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
-products of one numerator per factor); the residual starts as
-u_{m-1}**k with B = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
+products of one numerator per factor); the residual starts with the start
+product's B = B_P = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
 B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK`` bits above B and above
 every basis numerator. A step whose new B would reach 2**(W-1) repacks
 first: U is decoded (the old B still holds, so every digit reads back),
@@ -84,7 +87,7 @@ with no order); callers test it with ``is``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InvariantError
 
@@ -446,6 +449,16 @@ class BiPoly(_IntMapPoly):
         return "BiPoly(" + " + ".join(bits) + ")"
 
 
+def horner(coeffs, x):
+    """sum_l coeffs[l] * x**l by Horner's rule, adding no zero coefficient."""
+    total = x.zero()
+    for c in reversed(coeffs):
+        total = total * x
+        if c:
+            total = total + c
+    return total
+
+
 # ---------------------------------------------------------------------------
 # integer maps packed at t = 2**W, and one lift level on them
 # ---------------------------------------------------------------------------
@@ -516,7 +529,7 @@ class Residual:
                  "_u", "_n", "_d", "_b")
 
     def __init__(self, basis: list[UniPoly], k: int, e: int):
-        """The residual u_{m-1}**k of a level with x = t**e."""
+        """The residual u_{m-1}**k, the product of (0, ..., 0, k), at x = t**e."""
         self._e = e
         self._basis = basis
         # per pullback: lowest exponent, lowest numerator, denominator, and
@@ -524,11 +537,9 @@ class Residual:
         self._ends = [(lo, u._c[lo], u._d, sum(map(abs, u._c.values())))
                       for u in basis for lo in [min(u._c)]]
         self._memo: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
-        lo, _, d, norm = self._ends[-1]
-        self._b = norm ** k
-        self._at_width(self._b)
-        self._u = self._pows[-1].get(k)
-        self._n, self._d = k * lo, d ** k
+        start = (0,) * (len(basis) - 1) + (k,)
+        self._at_width(self._bound(start))
+        self._n, self._u, _, self._d, self._b = self._product(start)
 
     def _at_width(self, bound: int) -> None:
         """Pack the basis at the width of ``bound`` and of the basis
@@ -538,19 +549,22 @@ class Residual:
         self._pows = [PowerChain(_pack(u._c, w)) for u in self._basis]
         self._memo.clear()
 
+    def _bound(self, betas: tuple[int, ...]) -> int:
+        """prod_l ||N_l||_1**beta_l, which bounds the product's numerators."""
+        return prod(end[3] ** b for end, b in zip(self._ends, betas))
+
     def _product(self, betas: tuple[int, ...]) -> tuple[int, int, int, int, int]:
         """prod_l u_l**beta_l as (lo, P, p_lo, d_p, bound): its lowest
         exponent, its numerators packed from lo, the lowest of them, its
         denominator, and a bound on the numerators."""
-        lo, P, p_lo, d_p, bound = 0, 1, 1, 1, 1
-        for (l_lo, lead, d, norm), chain, b in zip(self._ends, self._pows, betas):
+        lo, P, p_lo, d_p = 0, None, 1, 1
+        for (l_lo, lead, d, _), chain, b in zip(self._ends, self._pows, betas):
             if b:
                 lo += b * l_lo
-                P *= chain.get(b)
+                P = chain.get(b) if P is None else P * chain.get(b)
                 p_lo *= lead ** b
                 d_p *= d ** b
-                bound *= norm ** b
-        return lo, P, p_lo, d_p, bound
+        return lo, 1 if P is None else P, p_lo, d_p, self._bound(betas)
 
     def order(self):
         """Lowest exponent with a nonzero term; INFINITY once U vanishes."""

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .algebra import BiPoly, Coeff
 from .chardata import Branch, split_tails, validate_branch
-from .errors import CurveFileError, CurveLiftError
+from .errors import CurveFileError, CurveLiftError, InvalidBranchError
 from .implicitize import (DEFAULT_ORACLE_BOUND, MAX_SLICE_BOUND, LevelCertificate,
                           LiftChain, implicitize_all, lift_levels)
 from .parametrize import truncation
@@ -74,8 +74,10 @@ def parse_rational(text: str) -> Coeff:
         raise CurveFileError(f"bad rational {_quote(text)}: write an integer or p/q")
     try:
         f = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:    # beyond int()'s digit limit
         raise CurveFileError(f"bad rational {_quote(text)}: {exc}") from None
+    except ZeroDivisionError:
+        raise CurveFileError(f"bad rational {_quote(text)}: zero denominator") from None
     return f.numerator if f.denominator == 1 else f
 
 
@@ -86,6 +88,15 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
         except ValueError:       # beyond int()'s digit limit
             pass
     raise CurveFileError(f"bad {what} {_quote(text)}: write an integer", path, line)
+
+
+@contextmanager
+def _naming(path: str, errors: type[CurveLiftError]):
+    """Prefix ``path: `` to an error of type ``errors`` raised inside."""
+    try:
+        yield
+    except errors as exc:
+        raise CurveLiftError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -321,7 +332,7 @@ def doc_rebuild(doc: dict) -> tuple[Branch, tuple[BiPoly, ...]]:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (--json document, text lines, exit status). main
 # loads the curve files; a FILE command takes its file and branch, bench the
-# list of (file, branch) pairs of its corpus directory
+# list of (path, file, branch) triples of its corpus directory
 # ---------------------------------------------------------------------------
 
 def _levels(level: int, s: int):
@@ -418,21 +429,23 @@ def cmd_verify(args, cf: CurveFile, branch: Branch):
     return doc, lines, 0 if doc["ok"] else 1
 
 
-def _bench_one(cf: CurveFile, branch: Branch) -> dict:
-    """Wall time of each level of a certificate-free chain run."""
+def _bench_one(path: str, cf: CurveFile, branch: Branch) -> dict:
+    """Wall time of each level of a certificate-free chain run; an error
+    names the curve file."""
     levels = []
     t_start = t0 = time.perf_counter()
-    for i, (f_i, _, log) in enumerate(lift_levels(branch), start=1):
-        t1 = time.perf_counter()
-        levels.append({"level": i, "e": branch.cd.es[i], "iterations": len(log),
-                       "terms": len(f_i), "seconds": t1 - t0})
-        t0 = t1
+    with _naming(path, CurveLiftError):
+        for i, (f_i, _, log) in enumerate(lift_levels(branch), start=1):
+            t1 = time.perf_counter()
+            levels.append({"level": i, "e": branch.cd.es[i], "iterations": len(log),
+                           "terms": len(f_i), "seconds": t1 - t0})
+            t0 = t1
     return {"name": cf.name, "k": branch.k, "levels": levels,
             "total_seconds": time.perf_counter() - t_start}
 
 
-def cmd_bench(args, curves: list[tuple[CurveFile, Branch]]):
-    doc = {"corpus": [_bench_one(cf, branch) for cf, branch in curves]}
+def cmd_bench(args, curves: list[tuple[str, CurveFile, Branch]]):
+    doc = {"corpus": [_bench_one(*curve) for curve in curves]}
     row = "{:20} {:>5} {:>4} {:>6} {:>6} {:>9}".format
     lines = [row("curve", "level", "e_i", "iters", "terms", "seconds")]
     for res in doc["corpus"]:
@@ -483,10 +496,14 @@ def main(argv=None) -> int:
                 raise CurveFileError("no .curve files found", args.corpus)
         else:
             paths = [args.file]
-        curves = [(cf, branch_from_file(cf)) for cf in map(load_curve, paths)]
+        curves = []
+        for path in paths:
+            cf = load_curve(path)
+            with _naming(path, InvalidBranchError):
+                curves.append((path, cf, branch_from_file(cf)))
         with _unlimited_digits():
             doc, lines, status = (handler(args, curves) if args.command == "bench"
-                                  else handler(args, *curves[0]))
+                                  else handler(args, *curves[0][1:]))
             print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
             sys.stdout.flush()
         return status

@@ -71,7 +71,7 @@ DEFAULT_ORACLE_BOUND = 12  # certify runs the norm oracle where e_i <= bound
 # implicitize --no-verify peaks at 387 MB RSS there (770 MB at 2**24;
 # CPython 3.11, x86-64). Memory also grows with k_i**2, since the residual
 # keeps the powers 0..k_i of each packed pullback: a one-level k = 2895
-# file below the ceiling peaks at 2.0 GB
+# file below the ceiling peaks at 1.6 GB
 MAX_SLICE_BOUND = 2**23
 
 

@@ -19,20 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import INFINITY, BiPoly, UniPoly
+from .algebra import INFINITY, BiPoly, UniPoly, horner
 from .chardata import Branch
 
 
+@dataclass(frozen=True)
 class Parametrization:
     """One truncation level: x = t**e, y = yt(t), the truncated branch.
 
     Immutable after construction, and it holds no cache.
     """
 
-    def __init__(self, level: int, e: int, yt: UniPoly):
-        self.level = level
-        self.e = e
-        self.yt = yt
+    level: int
+    e: int
+    yt: UniPoly
 
     def pullback(self, f: BiPoly) -> UniPoly:
         """f(t**e, yt(t)) expanded exactly: for f = F/d_f, the rows sum_a
@@ -40,11 +40,8 @@ class Parametrization:
         rows: dict[int, dict] = {}
         for (a, b), v in f._c.items():
             rows.setdefault(b, {})[a * self.e] = v
-        total = UniPoly.zero()
-        for b in range(max(rows, default=-1), -1, -1):
-            total = total * self.yt
-            if b in rows:
-                total = total + UniPoly._raw(rows[b])
+        total = horner([UniPoly._raw(rows.get(b, {}))
+                        for b in range(max(rows, default=-1) + 1)], self.yt)
         return UniPoly._reduced(total._c, total._d * f._d)
 
     def valuation(self, f: BiPoly):
@@ -84,9 +81,6 @@ class Parametrization:
         if not acc:
             return INFINITY
         return off + ((acc & -acc).bit_length() - 1) // w
-
-    def __repr__(self):
-        return f"Parametrization(level={self.level}, x=t^{self.e}, y={self.yt!r})"
 
 
 def truncation(branch: Branch, i: int) -> Parametrization:

@@ -6,12 +6,13 @@ vanishing at x = 0; certify checks that each f_i is one, of degree e_i.
 lift logs delta_i as exact rational multiples of the basis products
 x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}, and
 basis_reconstruct sums them level by level by Horner's rule in each f_l,
-forming no power of f_l.
+forming no power of f_l. The Horner loop is ``algebra.horner``, the one
+that ``Parametrization.pullback`` runs in yt too.
 """
 
 from __future__ import annotations
 
-from .algebra import BiPoly, Coeff
+from .algebra import BiPoly, Coeff, horner
 
 
 def is_weierstrass(p: BiPoly) -> tuple[bool, int]:
@@ -27,14 +28,6 @@ def is_weierstrass(p: BiPoly) -> tuple[bool, int]:
         if b < m and a == 0:
             return False, m      # lower coefficient does not vanish at x = 0
     return True, m
-
-
-def _horner(coeffs, f: BiPoly) -> BiPoly:
-    """sum_l coeffs[l] * f**l by Horner's rule."""
-    total = BiPoly.zero()
-    for a in reversed(coeffs):
-        total = total * f + a
-    return total
 
 
 BasisTerm = tuple[Coeff, tuple[int, ...]]  # (coefficient, (alpha, beta_0, ..., beta_{i-1}))
@@ -53,4 +46,4 @@ def basis_reconstruct(terms: list[BasisTerm], fs) -> BiPoly:
         groups.setdefault(exps[-1], []).append((c, exps[:-1]))
     coeffs = [basis_reconstruct(groups.get(l, []), fs[:-1])
               for l in range(max(groups, default=-1) + 1)]
-    return _horner(coeffs, fs[-1])
+    return horner(coeffs, fs[-1])

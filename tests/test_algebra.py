@@ -203,6 +203,27 @@ def test_residual_eliminate_leaves_a_shared_product_unchanged():
     assert shared > 0
 
 
+def test_residual_products_share_the_cached_powers():
+    # the start residual u_{m-1}**k is the basis product of (0, ..., 0, k),
+    # and a one-factor product is the PowerChain's cached power itself, not
+    # a copy of it
+    u = UniPoly({2: 3, 3: -1, 5: Fraction(1, 2)})
+    v = UniPoly({1: 1, 4: Fraction(-2, 3)})
+    for basis in ([u], [v, u]):
+        for k in (1, 3):
+            r = Residual(basis, k, 1)
+            assert r._u is r._pows[-1].get(k)
+            assert r.value() == u ** k and r.order() == 2 * k
+    r = Residual([u], 3, 1)
+    w = r._w
+    for b in (1, 2):
+        assert r.eliminate((b,), r.order() - 2 * b) is not None
+        assert r._w == w and r._memo[(b,)][1] is r._pows[0].get(b)
+    # the empty product is 1: x**alpha alone pulls back to a shift
+    assert r.eliminate((0,), r.order()) is not None
+    assert r._memo[(0,)][1] == 1
+
+
 def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
     # order() is v2(U) // W past the packed order, and the lowest numerator
     # is the low W bits, signed. Both agree with the UniPoly packed, for a

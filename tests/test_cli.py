@@ -70,6 +70,9 @@ def test_parse_rejects_all_but_p_over_q(capsys, tmp_path):
         with pytest.raises(CurveFileError) as err:
             parse_curve_text(f"k: 2\nterm: 3 {text}\n", path="f.curve")
         assert "f.curve:2" in str(err.value)
+    with pytest.raises(CurveFileError) as err:
+        parse_curve_text("k: 2\nterm: 3 1/0\n", path="f.curve")
+    assert str(err.value) == "f.curve:2: bad rational '1/0': zero denominator"
     cf = parse_curve_text("k: 6\nterm: 9 -2/3\nterm: 10 7\nterm: 11 +4/6\n")
     assert cf.terms == [(9, Fraction(-2, 3)), (10, 7), (11, Fraction(2, 3))]
     path = tmp_path / "big.curve"
@@ -152,6 +155,33 @@ def test_cmd_bench(capsys, tmp_path):
     code, out = run(capsys, "bench", str(tmp_path))
     assert code == 0
     assert "a" in out and "b" in out and "total" in out
+
+
+def test_invalid_branch_error_names_its_file(capsys, tmp_path):
+    # a file that parses but is no branch: one error line, after its path
+    path = tmp_path / "k1.curve"
+    path.write_text("k: 1\nterm: 3 1\n")
+    for command in ("validate", "verify"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: exponent 3 is divisible by k = 1")
+        assert err.count("\n") == 1
+    (tmp_path / "cusp.curve").write_text("k: 2\nterm: 3 1\n")
+    assert main(["bench", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: exponent 3")
+
+
+def test_bench_error_names_its_curve(capsys, tmp_path):
+    # a curve that validates but whose lift is refused, beside one that
+    # lifts: bench exits 2 with one error line that names the refused file
+    (tmp_path / "cusp.curve").write_text("k: 2\nterm: 3 1\n")
+    path = tmp_path / "wide.curve"
+    path.write_text("k: 3000\nterm: 3001 1\nterm: 3002 1\n")
+    assert main(["bench", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == (f"error: {path}: level 1: slice bound e_1*deg(yt) = 9006000 "
+                   f"is above 8388608\n")
 
 
 def test_bench_rejects_jobs(capsys, tmp_path):

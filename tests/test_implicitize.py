@@ -161,7 +161,8 @@ def test_lift_repacks_without_width_slack(corpus_chains, monkeypatch):
 
 def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
     # the steps of a level that share a beta tuple share its product: the
-    # residual forms one product per distinct beta tuple of the log
+    # residual forms the start tuple's product u_{i-1}**k_i, then one
+    # product per distinct beta tuple of the log
     calls = []
     product = Residual._product
 
@@ -176,7 +177,9 @@ def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
             calls.clear()
             assert lift(b, chain.fs, i)[2] == log, (name, i)
             distinct = {rec.pivot[1:] for rec in log}
-            assert sorted(calls) == sorted(distinct), (name, i)
+            start = (0,) * (i - 1) + (b.cd.ks[i - 1],)
+            assert calls[0] == start, (name, i)
+            assert sorted(calls[1:]) == sorted(distinct), (name, i)
             reused[name, b.cd.es[i]] = len(log) - len(distinct)
     assert reused["paper-ex3", 30] > 0
 

@@ -112,10 +112,20 @@ def test_no_assert_statements_in_package():
 
 
 # the lift's arithmetic, with the packed BiPoly product that forms its f_i:
-# the norm oracle and the valuation that certify reads must run none of it,
-# so that they check f_i independently
+# the norm oracle and every certificate function must run none of it, so
+# that they check f_i independently
 LIFT_ARITHMETIC = {"pullback", "UniPoly", "PowerChain", "Residual", "_pack",
-                   "_unpack", "_width", "_skewed_product", "_row_ranges"}
+                   "_unpack", "_width", "_skewed_product", "_row_ranges",
+                   "horner"}
+# (module, function) of each certificate computation but the valuation,
+# which its own test scans
+CERTIFICATE_FUNCTIONS = (
+    ("implicitize", "certify"),
+    ("parametrize", "valuation_table"),
+    ("polygon", "polygon_desc"),
+    ("polygon", "polygon_contains"),
+    ("weierstrass", "is_weierstrass"),
+)
 
 
 def _lift_arithmetic(tree) -> list[str]:
@@ -128,21 +138,35 @@ def _lift_arithmetic(tree) -> list[str]:
             if name in LIFT_ARITHMETIC]
 
 
+def _function(module: str, name: str):
+    """The definition of ``name`` ('Class.method' for a method) in the
+    package module ``module``."""
+    body = ast.parse((ROOT / "src" / "curvelift" / f"{module}.py").read_text()).body
+    for part in name.split("."):
+        node = next(n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == part)
+        body = node.body
+    return node
+
+
 def test_oracle_runs_none_of_the_lift_arithmetic():
     path = ROOT / "src" / "curvelift" / "oracle.py"
     assert _lift_arithmetic(ast.parse(path.read_text())) == []
 
 
 def test_valuation_runs_none_of_the_lift_arithmetic():
-    path = ROOT / "src" / "curvelift" / "parametrize.py"
-    cls = next(n for n in ast.parse(path.read_text()).body
-               if isinstance(n, ast.ClassDef) and n.name == "Parametrization")
-    valuation = next(n for n in cls.body
-                     if isinstance(n, ast.FunctionDef) and n.name == "valuation")
+    valuation = _function("parametrize", "Parametrization.valuation")
     assert _lift_arithmetic(valuation) == []
     # the scan sees the route it replaced: the order of the full pullback
     valuation.body = ast.parse("return self.pullback(f).order()").body
     assert _lift_arithmetic(valuation) == ["1: pullback"]
+
+
+def test_certificates_run_none_of_the_lift_arithmetic():
+    # each certificate is computed by code independent of the lift it checks
+    found = {f"{module}.{name}": _lift_arithmetic(_function(module, name))
+             for module, name in CERTIFICATE_FUNCTIONS}
+    assert found == dict.fromkeys(found, [])
 
 
 def test_readme_library_example_runs():

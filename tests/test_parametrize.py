@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +22,15 @@ def test_truncation_reference_levels(branch12):
     assert p3.e == 12 and p3.yt == UniPoly({18: 1, 20: 1, 23: 1})
     with pytest.raises(IndexError):
         truncation(branch12, 4)
+
+
+def test_parametrization_is_frozen(branch12):
+    # a truncation is immutable: assigning any field raises
+    p = truncation(branch12, 2)
+    for name, value in (("level", 1), ("e", 5), ("yt", UniPoly({3: 1}))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, value)
+    assert p == Parametrization(2, 6, UniPoly({9: 1, 10: 1}))
 
 
 def test_truncations_of_mutated_corpus_branches_are_primitive(corpus_chains):
