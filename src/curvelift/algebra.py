@@ -54,17 +54,21 @@ miss these; the lift's large products meet them.
 
 ``Residual`` runs one lift level on packed integers, at one digit width W
 for the whole level. Each basis pullback u_l = N_l/d_l is packed once; its
-powers (``PowerChain``) and each beta tuple's product prod_l u_l**b_l are
-int products of those. A product starts from its first factor, so a
+powers (``PowerChain``) and the product prod_l u_l**b_l kept under each
+key a step names (in the lift, a residue class of orders) are int
+products of those. A product starts from its first factor, so a
 one-factor product is the cached power itself, shared and not copied. The
 residual's numerators, packed from its order n, are one int U over one
 denominator D; it starts as the basis product of the tuple (0, ..., 0, k),
 u_{m-1}**k, taking its order, packed value, denominator and bound. A step
 decodes nothing. Under that bound, U = U_n + 2**W*R with 0 < |U_n| < 2**W,
-so U's lowest set bit lies in its first digit: the next order is
-n + v2(U)//W, and U_n is U's low W bits read as a signed digit. The level
-tracks a bound B on the residual's numerators to keep that true. A
-product's numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
+so U's lowest set bit lies in its first digit, and U_n is U's low W bits
+read as a signed digit; the level tracks a bound B on the residual's
+numerators to keep that true. A step zeroes that digit, so the next
+order is n + v2(U)//W: v2(U) is read off U's low ``_ORDER_DIGITS``
+digits, masked out as a small int whose lowest set bit is U's unless
+they are all zero, and only then off the whole of U. A product's
+numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
 products of one numerator per factor); the residual starts with the start
 product's B = B_P = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
 B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK`` bits above B and above
@@ -450,9 +454,13 @@ class BiPoly(_IntMapPoly):
 
 
 def horner(coeffs, x):
-    """sum_l coeffs[l] * x**l by Horner's rule, adding no zero coefficient."""
-    total = x.zero()
-    for c in reversed(coeffs):
+    """sum_l coeffs[l] * x**l by Horner's rule, adding no zero coefficient.
+    It starts from the top coefficient, so m coefficients cost m - 1
+    products; with none, the sum is the zero of x's type."""
+    if not coeffs:
+        return x.zero()
+    total = coeffs[-1]
+    for c in coeffs[-2::-1]:
         total = total * x
         if c:
             total = total + c
@@ -484,6 +492,9 @@ class PowerChain:
 # spare bits of a lift level's digit width over the bound it is sized for:
 # room for the residual's bound to grow before a repack
 _WIDTH_SLACK = 16
+# the low digits of the residual a step reads its next order off; only
+# when they are all zero does it read the lowest set bit of the whole int
+_ORDER_DIGITS = 8
 
 
 def _width(bound: int) -> int:
@@ -521,11 +532,11 @@ def _unpack(z: int, n: int, w: int) -> list[int]:
 
 class Residual:
     """One lift level at one digit width W: the basis pullbacks u_0 ..
-    u_{m-1}, their powers, the products of the beta tuples met so far and
+    u_{m-1}, their powers, the products kept under the keys met so far and
     the residual U/D, each numerator packed as its value at t = 2**W (see
     the module docstring). ``implicitize`` describes the step."""
 
-    __slots__ = ("_e", "_basis", "_ends", "_w", "_pows", "_memo",
+    __slots__ = ("_e", "_basis", "_ends", "_w", "_window", "_pows", "_memo",
                  "_u", "_n", "_d", "_b")
 
     def __init__(self, basis: list[UniPoly], k: int, e: int):
@@ -536,7 +547,7 @@ class Residual:
         # ||.||_1 of the numerators, the base of every digit bound
         self._ends = [(lo, u._c[lo], u._d, sum(map(abs, u._c.values())))
                       for u in basis for lo in [min(u._c)]]
-        self._memo: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
+        self._memo: dict[int, tuple[int, int, int, int, int]] = {}
         start = (0,) * (len(basis) - 1) + (k,)
         self._at_width(self._bound(start))
         self._n, self._u, _, self._d, self._b = self._product(start)
@@ -546,6 +557,7 @@ class Residual:
         numerators; drop the powers and products of the old width."""
         self._w = w = _width(max(bound, *(max(map(abs, u._c.values()))
                                           for u in self._basis)))
+        self._window = (1 << w * _ORDER_DIGITS) - 1
         self._pows = [PowerChain(_pack(u._c, w)) for u in self._basis]
         self._memo.clear()
 
@@ -593,18 +605,22 @@ class Residual:
         self._u = _pack(v._c, self._w)
         self._d = v._d
 
-    def eliminate(self, betas: tuple[int, ...], alpha: int):
+    def eliminate(self, key: int, betas: tuple[int, ...], alpha: int):
         """U/D += a * t**(e*alpha) * prod_l u_l**beta_l, fraction-free, with
-        the a that kills U's lowest term; return a, or None unless the
-        shifted product has exactly U's order. Each beta tuple's product is
-        formed once, on its first step, and shared by every later one."""
+        the a that kills U's lowest term; return a. The product is kept
+        under ``key``: formed on the key's first step, which returns None
+        and keeps nothing unless the shifted product has exactly U's order,
+        and shared unchecked by every later step with that key. So each
+        step with one key must pass the same betas and an alpha that keeps
+        the order, as the lift's residue classes do (``implicitize``)."""
         n = self._n
-        product = self._memo.get(betas)
+        product = self._memo.get(key)
         if product is None:
-            product = self._memo[betas] = self._product(betas)
-        lo, P, p_n, d_p, b_p = product
-        if lo + self._e * alpha != n:
-            return None
+            product = self._product(betas)
+            if product[0] + self._e * alpha != n:
+                return None
+            self._memo[key] = product
+        _, P, p_n, d_p, b_p = product
         for _ in range(2):
             u_n = self._low()
             g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
@@ -615,14 +631,15 @@ class Residual:
             # s <= |p_n| and |r| <= the reduced U's numerators, so the step
             # fits the repacked width
             self._repack(abs(p_n) + b_p)
-            self._memo[betas] = product = self._product(betas)
+            self._memo[key] = product = self._product(betas)
             P = product[1]
         else:
             raise InvariantError("a residual step outgrew its repacked width")
         D = self._d
         U = (self._u if s == 1 else s * self._u) - r * P
         if U:
-            q = ((U & -U).bit_length() - 1) // self._w
+            low = U & self._window
+            q = ((low & -low if low else U & -U).bit_length() - 1) // self._w
             U >>= self._w * q
             self._n = n + q
         self._u, self._d, self._b = U, D * s, bound

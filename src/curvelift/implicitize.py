@@ -12,12 +12,19 @@ read as (alpha, beta_0, ..., beta_{i-1}). The product
     P = x**alpha * y**beta_0 * f_1**beta_1 * ... * f_{i-1}**beta_{i-1}
 
 has order n exactly; adding a * P with the unique coefficient a that kills
-the t**n term strictly raises the order. Only u, n and the normal form
-decide anything, so the loop runs on the pullback alone and logs each
-(n, P, a); it ends when u vanishes, which the support bound forces after
-finitely many steps. The log is a basis decomposition of delta_i, summed
-once at the end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so any other
-tuple of order n would give the same f_i (only the log would differ).
+the t**n term strictly raises the order. Only u and n decide anything, and
+n decides its betas through its residue class r = n mod e_i alone: n and
+n + e_i have normal forms that differ in alpha only (see ``semigroup``).
+So the loop keeps one entry per class: the class's first step runs the
+normal form once and stores its betas, v_r = sum beta_j*gamma_j and the
+highest order the bound admits in the class, v_r + bound - w_r for the
+slice weight w_r = sum beta_j*deg(pullback of f_j); every later step of
+the class reads alpha = (n - v_r)/e_i and checks n against that one
+range. The loop runs on the pullback alone and logs each (n, P, a); it
+ends when u vanishes, which the support bound forces after finitely many
+steps. The log is a basis decomposition of delta_i, summed once at the
+end: f_i = f_{i-1}**k_i + delta_i. f_i is unique, so any other tuple of
+order n would give the same f_i (only the log would differ).
 
 The paper prices each step as an integer program over the slice
 VE.sg == n, VE.ls <= bound (``polygon.lattice_slice``, kept as the
@@ -27,8 +34,9 @@ beta_j >= k_{j+1}, and k_{j+1}*gamma_{j+1} lies in the earlier
 subsemigroup, so rewriting it raises an earlier coordinate. When it also
 meets the bound it is the slice's largest tuple. So no slice is built;
 the step checks the two conditions instead, alpha >= 0 and
-VE.ls <= bound, and raises InvariantError when either fails (the bound
-is observed, not proved).
+VE.ls <= bound, which are v_r <= n and n <= v_r + bound - w_r, and
+raises InvariantError when either fails (the bound is observed, not
+proved).
 
 The pullback is an ``algebra.Residual``, which holds the whole level as
 integers at one digit width W: the basis pullbacks (yt, then the
@@ -36,15 +44,16 @@ pullbacks of f_1 .. f_{i-1}), their powers, the basis products met so far
 and the residual U/D, each numerator as its value at t = 2**W (the
 ``algebra`` docstring gives the width bound, the order read and the
 repack). Only the beta part of a pivot needs a product: x**alpha pulls
-back to the shift t**(e*alpha). The residual forms each beta tuple's
-product P/d_p on the tuple's first step, as one int product of packed
-powers; later steps with that tuple reuse it. Normal forms have
-0 <= beta_j < k_{j+1}, so it keeps at most e_i products, and they go
-with the level. A step reads n and U_n off U's low bits and is
-fraction-free: with P shifted by e*alpha, g = gcd(P_n, U_n) signed as
-P_n, s = P_n/g and r = U_n/g, it sets U := s*U - r*P and D := s*D, and
-logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step). The step does
-not reduce U/D (only a repack does); a is the same rational either way.
+back to the shift t**(e*alpha). The residual keeps each class's product
+P/d_p under its r: it forms it on the class's first step, as one int
+product of packed powers, and checks there that its order is v_r; later
+steps of the class reuse it unchecked. A level has e_i classes, so it
+keeps at most e_i products, and they go with the level. A step reads n
+and U_n off U's low bits and is fraction-free: with P shifted by
+e*alpha, g = gcd(P_n, U_n) signed as P_n, s = P_n/g and c = U_n/g, it
+sets U := s*U - c*P and D := s*D, and logs a = -U_n*d_p / (D*P_n) (U_n,
+D from before the step). The step does not reduce U/D (only a repack
+does); a is the same rational either way.
 
 Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
 be excluded. Every basis product has y-degree at most
@@ -148,10 +157,12 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1},
     taking each step's pivot from the semigroup normal form of its order.
 
-    Each distinct beta tuple's basis product is formed once, on first use,
-    and kept for this call only: at most e_i entries (see the module
-    docstring). A normal form with alpha < 0, or with VE.ls above the slice
-    bound, is no basis tuple of the slice and raises InvariantError.
+    The normal form and the basis product are formed once per residue class
+    n mod e_i, on the class's first step, and kept for this call only: at
+    most e_i entries (see the module docstring). A pivot with alpha < 0, or
+    with VE.ls above the slice bound, is no basis tuple of the slice, and a
+    class whose product's order is not v_r has betas that are no normal
+    form: each raises InvariantError.
     """
     cd = branch.cd
     if not 1 <= i <= cd.s:
@@ -168,34 +179,45 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
     pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
 
-    # ls = pullback degrees of x, f_0, ..., f_{i-1}; the bound encodes the
-    # support polygon
+    # ls = pullback degrees of f_0, ..., f_{i-1}, the weights of the betas
+    # in VE.ls (x weighs e_i); the bound encodes the support polygon
     sd = generators(cd, i)
-    ls = (p.e,) + tuple(u.degree() for u in pullbacks)
+    ls = tuple(u.degree() for u in pullbacks)
 
     u = Residual(pullbacks, k_i, p.e)
 
     budget = bound - p.e * sd.gamma[0] + 1
     log: list[IterationRecord] = []
+    e = p.e
+    # per class r = n mod e_i: (v_r, the highest order under the bound, betas)
+    classes: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     while (n := u.order()) is not INFINITY:
         if len(log) >= budget:
             raise InvariantError(
                 f"level {i}: more than {budget} iterations; internal error")
-        pivot = normal_form(n, sd)
-        if pivot[0] < 0:
+        r = n % e
+        cls = classes.get(r)
+        if cls is None:
+            pivot = normal_form(n, sd)
+            v, betas = n - e * pivot[0], pivot[1:]
+            cls = classes[r] = (v, bound - sum(b * l for b, l in zip(betas, ls)) + v,
+                                betas)
+        v, top, betas = cls
+        pivot = ((n - v) // e, *betas)
+        if n < v:
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}; corrupt input or bug")
-        if sum(c * l for c, l in zip(pivot, ls)) > bound:
+        if n > top:
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}: the normal form "
                 f"{pivot} is above the bound {bound}; corrupt input or bug")
-        a = u.eliminate(pivot[1:], pivot[0])
+        a = u.eliminate(r, betas, pivot[0])
         if a is None:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")
         log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
 
-    delta = basis_reconstruct([(r.coeff, r.pivot) for r in log], fs[:i - 1])
+    delta = basis_reconstruct([(rec.coeff, rec.pivot) for rec in log], fs[:i - 1])
     f_i = (fs[i - 2] if i > 1 else BiPoly.y()) ** k_i + delta
     if f_i.coeff((0, p.e)) != 1:
         raise InvariantError(f"level {i}: f_{i} is not monic at (0, {p.e})")

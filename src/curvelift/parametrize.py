@@ -51,9 +51,11 @@ class Parametrization:
         pullback has the order of N(t) = sum F_ab*t**(e*a)*Y**b*d_Y**(B-b).
         Y**b has coefficients of size at most ||Y||_1**b, so N's are at
         most H = sum |F_ab|*||Y||_1**b*d_Y**(B-b) < 2**(W-1), W = bits(H)+1.
-        Horner's rule over ints, times Y as one shift per term, gives
-        M = N(2**W) / 2**(W*off) exactly, off <= ord N (a row below off
-        shifts M up first). If N = c*t**q + O(t**(q+1)), M is
+        Horner's rule over ints gives M = N(2**W) / 2**(W*off) exactly,
+        off <= ord N (a row below off shifts M up first). Each step times Y
+        takes Y's lowest term unshifted and each other term as one shift of
+        the accumulator, added or subtracted when its numerator is 1 or -1
+        and multiplied by it otherwise. If N = c*t**q + O(t**(q+1)), M is
         2**(W*(q-off)) * (c + 2**W*R) with 0 < |c| < 2**W, so q is
         off + v2(M)//W for v2 the lowest set bit; M = 0 iff N = 0.
         """
@@ -67,10 +69,30 @@ class Parametrization:
                 for b, row in rows.items())
         w = h.bit_length() + 1
         q0 = min(ys, default=0)
-        shifts = [(w * (q - q0), c) for q, c in ys.items()]
+        c0 = ys.get(q0, 0)
+        # the shifts of Y's other terms, the units apart from the rest
+        plus, minus, other = [], [], []
+        for q, c in ys.items():
+            if q == q0:
+                continue
+            s = w * (q - q0)
+            if c == 1:
+                plus.append(s)
+            elif c == -1:
+                minus.append(s)
+            else:
+                other.append((s, c))
         acc, off, pw = 0, 0, 1
         for b in range(top, -1, -1):
-            acc = sum(c * (acc << s) for s, c in shifts)
+            # acc * Y(2**W) / 2**(W*q0)
+            nxt = acc if c0 == 1 else -acc if c0 == -1 else c0 * acc
+            for s in plus:
+                nxt += acc << s
+            for s in minus:
+                nxt -= acc << s
+            for s, c in other:
+                nxt += c * acc << s
+            acc = nxt
             off += q0
             if b in rows:
                 lo = min(x for x, _ in rows[b])

@@ -45,6 +45,36 @@ def test_compose_projection():
     assert p.pullback(BiPoly.monomial(1, 0)) == UniPoly({6: 1})
 
 
+def test_horner_forms_one_product_per_coefficient_below_the_top(monkeypatch):
+    # sum_l c_l * x**l from the top coefficient: m coefficients cost m - 1
+    # products of x's type and no product of zero, zero coefficients are
+    # skipped, and no coefficient gives the zero of x's type
+    rng = random.Random(0x4E)
+    products = []
+    for cls, rand in ((UniPoly, rand_unipoly), (BiPoly, rand_bipoly)):
+        mul = cls.__mul__
+
+        def counting(a, b, mul=mul):
+            products.append((a, b))
+            return mul(a, b)
+
+        for m in range(6):
+            for _ in range(10):
+                x = rand(rng) or cls.one()
+                coeffs = [rand(rng) if rng.random() < 0.7 else cls.zero()
+                          for _ in range(m)]
+                want = cls.zero()
+                for l, c in enumerate(coeffs):
+                    want = want + c * x ** l
+                products.clear()
+                monkeypatch.setattr(cls, "__mul__", counting)
+                got = algebra.horner(coeffs, x)
+                monkeypatch.undo()
+                assert got == want and type(got) is cls
+                assert len(products) == max(m - 1, 0)
+                assert all(not a.is_zero or coeffs[-1].is_zero for a, _ in products)
+
+
 def test_coefficients_normalize_to_int():
     p = UniPoly({2: Fraction(4, 2)})
     assert p.coeff(2) == 2 and type(p.coeff(2)) is int
@@ -163,11 +193,11 @@ def _factor(rng):
 
 
 def test_residual_eliminate_leaves_a_shared_product_unchanged():
-    # the steps of one beta tuple share its packed product: applied at two
-    # orders in a row, the memo keeps the product it formed first unless a
-    # repack widened the level in between, a shift that misses the order
-    # changes nothing, and each U/D + a * t**shift * P/d_p is the schoolbook
-    # sum
+    # the steps of one key share its packed product: applied at two orders
+    # in a row, the memo keeps the product it formed first unless a repack
+    # widened the level in between, a key whose first shift misses the order
+    # changes nothing and keeps no product, and each
+    # U/D + a * t**shift * P/d_p is the schoolbook sum
     rng = random.Random(0xB8)
     shared = 0
     for _ in range(20):
@@ -187,13 +217,13 @@ def test_residual_eliminate_leaves_a_shared_product_unchanged():
         for _ in range(2):
             n, w = r.order(), r._w
             before = r.value()
-            assert r.eliminate(betas, n - lo + 1) is None
-            assert r.value() == before
-            a = r.eliminate(betas, n - lo)
+            assert r.eliminate(1, betas, n - lo + 1) is None
+            assert r.value() == before and 1 not in r._memo
+            a = r.eliminate(0, betas, n - lo)
             if first is not None and r._w == w:
-                assert r._memo[betas] is first
+                assert r._memo[0] is first
                 shared += 1
-            first = r._memo[betas]
+            first = r._memo[0]
             assert a == Fraction(-want.coeff(n)) / full[lo]
             sums = dict(want.terms())
             for e, v in full.items():
@@ -217,11 +247,11 @@ def test_residual_products_share_the_cached_powers():
     r = Residual([u], 3, 1)
     w = r._w
     for b in (1, 2):
-        assert r.eliminate((b,), r.order() - 2 * b) is not None
-        assert r._w == w and r._memo[(b,)][1] is r._pows[0].get(b)
+        assert r.eliminate(b, (b,), r.order() - 2 * b) is not None
+        assert r._w == w and r._memo[b][1] is r._pows[0].get(b)
     # the empty product is 1: x**alpha alone pulls back to a shift
-    assert r.eliminate((0,), r.order()) is not None
-    assert r._memo[(0,)][1] == 1
+    assert r.eliminate(0, (0,), r.order()) is not None
+    assert r._memo[0][1] == 1
 
 
 def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
@@ -246,7 +276,7 @@ def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
         r = Residual([u], 1, 1)
         while (n := r.order()) is not INFINITY:
             assert n == u.order() and r._low() == u.coeff(n)
-            assert r.eliminate((0,), n) == -u.coeff(n)
+            assert r.eliminate(0, (0,), n) == -u.coeff(n)
             u = u - UniPoly({n: u.coeff(n)})
             assert r.value() == u
         assert u.is_zero and r.value().is_zero

@@ -464,30 +464,49 @@ def test_workload_verify_json_bytes_pinned(capsys, tmp_path):
         assert h.hexdigest() == digest, name
 
 
-# the routes of a BiPoly product, by the settings of algebra's constants:
-# as shipped, every nonzero product packed, and none packed
-PRODUCT_ROUTES = {"shipped": {}, "packed": {"_PACKED_PAIRS": 0, "_PACKED_FILL": 0},
-                  "schoolbook": {"_PACKED_PAIRS": float("inf")}}
+# the routes of a BiPoly product and of the residual's next-order read, by
+# the settings of algebra's constants: as shipped, every nonzero product
+# packed, none packed, an order window of one digit (the digit each step
+# has just zeroed, so that every read falls back to the whole int's lowest
+# set bit) and one of more digits than any residual below holds (so that
+# none does)
+ROUTES = {"shipped": {}, "packed": {"_PACKED_PAIRS": 0, "_PACKED_FILL": 0},
+          "schoolbook": {"_PACKED_PAIRS": float("inf")},
+          "one-digit window": {"_ORDER_DIGITS": 1},
+          "wide window": {"_ORDER_DIGITS": 4096}}
 
 
 def test_product_routes_give_equal_chains_and_bytes(capsys, monkeypatch, tmp_path):
     # on the corpus and a deep-integer branch (k_i = 2, 2, 2, 5, unit
     # coefficients), each route lifts the same f_i, deltas and logs and
     # prints the same ``verify --json`` bytes; the shipped route packs some
-    # of the deep branch's products
+    # of the deep branch's products, and its residuals outgrow its window
     import curvelift.algebra as algebra
+    from curvelift.algebra import Residual
     deep = tmp_path / "deep.curve"
     deep.write_text("name: deep\nk: 40\nterm: 60 1\nterm: 70 1\nterm: 75 1\nterm: 76 1\n")
     paths = sorted(CORPUS.glob("*.curve")) + [deep]
     assert len(paths) == len(VERIFY_JSON_SHA256) + 1
-    skewed = algebra._skewed_product
-    results, packs = {}, dict.fromkeys(PRODUCT_ROUTES, 0)
-    for route, settings in PRODUCT_ROUTES.items():
+    skewed, eliminate = algebra._skewed_product, Residual.eliminate
+    longest = 0     # digits of a residual where a step reads its next order
+
+    def measured(self, key, betas, alpha):
+        nonlocal longest
+        n = self._n
+        a = eliminate(self, key, betas, alpha)
+        if self._u:     # the read saw U before U was shifted down to its order
+            longest = max(longest, abs(self._u).bit_length() // self._w + 1
+                          + self._n - n)
+        return a
+
+    results, packs = {}, dict.fromkeys(ROUTES, 0)
+    for route, settings in ROUTES.items():
         def counted(a, b):
             out = skewed(a, b)
             packs[route] += out is not None
             return out
         monkeypatch.setattr(algebra, "_skewed_product", counted)
+        monkeypatch.setattr(Residual, "eliminate", measured)
         for name, value in settings.items():
             monkeypatch.setattr(algebra, name, value)
         results[route] = []
@@ -497,8 +516,9 @@ def test_product_routes_give_equal_chains_and_bytes(capsys, monkeypatch, tmp_pat
             assert code == 0, (route, path.name)
             results[route].append((chain.fs, chain.deltas, chain.logs, out))
         monkeypatch.undo()
-    assert results["shipped"] == results["packed"] == results["schoolbook"]
+    assert all(results[route] == results["shipped"] for route in ROUTES)
     assert 0 == packs["schoolbook"] < packs["shipped"] < packs["packed"]
+    assert algebra._ORDER_DIGITS < longest < ROUTES["wide window"]["_ORDER_DIGITS"]
 
 
 # SHA-256 of the same documents with every level's "iterations" key removed

@@ -116,8 +116,8 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
     states = []
     eliminate = Residual.eliminate
 
-    def recording(self, betas, alpha):
-        a = eliminate(self, betas, alpha)
+    def recording(self, key, betas, alpha):
+        a = eliminate(self, key, betas, alpha)
         states.append(self.value())
         return a
 
@@ -184,6 +184,54 @@ def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
     assert reused["paper-ex3", 30] > 0
 
 
+def test_lift_runs_one_normal_form_per_residue_class(corpus_chains, monkeypatch):
+    # the orders of a level that share a class n mod e_i share its normal
+    # form's betas: lift calls normal_form once per class, at the class's
+    # first order, and reads every later pivot off the class
+    import curvelift.implicitize as implicitize
+    calls = []
+    normal_form = implicitize.normal_form
+
+    def counting(a, sd):
+        calls.append(a)
+        return normal_form(a, sd)
+
+    monkeypatch.setattr(implicitize, "normal_form", counting)
+    steps = forms = 0
+    for name, (b, chain, _) in sorted(corpus_chains.items()):
+        for i, log in enumerate(chain.logs, start=1):
+            calls.clear()
+            assert lift(b, chain.fs, i)[2] == log, (name, i)
+            firsts: dict[int, int] = {}
+            for rec in log:
+                firsts.setdefault(rec.n % b.cd.es[i], rec.n)
+            assert calls == list(firsts.values()), (name, i)
+            steps, forms = steps + len(log), forms + len(calls)
+    assert forms < steps
+
+
+def test_lift_later_class_missing_its_order_is_typed(branch12, monkeypatch):
+    # normal_form answers right for the first class; from the second on it
+    # lowers alpha by one where it can, so v_r is e_i above the product's
+    # order while the order range still holds: that class, not the first
+    # step, raises "misses order"
+    import curvelift.implicitize as implicitize
+    calls = []
+    normal_form = implicitize.normal_form
+
+    def lowered(a, sd):
+        calls.append(a)
+        pivot = normal_form(a, sd)
+        if len(calls) > 1 and pivot[0] > 0:
+            return (pivot[0] - 1, *pivot[1:])
+        return pivot
+
+    monkeypatch.setattr(implicitize, "normal_form", lowered)
+    with pytest.raises(InvariantError, match="misses order"):
+        lift(branch12, (F1,), 2)
+    assert len(calls) > 1
+
+
 def test_lift_pulls_back_each_earlier_f_once(corpus_chains, monkeypatch):
     # the basis pullbacks start at p.yt, the truncation's image of y: lift
     # at level i pulls back f_1 .. f_{i-1} once each and nothing else
@@ -236,7 +284,7 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     ("normal_form", lambda a, sd: (-3, 0, 1), "no basis tuple of order"),
     ("normal_form", lambda a, sd: (2, 5, 0), "is above the bound"),
     ("normal_form", lambda a, sd: (1, 0, 0), "misses order"),
-    ("Residual.eliminate", lambda self, betas, alpha: 1, "more than"),
+    ("Residual.eliminate", lambda self, key, betas, alpha: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):

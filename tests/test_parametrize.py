@@ -125,6 +125,39 @@ def test_pullback_matches_generic_compose(branch6_tails):
                 assert p.pullback(f) == naive_pullback(f, p.e, p.yt)
 
 
+def test_valuation_is_the_pullback_order_on_every_horner_path():
+    # valuation's step times Y = d_Y*yt keeps Y's lowest term unshifted and
+    # turns each other term into a shifted add (numerator 1), a shifted
+    # subtract (-1) or a multiple (any other): on yt whose lowest numerator
+    # is each of those and whose other numerators mix them, the valuation is
+    # the pullback's order, for random f and for f = y - (yt's first m
+    # terms in x) and products of it, whose orders each of those terms moves
+    rng = random.Random(0x7A)
+    kind = {1: "+1", -1: "-1"}
+    paths = set()
+    for case in range(150):
+        e = rng.choice((1, 2, 3))
+        q0 = e * rng.randint(0, 3)
+        ys = {q0: (1, -1, 3, Fraction(-2, 5))[case % 4]}
+        for j in rng.sample(range(1, 12), rng.randint(0, 4)):
+            ys[q0 + e * j] = rng.choice((1, -1, 2, -7, Fraction(1, 3)))
+        p = Parametrization(1, e, UniPoly(ys))
+        num = p.yt._c
+        low = kind.get(num[q0], "other")
+        paths |= {(low, kind.get(c, "other")) for q, c in num.items() if q != q0}
+        if len(num) == 1:
+            paths.add((low, None))
+        polys = [rand_bipoly(rng, 4, 4) for _ in range(3)]
+        terms = sorted(ys.items())
+        for m in range(1, len(terms) + 1):
+            g = BiPoly.y() - BiPoly({(q // e, 0): c for q, c in terms[:m]})
+            polys += [g, g * g, g * BiPoly.y(2) + BiPoly.monomial(1, 1, Fraction(5, 3))]
+        for f in polys:
+            assert p.valuation(f) == p.pullback(f).order(), (ys, f)
+    units = {"+1", "-1", "other"}
+    assert paths == {(a, b) for a in units for b in units | {None}}
+
+
 def test_naive_pullback_agrees_on_corpus(corpus_chains):
     # zero, constants, every f_i and d/dy f_i under every truncation, and
     # mutants of f_j that level j no longer annihilates: the pullback is the
