@@ -52,36 +52,37 @@ off each row pair costs as much as a term pair) and per digit of the
 packed product. Operands with few terms per row, or with wide gaps in x,
 miss these; the lift's large products meet them.
 
-``Residual`` runs one lift level on packed integers, at one digit width W
-for the whole level. Each basis pullback u_l = N_l/d_l is packed once; its
-powers (``PowerChain``) and the product prod_l u_l**b_l kept under each
-key a step names (in the lift, a residue class of orders) are int
-products of those. A product starts from its first factor, so a
-one-factor product is the cached power itself, shared and not copied. The
-residual's numerators, packed from its order n, are one int U over one
-denominator D; it starts as the basis product of the tuple (0, ..., 0, k),
-u_{m-1}**k, taking its order, packed value, denominator and bound. A step
-decodes nothing. Under that bound, U = U_n + 2**W*R with 0 < |U_n| < 2**W,
-so U's lowest set bit lies in its first digit, and U_n is U's low W bits
-read as a signed digit; the level tracks a bound B on the residual's
-numerators to keep that true. A step zeroes that digit, so the next
-order is n + v2(U)//W: v2(U) is read off U's low ``_ORDER_DIGITS``
-digits, masked out as a small int whose lowest set bit is U's unless
-they are all zero, and only then off the whole of U. A product's
-numerators are at most prod_l ||N_l||_1**b_l =: B_P (each sums
-products of one numerator per factor); the residual starts with the start
-product's B = B_P = ||N_{m-1}||_1**k; a step U := s*U - r*P gives
-B := s*B + |r|*B_P. W starts ``_WIDTH_SLACK`` bits above B and above
-every basis numerator. A step whose new B would reach 2**(W-1) repacks
-first: U is decoded (the old B still holds, so every digit reads back),
-U/D is reduced to its canonical form, and the level is packed again at
-the width of the reduced numerators times |P_n| + B_P. Since
-s <= |P_n| and |r| <= the reduced |U_n|, that bounds the step's new B
-whatever the reduction left. A repack is the only place U/D is reduced:
-reducing keeps the numerators small and changes no value, so the
-coefficient a = -U_n*d_p / (D*P_n) that the step returns is the same
-rational either way. The monomial x**alpha of a pivot is never packed:
-``eliminate`` adds e*alpha to the product's lowest exponent.
+``Residual`` is one lift level in packed t-series arithmetic, at one digit
+width W for the whole level. Each basis pullback u_l = N_l/d_l is packed
+once, from its own order; its powers (``PowerChain``) and the product
+prod_l u_l**b_l kept under each key a step names (in the lift, a residue
+class of orders) are int products of those, so each is packed from its own
+order too. A product starts from its first factor, so a one-factor product
+is the cached power itself, shared and not copied. The residual's
+numerators, packed from its order n, are one int U over one denominator D;
+it starts as the basis product of the tuple (0, ..., 0, k), u_{m-1}**k of
+order k*ord(u_{m-1}). A step U := s*U - r*P lines U's lowest term up with
+P's, whatever shift the lift checks between them, and decodes nothing.
+Under a bound B on the residual's numerators, U = U_n + 2**W*R with
+0 < |U_n| < 2**W, so U's lowest set bit lies in its first digit, and U_n,
+kept with U, is its low W bits read as a signed digit. A step zeroes that
+digit, so the next order is n + v2(U)//W and the next U_n the digit there:
+both are read off U's low ``_ORDER_DIGITS`` digits, masked out as a small
+int whose lowest set bit is U's unless they are all zero, and only then
+off the whole of U. A product's numerators are at most
+prod_l ||N_l||_1**b_l =: B_P (each sums products of one numerator per
+factor); the residual starts with the start product's
+B = B_P = ||N_{m-1}||_1**k; a step gives B := s*B + |r|*B_P. W starts
+``_WIDTH_SLACK`` bits above B and above every basis numerator. A step
+whose new B would reach 2**(W-1) repacks first: U is decoded (the old B
+still holds, so every digit reads back), U/D is reduced to its canonical
+form, U_n is read off it, and the level is packed again at the width of
+the reduced numerators times |P_n| + B_P. Since s <= |P_n| and
+|r| <= the reduced |U_n|, that bounds the step's new B whatever the
+reduction left. A repack is the only place U/D is reduced: reducing keeps
+the numerators small and changes no value, so the coefficient
+a = -U_n*d_p / (D*P_n) that the step returns is the same rational either
+way.
 
 The order of the zero polynomial and deg_y of the zero polynomial are both
 the ``INFINITY`` sentinel (a symbolic value, deliberately not a float,
@@ -533,24 +534,24 @@ def _unpack(z: int, n: int, w: int) -> list[int]:
 class Residual:
     """One lift level at one digit width W: the basis pullbacks u_0 ..
     u_{m-1}, their powers, the products kept under the keys met so far and
-    the residual U/D, each numerator packed as its value at t = 2**W (see
-    the module docstring). ``implicitize`` describes the step."""
+    the residual U/D, each numerator packed from its own order at t = 2**W
+    (see the module docstring). ``implicitize`` checks the orders."""
 
-    __slots__ = ("_e", "_basis", "_ends", "_w", "_window", "_pows", "_memo",
-                 "_u", "_n", "_d", "_b")
+    __slots__ = ("_basis", "_ends", "_w", "_window", "_pows", "_memo",
+                 "_u", "_u_n", "_n", "_d", "_b")
 
-    def __init__(self, basis: list[UniPoly], k: int, e: int):
-        """The residual u_{m-1}**k, the product of (0, ..., 0, k), at x = t**e."""
-        self._e = e
+    def __init__(self, basis: list[UniPoly], k: int):
+        """The residual u_{m-1}**k, the product of (0, ..., 0, k); no u_l is 0."""
         self._basis = basis
-        # per pullback: lowest exponent, lowest numerator, denominator, and
-        # ||.||_1 of the numerators, the base of every digit bound
-        self._ends = [(lo, u._c[lo], u._d, sum(map(abs, u._c.values())))
-                      for u in basis for lo in [min(u._c)]]
-        self._memo: dict[int, tuple[int, int, int, int, int]] = {}
+        # per pullback: lowest numerator, denominator, and ||.||_1 of the
+        # numerators, the base of every digit bound
+        self._ends = [(u._c[min(u._c)], u._d, sum(map(abs, u._c.values())))
+                      for u in basis]
+        self._memo: dict[int, tuple[int, int, int, int]] = {}
         start = (0,) * (len(basis) - 1) + (k,)
         self._at_width(self._bound(start))
-        self._n, self._u, _, self._d, self._b = self._product(start)
+        self._n = k * basis[-1].order()
+        self._u, self._u_n, self._d, self._b = self._product(start)
 
     def _at_width(self, bound: int) -> None:
         """Pack the basis at the width of ``bound`` and of the basis
@@ -563,31 +564,23 @@ class Residual:
 
     def _bound(self, betas: tuple[int, ...]) -> int:
         """prod_l ||N_l||_1**beta_l, which bounds the product's numerators."""
-        return prod(end[3] ** b for end, b in zip(self._ends, betas))
+        return prod(end[2] ** b for end, b in zip(self._ends, betas))
 
-    def _product(self, betas: tuple[int, ...]) -> tuple[int, int, int, int, int]:
-        """prod_l u_l**beta_l as (lo, P, p_lo, d_p, bound): its lowest
-        exponent, its numerators packed from lo, the lowest of them, its
-        denominator, and a bound on the numerators."""
-        lo, P, p_lo, d_p = 0, None, 1, 1
-        for (l_lo, lead, d, _), chain, b in zip(self._ends, self._pows, betas):
+    def _product(self, betas: tuple[int, ...]) -> tuple[int, int, int, int]:
+        """prod_l u_l**beta_l as (P, p_lo, d_p, bound): its numerators packed
+        from its order, the lowest of them, its denominator, and a bound on
+        the numerators."""
+        P, p_lo, d_p = None, 1, 1
+        for (lead, d, _), chain, b in zip(self._ends, self._pows, betas):
             if b:
-                lo += b * l_lo
                 P = chain.get(b) if P is None else P * chain.get(b)
                 p_lo *= lead ** b
                 d_p *= d ** b
-        return lo, 1 if P is None else P, p_lo, d_p, self._bound(betas)
+        return 1 if P is None else P, p_lo, d_p, self._bound(betas)
 
     def order(self):
         """Lowest exponent with a nonzero term; INFINITY once U vanishes."""
         return self._n if self._u else INFINITY
-
-    def _low(self) -> int:
-        """U's lowest numerator: the signed low digit (U is packed from its
-        order)."""
-        w = self._w
-        c = self._u & ((1 << w) - 1)
-        return c - (1 << w) if c >> (w - 1) else c
 
     def value(self) -> UniPoly:
         """U/D, decoded, in its canonical form."""
@@ -603,26 +596,24 @@ class Residual:
         self._b = max(map(abs, v._c.values()))
         self._at_width(self._b * grow)
         self._u = _pack(v._c, self._w)
+        self._u_n = v._c[self._n]
         self._d = v._d
 
-    def eliminate(self, key: int, betas: tuple[int, ...], alpha: int):
-        """U/D += a * t**(e*alpha) * prod_l u_l**beta_l, fraction-free, with
-        the a that kills U's lowest term; return a. The product is kept
-        under ``key``: formed on the key's first step, which returns None
-        and keeps nothing unless the shifted product has exactly U's order,
-        and shared unchecked by every later step with that key. So each
-        step with one key must pass the same betas and an alpha that keeps
-        the order, as the lift's residue classes do (``implicitize``)."""
-        n = self._n
+    def eliminate(self, key: int, betas: tuple[int, ...]) -> Coeff:
+        """U/D += a * t**(n - o) * P/d_p for the product P/d_p =
+        prod_l u_l**beta_l of order o, fraction-free, with the a that kills
+        U's lowest term t**n; return a. U and P are each packed from their
+        own order, so the step never needs the shift t**(n - o): the caller
+        checks that it is the pivot's x**alpha. The product is kept under
+        ``key``, formed on the key's first step and shared by every later
+        step with that key, so each step with one key must pass the same
+        betas, as the lift's residue classes do (``implicitize``)."""
         product = self._memo.get(key)
         if product is None:
-            product = self._product(betas)
-            if product[0] + self._e * alpha != n:
-                return None
-            self._memo[key] = product
-        _, P, p_n, d_p, b_p = product
+            product = self._memo[key] = self._product(betas)
+        P, p_n, d_p, b_p = product
         for _ in range(2):
-            u_n = self._low()
+            u_n = self._u_n
             g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
             s, r = p_n // g, u_n // g
             bound = s * self._b + abs(r) * b_p
@@ -632,16 +623,18 @@ class Residual:
             # fits the repacked width
             self._repack(abs(p_n) + b_p)
             self._memo[key] = product = self._product(betas)
-            P = product[1]
+            P = product[0]
         else:
             raise InvariantError("a residual step outgrew its repacked width")
-        D = self._d
+        D, w = self._d, self._w
         U = (self._u if s == 1 else s * self._u) - r * P
         if U:
             low = U & self._window
-            q = ((low & -low if low else U & -U).bit_length() - 1) // self._w
-            U >>= self._w * q
-            self._n = n + q
+            q = ((low & -low if low else U & -U).bit_length() - 1) // w
+            U >>= w * q
+            c = (low >> w * q if low else U) & ((1 << w) - 1)
+            self._u_n = c - (1 << w) if c >> (w - 1) else c
+            self._n += q
         self._u, self._d, self._b = U, D * s, bound
         return coeff_div(-u_n * d_p, D * p_n)
 

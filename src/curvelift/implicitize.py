@@ -39,21 +39,22 @@ raises InvariantError when either fails (the bound is observed, not
 proved).
 
 The pullback is an ``algebra.Residual``, which holds the whole level as
-integers at one digit width W: the basis pullbacks (yt, then the
-pullbacks of f_1 .. f_{i-1}), their powers, the basis products met so far
-and the residual U/D, each numerator as its value at t = 2**W (the
-``algebra`` docstring gives the width bound, the order read and the
-repack). Only the beta part of a pivot needs a product: x**alpha pulls
-back to the shift t**(e*alpha). The residual keeps each class's product
-P/d_p under its r: it forms it on the class's first step, as one int
-product of packed powers, and checks there that its order is v_r; later
-steps of the class reuse it unchecked. A level has e_i classes, so it
-keeps at most e_i products, and they go with the level. A step reads n
-and U_n off U's low bits and is fraction-free: with P shifted by
-e*alpha, g = gcd(P_n, U_n) signed as P_n, s = P_n/g and c = U_n/g, it
-sets U := s*U - c*P and D := s*D, and logs a = -U_n*d_p / (D*P_n) (U_n,
-D from before the step). The step does not reduce U/D (only a repack
-does); a is the same rational either way.
+integers at one digit width W: the basis pullbacks (yt, then the pullbacks
+of f_1 .. f_{i-1}), their powers, the basis products met so far and the
+residual U/D, each numerator packed from its own order as its value at
+t = 2**W (the ``algebra`` docstring gives the width bound, the order read
+and the repack). ``lift`` makes every order check, in plain ints: once per
+level, that the basis pullbacks have the orders gamma_1 .. gamma_i, so a
+beta tuple's product has order sum beta_j*gamma_j, and on a class's first
+step, that its betas give v_r. Every pivot then has order n, and the
+residual never needs the shift t**(e_i*alpha) that x**alpha pulls back to.
+It keeps each class's product P/d_p under its r, one int product of packed
+powers formed on the class's first step; a level has e_i classes, so it
+keeps at most e_i products, and they go with the level. A step reads n and
+U_n off U's low bits and is fraction-free: with g = gcd(P_n, U_n) signed
+as P_n, s = P_n/g and c = U_n/g, it sets U := s*U - c*P and D := s*D, and
+logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step). The step does
+not reduce U/D (only a repack does); a is the same rational either way.
 
 Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
 be excluded. Every basis product has y-degree at most
@@ -159,10 +160,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
 
     The normal form and the basis product are formed once per residue class
     n mod e_i, on the class's first step, and kept for this call only: at
-    most e_i entries (see the module docstring). A pivot with alpha < 0, or
-    with VE.ls above the slice bound, is no basis tuple of the slice, and a
-    class whose product's order is not v_r has betas that are no normal
-    form: each raises InvariantError.
+    most e_i entries (see the module docstring). Basis pullbacks whose
+    orders are not gamma_1 .. gamma_i, a pivot with alpha < 0 or with VE.ls
+    above the slice bound (no basis tuple of the slice) and betas that miss
+    v_r each raise InvariantError, the first before any step.
     """
     cd = branch.cd
     if not 1 <= i <= cd.s:
@@ -178,13 +179,17 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
 
     # pullbacks of the basis: yt for f_0 = y, then f_1 .. f_{i-1}
     pullbacks = [p.yt, *(p.pullback(f) for f in fs[:i - 1])]
+    sd = generators(cd, i)
+    orders = tuple(u.order() for u in pullbacks)
+    if orders != sd.gamma:
+        raise InvariantError(f"level {i}: basis pullback orders {orders} are not "
+                             f"the generators {sd.gamma}; corrupt input or bug")
 
     # ls = pullback degrees of f_0, ..., f_{i-1}, the weights of the betas
     # in VE.ls (x weighs e_i); the bound encodes the support polygon
-    sd = generators(cd, i)
     ls = tuple(u.degree() for u in pullbacks)
 
-    u = Residual(pullbacks, k_i, p.e)
+    u = Residual(pullbacks, k_i)
 
     budget = bound - p.e * sd.gamma[0] + 1
     log: list[IterationRecord] = []
@@ -196,13 +201,12 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
             raise InvariantError(
                 f"level {i}: more than {budget} iterations; internal error")
         r = n % e
-        cls = classes.get(r)
-        if cls is None:
+        first = r not in classes
+        if first:
             pivot = normal_form(n, sd)
             v, betas = n - e * pivot[0], pivot[1:]
-            cls = classes[r] = (v, bound - sum(b * l for b, l in zip(betas, ls)) + v,
-                                betas)
-        v, top, betas = cls
+            classes[r] = (v, bound - sum(b * l for b, l in zip(betas, ls)) + v, betas)
+        v, top, betas = classes[r]
         pivot = ((n - v) // e, *betas)
         if n < v:
             raise InvariantError(
@@ -211,11 +215,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
             raise InvariantError(
                 f"level {i}: no basis tuple of order {n}: the normal form "
                 f"{pivot} is above the bound {bound}; corrupt input or bug")
-        a = u.eliminate(r, betas, pivot[0])
-        if a is None:
+        if first and sum(b * g for b, g in zip(betas, sd.gamma)) != v:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")
-        log.append(IterationRecord(n=n, pivot=pivot, coeff=a))
+        log.append(IterationRecord(n=n, pivot=pivot, coeff=u.eliminate(r, betas)))
 
     delta = basis_reconstruct([(rec.coeff, rec.pivot) for rec in log], fs[:i - 1])
     f_i = (fs[i - 2] if i > 1 else BiPoly.y()) ** k_i + delta

@@ -195,9 +195,8 @@ def _factor(rng):
 def test_residual_eliminate_leaves_a_shared_product_unchanged():
     # the steps of one key share its packed product: applied at two orders
     # in a row, the memo keeps the product it formed first unless a repack
-    # widened the level in between, a key whose first shift misses the order
-    # changes nothing and keeps no product, and each
-    # U/D + a * t**shift * P/d_p is the schoolbook sum
+    # widened the level in between, and each U/D + a * t**shift * P/d_p,
+    # the shift lining P's order up with U's, is the schoolbook sum
     rng = random.Random(0xB8)
     shared = 0
     for _ in range(20):
@@ -212,14 +211,11 @@ def test_residual_eliminate_leaves_a_shared_product_unchanged():
         want = UniPoly({e: Fraction(rng.randint(1, 99) * rng.choice((1, -1)),
                                     rng.choice((1, 4, 7)))
                         for e in [n] + rng.sample(range(n + 1, n + hi + 40), 3)})
-        r = Residual([*factors, want], 1, 1)
+        r = Residual([*factors, want], 1)
         first = None
         for _ in range(2):
             n, w = r.order(), r._w
-            before = r.value()
-            assert r.eliminate(1, betas, n - lo + 1) is None
-            assert r.value() == before and 1 not in r._memo
-            a = r.eliminate(0, betas, n - lo)
+            a = r.eliminate(0, betas)
             if first is not None and r._w == w:
                 assert r._memo[0] is first
                 shared += 1
@@ -241,24 +237,24 @@ def test_residual_products_share_the_cached_powers():
     v = UniPoly({1: 1, 4: Fraction(-2, 3)})
     for basis in ([u], [v, u]):
         for k in (1, 3):
-            r = Residual(basis, k, 1)
+            r = Residual(basis, k)
             assert r._u is r._pows[-1].get(k)
             assert r.value() == u ** k and r.order() == 2 * k
-    r = Residual([u], 3, 1)
+    r = Residual([u], 3)
     w = r._w
     for b in (1, 2):
-        assert r.eliminate(b, (b,), r.order() - 2 * b) is not None
-        assert r._w == w and r._memo[b][1] is r._pows[0].get(b)
+        assert r.eliminate(b, (b,))
+        assert r._w == w and r._memo[b][0] is r._pows[0].get(b)
     # the empty product is 1: x**alpha alone pulls back to a shift
-    assert r.eliminate(0, (0,), r.order()) is not None
-    assert r._memo[0][1] == 1
+    assert r.eliminate(0, (0,))
+    assert r._memo[0][0] == 1
 
 
 def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
     # order() is v2(U) // W past the packed order, and the lowest numerator
-    # is the low W bits, signed. Both agree with the UniPoly packed, for a
-    # negative digit, digits of +-(2**(W-1) - 1) side by side, a gap of zero
-    # digits and a residual that vanishes exactly
+    # U_n the level keeps is the low W bits, signed. Both agree with the
+    # UniPoly packed, for a negative digit, digits of +-(2**(W-1) - 1) side
+    # by side, a gap of zero digits and a residual that vanishes exactly
     import curvelift.algebra as algebra
     edge = (1 << 15) - 1
     monkeypatch.setattr(algebra, "_width", lambda bound: 16)
@@ -266,20 +262,45 @@ def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
               {2: -edge, 3: edge, 4: -edge}, {5: 1, 6: -edge, 7: -edge}):
         for d in (1, 3):
             u = UniPoly({e: Fraction(v, d) for e, v in c.items()})
-            r = Residual([u], 1, 1)
+            r = Residual([u], 1)
             assert r._w == 16 and r.value() == u
             n = u.order()
-            assert r.order() == n and Fraction(r._low(), r._d) == u.coeff(n)
+            assert r.order() == n and Fraction(r._u_n, r._d) == u.coeff(n)
     monkeypatch.undo()
     for c in ({2: 3, 9: -4, 10: 1}, {4: -5}, {1: -edge, 2: edge, 8: -edge}):
         u = UniPoly(c)
-        r = Residual([u], 1, 1)
+        r = Residual([u], 1)
         while (n := r.order()) is not INFINITY:
-            assert n == u.order() and r._low() == u.coeff(n)
-            assert r.eliminate(0, (0,), n) == -u.coeff(n)
+            assert n == u.order() and r._u_n == u.coeff(n)
+            assert r.eliminate(0, (0,)) == -u.coeff(n)
             u = u - UniPoly({n: u.coeff(n)})
             assert r.value() == u
         assert u.is_zero and r.value().is_zero
+    # after every step of a walk, U_n is the lowest numerator of U/D: for
+    # residuals of either sign, with a window of one digit (each next order
+    # is read off the whole of U) and of the default width, and across
+    # repacks (no width slack, and products (6t - 4t**2)**b: their lowest
+    # numerator 6**b grows B, and their even numerators leave U/D factors
+    # that some repacks reduce)
+    v = UniPoly({1: 6, 2: -4})
+    monkeypatch.setattr(algebra, "_WIDTH_SLACK", 0)
+    for digits in (1, algebra._ORDER_DIGITS):
+        monkeypatch.setattr(algebra, "_ORDER_DIGITS", digits)
+        negative = 0
+        for sign in (1, -1):
+            want = sign * UniPoly({2: 5, 3: -2, 7: Fraction(7, 2), 12: -11, 40: -1})
+            r = Residual([v, want], 1)
+            widths = {r._w}
+            for step in range(30):
+                n, b = r.order(), step % 3
+                a = r.eliminate(b, (b, 0))
+                want = want + a * UniPoly({e + n - b: c for e, c in (v ** b).terms()})
+                assert r.value() == want and r.order() == want.order()
+                assert Fraction(r._u_n, r._d) == want.coeff(want.order())
+                negative += r._u < 0
+                widths.add(r._w)
+            assert len(widths) > 2, (digits, widths)
+        assert negative == 30, (digits, negative)
 
 
 def test_uni_canonical_equality():

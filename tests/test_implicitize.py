@@ -16,7 +16,7 @@ from curvelift.errors import InvariantError
 from curvelift.implicitize import DEFAULT_ORACLE_BOUND, chain_from_polynomials, lift_levels
 from curvelift.polygon import SliceQuery, lattice_slice
 from curvelift.semigroup import semigroup_member
-from helpers import rand_branch, reference_lift
+from helpers import rand_branch, reference_lift, run_optimized
 
 F1 = BiPoly({(0, 2): 1, (3, 0): -1})
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -116,8 +116,8 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
     states = []
     eliminate = Residual.eliminate
 
-    def recording(self, key, betas, alpha):
-        a = eliminate(self, key, betas, alpha)
+    def recording(self, key, betas):
+        a = eliminate(self, key, betas)
         states.append(self.value())
         return a
 
@@ -232,6 +232,38 @@ def test_lift_later_class_missing_its_order_is_typed(branch12, monkeypatch):
     assert len(calls) > 1
 
 
+@pytest.mark.parametrize("image", [lambda u: u * UniPoly({1: 1}), lambda u: u.zero()])
+def test_lift_checks_the_basis_orders_before_any_step(branch12, image, monkeypatch):
+    # at level 2 the basis pullbacks yt and f_1's have the orders
+    # gamma = (9, 19); a pullback of f_1 shifted by t (order 20) or zero
+    # (no order) fails the level's check before the residual is built
+    import curvelift.implicitize as implicitize
+    pullback = Parametrization.pullback
+
+    def refuse(*args):
+        raise AssertionError("a residual was built")
+
+    monkeypatch.setattr(Parametrization, "pullback", lambda self, f: image(pullback(self, f)))
+    monkeypatch.setattr(implicitize, "Residual", refuse)
+    with pytest.raises(InvariantError, match="basis pullback orders .* are not the "
+                                             r"generators \(9, 19\)"):
+        lift(branch12, (F1,), 2)
+
+
+def test_lift_basis_order_check_survives_optimize():
+    # raised, not asserted: python -O keeps the level's order check
+    code = ("from curvelift import BiPoly, Parametrization, UniPoly, lift, validate_branch\n"
+            "from curvelift.errors import InvariantError\n"
+            "pullback = Parametrization.pullback\n"
+            "Parametrization.pullback = lambda self, f: pullback(self, f) * UniPoly({1: 1})\n"
+            "branch = validate_branch(12, {18: 1, 20: 1, 23: 1})\n"
+            "try:\n"
+            "    lift(branch, (BiPoly({(0, 2): 1, (3, 0): -1}),), 2)\n"
+            "except InvariantError as err:\n"
+            "    print('raised' if 'basis pullback orders' in str(err) else err)\n")
+    assert run_optimized(code) == "raised\n"
+
+
 def test_lift_pulls_back_each_earlier_f_once(corpus_chains, monkeypatch):
     # the basis pullbacks start at p.yt, the truncation's image of y: lift
     # at level i pulls back f_1 .. f_{i-1} once each and nothing else
@@ -284,7 +316,7 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     ("normal_form", lambda a, sd: (-3, 0, 1), "no basis tuple of order"),
     ("normal_form", lambda a, sd: (2, 5, 0), "is above the bound"),
     ("normal_form", lambda a, sd: (1, 0, 0), "misses order"),
-    ("Residual.eliminate", lambda self, key, betas, alpha: 1, "more than"),
+    ("Residual.eliminate", lambda self, key, betas: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
