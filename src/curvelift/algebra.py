@@ -44,21 +44,21 @@ two ints gives the product packed by key (a square packs once). The digit
 at the key of (x, y) is the numerator there, a sum of a_i*b_j over pairs
 with at most one b_j for each a_i and one a_i for each b_j, so it is at
 most min(||A||_1*||B||_inf, ||A||_inf*||B||_1) in size, and W is
-``_width`` of that bound; keys between the row intervals read 0, and only
-the intervals are read back. Packing costs digits, not term pairs, so
-the product stays on the schoolbook loop unless it has at least
-``_PACKED_FILL`` term pairs per pair of operand rows (reading the ranges
-off each row pair costs as much as a term pair) and per digit of the
-packed product. Operands with few terms per row, or with wide gaps in x,
-miss these; the lift's large products meet them.
+``_width`` of that bound (no spare bits: it does not grow); keys between
+the row intervals read 0, and only the intervals are read back. Packing
+costs digits, not term pairs, so the product stays on the schoolbook loop
+unless it has at least ``_PACKED_FILL`` term pairs per pair of operand
+rows (reading the ranges off each row pair costs as much as a term pair)
+and per digit of the packed product. Operands with few terms per row, or
+with wide gaps in x, miss these; the lift's large products meet them.
 
 ``Residual`` is one lift level in packed t-series arithmetic, at one digit
 width W for the whole level. Each basis pullback u_l = N_l/d_l is packed
 once, from its own order; its powers (``PowerChain``) and the product
-prod_l u_l**b_l kept under each key a step names (in the lift, a residue
-class of orders) are int products of those, so each is packed from its own
-order too. A product starts from its first factor, so a one-factor product
-is the cached power itself, shared and not copied. The residual's
+prod_l u_l**b_l of each beta tuple a step names, kept under the tuple, are
+int products of those, so each is packed from its own order too. A product
+starts from its first factor, so a one-factor product is the cached power
+itself, shared and not copied. The residual's
 numerators, packed from its order n, are one int U over one denominator D;
 it starts as the basis product of the tuple (0, ..., 0, k), u_{m-1}**k of
 order k*ord(u_{m-1}). A step U := s*U - r*P lines U's lowest term up with
@@ -72,9 +72,9 @@ int whose lowest set bit is U's unless they are all zero, and only then
 off the whole of U. A product's numerators are at most
 prod_l ||N_l||_1**b_l =: B_P (each sums products of one numerator per
 factor); the residual starts with the start product's
-B = B_P = ||N_{m-1}||_1**k; a step gives B := s*B + |r|*B_P. W starts
-``_WIDTH_SLACK`` bits above B and above every basis numerator. A step
-whose new B would reach 2**(W-1) repacks first: U is decoded (the old B
+B = B_P = ||N_{m-1}||_1**k; a step gives B := s*B + |r|*B_P. Since B
+grows, W starts ``_WIDTH_SLACK`` bits above B and every basis numerator.
+A step whose new B would reach 2**(W-1) repacks first: U is decoded (the old B
 still holds, so every digit reads back), U/D is reduced to its canonical
 form, U_n is read off it, and the level is packed again at the width of
 the reduced numerators times |P_n| + B_P. Since s <= |P_n| and
@@ -499,9 +499,8 @@ _ORDER_DIGITS = 8
 
 
 def _width(bound: int) -> int:
-    """A digit width W in bits, a multiple of 8, with 2**(W-1) > bound and
-    ``_WIDTH_SLACK`` bits to spare."""
-    return (bound.bit_length() + _WIDTH_SLACK + 8) // 8 * 8
+    """The least digit width W in bits, a multiple of 8, with 2**(W-1) > bound."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _pack(c: dict, w: int) -> int:
@@ -533,7 +532,7 @@ def _unpack(z: int, n: int, w: int) -> list[int]:
 
 class Residual:
     """One lift level at one digit width W: the basis pullbacks u_0 ..
-    u_{m-1}, their powers, the products kept under the keys met so far and
+    u_{m-1}, their powers, the products of the beta tuples met so far and
     the residual U/D, each numerator packed from its own order at t = 2**W
     (see the module docstring). ``implicitize`` checks the orders."""
 
@@ -547,17 +546,17 @@ class Residual:
         # numerators, the base of every digit bound
         self._ends = [(u._c[min(u._c)], u._d, sum(map(abs, u._c.values())))
                       for u in basis]
-        self._memo: dict[int, tuple[int, int, int, int]] = {}
+        self._memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         start = (0,) * (len(basis) - 1) + (k,)
         self._at_width(self._bound(start))
         self._n = k * basis[-1].order()
         self._u, self._u_n, self._d, self._b = self._product(start)
 
     def _at_width(self, bound: int) -> None:
-        """Pack the basis at the width of ``bound`` and of the basis
+        """Pack the basis ``_WIDTH_SLACK`` bits above ``bound`` and the basis
         numerators; drop the powers and products of the old width."""
         self._w = w = _width(max(bound, *(max(map(abs, u._c.values()))
-                                          for u in self._basis)))
+                                          for u in self._basis)) << _WIDTH_SLACK)
         self._window = (1 << w * _ORDER_DIGITS) - 1
         self._pows = [PowerChain(_pack(u._c, w)) for u in self._basis]
         self._memo.clear()
@@ -599,20 +598,19 @@ class Residual:
         self._u_n = v._c[self._n]
         self._d = v._d
 
-    def eliminate(self, key: int, betas: tuple[int, ...]) -> Coeff:
+    def eliminate(self, betas: tuple[int, ...]) -> Coeff:
         """U/D += a * t**(n - o) * P/d_p for the product P/d_p =
         prod_l u_l**beta_l of order o, fraction-free, with the a that kills
         U's lowest term t**n; return a. U and P are each packed from their
         own order, so the step never needs the shift t**(n - o): the caller
         checks that it is the pivot's x**alpha. The product is kept under
-        ``key``, formed on the key's first step and shared by every later
-        step with that key, so each step with one key must pass the same
-        betas, as the lift's residue classes do (``implicitize``)."""
-        product = self._memo.get(key)
-        if product is None:
-            product = self._memo[key] = self._product(betas)
-        P, p_n, d_p, b_p = product
+        its beta tuple, formed on the tuple's first step at the current
+        width and shared by every later step with that tuple."""
         for _ in range(2):
+            product = self._memo.get(betas)
+            if product is None:
+                product = self._memo[betas] = self._product(betas)
+            P, p_n, d_p, b_p = product
             u_n = self._u_n
             g = gcd(p_n, u_n) if p_n > 0 else -gcd(p_n, u_n)
             s, r = p_n // g, u_n // g
@@ -622,8 +620,6 @@ class Residual:
             # s <= |p_n| and |r| <= the reduced U's numerators, so the step
             # fits the repacked width
             self._repack(abs(p_n) + b_p)
-            self._memo[key] = product = self._product(betas)
-            P = product[0]
         else:
             raise InvariantError("a residual step outgrew its repacked width")
         D, w = self._d, self._w

@@ -18,12 +18,14 @@ class InvalidBranchError(CurveLiftError, ValueError):
 # --- internal invariants -----------------------------------------------------
 
 class InvariantError(CurveLiftError):
-    """An internal consistency check failed: a bug, such as a lift pivot
-    whose normal form has alpha < 0 or lies above the slice bound, a basis
-    product that misses its order, an exhausted iteration budget or a
-    residual step that outgrew its width; or a SemigroupDesc off an index
-    chain, refused when built, so no bad record reaches a computation.
-    Raised instead of asserting, so it also runs under ``python -O``."""
+    """An internal consistency check failed: a bug, such as basis pullbacks
+    whose orders are not the level's generators (checked before the first
+    step), a lift pivot whose normal form has alpha < 0 or lies above the
+    slice bound, a basis product that misses its order, an exhausted
+    iteration budget, a residual step that outgrew its width or an f_i that
+    is not monic; or a SemigroupDesc off an index chain, refused when built,
+    so no bad record reaches a computation. Raised instead of asserting, so
+    it also runs under ``python -O``."""
 
 
 # --- CLI --------------------------------------------------------------------

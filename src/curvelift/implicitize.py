@@ -48,9 +48,9 @@ level, that the basis pullbacks have the orders gamma_1 .. gamma_i, so a
 beta tuple's product has order sum beta_j*gamma_j, and on a class's first
 step, that its betas give v_r. Every pivot then has order n, and the
 residual never needs the shift t**(e_i*alpha) that x**alpha pulls back to.
-It keeps each class's product P/d_p under its r, one int product of packed
-powers formed on the class's first step; a level has e_i classes, so it
-keeps at most e_i products, and they go with the level. A step reads n and
+It keeps each product P/d_p under its beta tuple, one int product of packed
+powers formed on the tuple's first step; the betas name the class (v_r is
+their order), so a level keeps at most e_i products. A step reads n and
 U_n off U's low bits and is fraction-free: with g = gcd(P_n, U_n) signed
 as P_n, s = P_n/g and c = U_n/g, it sets U := s*U - c*P and D := s*D, and
 logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step). The step does
@@ -158,9 +158,10 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     """Compute (f_i, delta_i, log) from the already-lifted f_1 .. f_{i-1},
     taking each step's pivot from the semigroup normal form of its order.
 
-    The normal form and the basis product are formed once per residue class
-    n mod e_i, on the class's first step, and kept for this call only: at
-    most e_i entries (see the module docstring). Basis pullbacks whose
+    The normal form is formed once per residue class n mod e_i, on the
+    class's first step, and kept under r for this call; the residual keeps
+    the class's basis product under its betas. Each holds at most e_i
+    entries (see the module docstring). Basis pullbacks whose
     orders are not gamma_1 .. gamma_i, a pivot with alpha < 0 or with VE.ls
     above the slice bound (no basis tuple of the slice) and betas that miss
     v_r each raise InvariantError, the first before any step.
@@ -218,7 +219,7 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
         if first and sum(b * g for b, g in zip(betas, sd.gamma)) != v:
             raise InvariantError(
                 f"level {i}: basis product {pivot} misses order {n}")
-        log.append(IterationRecord(n=n, pivot=pivot, coeff=u.eliminate(r, betas)))
+        log.append(IterationRecord(n=n, pivot=pivot, coeff=u.eliminate(betas)))
 
     delta = basis_reconstruct([(rec.coeff, rec.pivot) for rec in log], fs[:i - 1])
     f_i = (fs[i - 2] if i > 1 else BiPoly.y()) ** k_i + delta

@@ -193,10 +193,11 @@ def _factor(rng):
 
 
 def test_residual_eliminate_leaves_a_shared_product_unchanged():
-    # the steps of one key share its packed product: applied at two orders
-    # in a row, the memo keeps the product it formed first unless a repack
-    # widened the level in between, and each U/D + a * t**shift * P/d_p,
-    # the shift lining P's order up with U's, is the schoolbook sum
+    # the steps of one beta tuple share its packed product: applied at two
+    # orders in a row, the memo keeps the product it formed first under the
+    # tuple unless a repack widened the level in between, and each
+    # U/D + a * t**shift * P/d_p, the shift lining P's order up with U's, is
+    # the schoolbook sum
     rng = random.Random(0xB8)
     shared = 0
     for _ in range(20):
@@ -215,11 +216,11 @@ def test_residual_eliminate_leaves_a_shared_product_unchanged():
         first = None
         for _ in range(2):
             n, w = r.order(), r._w
-            a = r.eliminate(0, betas)
+            a = r.eliminate(betas)
             if first is not None and r._w == w:
-                assert r._memo[0] is first
+                assert r._memo[betas] is first
                 shared += 1
-            first = r._memo[0]
+            first = r._memo[betas]
             assert a == Fraction(-want.coeff(n)) / full[lo]
             sums = dict(want.terms())
             for e, v in full.items():
@@ -243,11 +244,11 @@ def test_residual_products_share_the_cached_powers():
     r = Residual([u], 3)
     w = r._w
     for b in (1, 2):
-        assert r.eliminate(b, (b,))
-        assert r._w == w and r._memo[b][0] is r._pows[0].get(b)
+        assert r.eliminate((b,))
+        assert r._w == w and r._memo[(b,)][0] is r._pows[0].get(b)
     # the empty product is 1: x**alpha alone pulls back to a shift
-    assert r.eliminate(0, (0,))
-    assert r._memo[0][0] == 1
+    assert r.eliminate((0,))
+    assert r._memo[(0,)][0] == 1
 
 
 def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
@@ -272,7 +273,7 @@ def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
         r = Residual([u], 1)
         while (n := r.order()) is not INFINITY:
             assert n == u.order() and r._u_n == u.coeff(n)
-            assert r.eliminate(0, (0,)) == -u.coeff(n)
+            assert r.eliminate((0,)) == -u.coeff(n)
             u = u - UniPoly({n: u.coeff(n)})
             assert r.value() == u
         assert u.is_zero and r.value().is_zero
@@ -293,7 +294,7 @@ def test_residual_reads_its_lowest_digit_at_the_edges(monkeypatch):
             widths = {r._w}
             for step in range(30):
                 n, b = r.order(), step % 3
-                a = r.eliminate(b, (b, 0))
+                a = r.eliminate((b, 0))
                 want = want + a * UniPoly({e + n - b: c for e, c in (v ** b).terms()})
                 assert r.value() == want and r.order() == want.order()
                 assert Fraction(r._u_n, r._d) == want.coeff(want.order())
@@ -386,7 +387,7 @@ def _large_pairs(rng):
     ]
 
 
-def test_bi_ops_match_fraction_reference_random(monkeypatch):
+def test_bi_ops_match_fraction_reference_random():
     rng = random.Random(0xA7)
     x, y = BiPoly.monomial(1, 0), BiPoly.y()
     h = Fraction(1 << 200, 3)
@@ -442,10 +443,9 @@ def test_bi_ops_match_fraction_reference_random(monkeypatch):
     for _ in range(4):
         want = naive_bi_mul(BiPoly(want), f)
     assert _ref(f ** 4) == want
-    # at the least byte-aligned width, the middle numerator 256*m**2 of a
-    # 256-term row squared fills all but the sign bit of its digit, and a
-    # bound 256 times too small would give a byte less
-    monkeypatch.setattr(algebra, "_width", lambda bound: (bound.bit_length() + 8) // 8 * 8)
+    # at the shipped width, the least byte-aligned one, the middle numerator
+    # 256*m**2 of a 256-term row squared fills all but the sign bit of its
+    # digit, and a bound 256 times too small would give a byte less
     m = (1 << 59) + (1 << 57)
     row = BiPoly({(x, 0): m for x in range(256)})
     assert algebra._width(256 * m * m) - 1 == (256 * m * m).bit_length() == 127

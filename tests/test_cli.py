@@ -490,10 +490,10 @@ def test_product_routes_give_equal_chains_and_bytes(capsys, monkeypatch, tmp_pat
     skewed, eliminate = algebra._skewed_product, Residual.eliminate
     longest = 0     # digits of a residual where a step reads its next order
 
-    def measured(self, key, betas):
+    def measured(self, betas):
         nonlocal longest
         n = self._n
-        a = eliminate(self, key, betas)
+        a = eliminate(self, betas)
         if self._u:     # the read saw U before U was shifted down to its order
             longest = max(longest, abs(self._u).bit_length() // self._w + 1
                           + self._n - n)

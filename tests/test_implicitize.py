@@ -116,8 +116,8 @@ def test_lift_matches_reference_loop(corpus_chains, monkeypatch):
     states = []
     eliminate = Residual.eliminate
 
-    def recording(self, key, betas):
-        a = eliminate(self, key, betas)
+    def recording(self, betas):
+        a = eliminate(self, betas)
         states.append(self.value())
         return a
 
@@ -157,6 +157,30 @@ def test_lift_repacks_without_width_slack(corpus_chains, monkeypatch):
             assert lift(b, fs, i) == want[i - 1], (label, i)
             levels += len(repacks) > before
     assert len(repacks) >= 10 and levels >= 5
+
+
+def test_lift_repacks_a_natural_input(monkeypatch):
+    # at the shipped width slack, the residual of level 3 (e = 12, 18 steps)
+    # outgrows its 472-bit width once, at order 238, and repacks: the chain
+    # certifies and matches the oracle at every level, and each level is
+    # that of a lift with slack enough never to repack
+    import curvelift.algebra as algebra
+    b = validate_branch(12, {18: Fraction(286473, 409396), 20: Fraction(668485, 570354),
+                             23: Fraction(272921, 62268)})
+    repacks = []
+    repack = Residual._repack
+
+    def recorded(self, grow):
+        repacks.append((self._n, self._w))
+        repack(self, grow)
+
+    monkeypatch.setattr(Residual, "_repack", recorded)
+    chain = implicitize_all(b, oracle_bound=12)
+    assert repacks == [(238, 472)] and [len(log) for log in chain.logs] == [1, 3, 18]
+    assert chain.ok and [c.oracle for c in chain.certificates] == ["match"] * 3
+    monkeypatch.setattr(algebra, "_WIDTH_SLACK", 64)
+    assert list(lift_levels(b)) == list(zip(chain.fs, chain.deltas, chain.logs))
+    assert len(repacks) == 1
 
 
 def test_lift_forms_each_basis_product_once(corpus_chains, monkeypatch):
@@ -316,7 +340,7 @@ def test_largest_slice_tuple_is_the_normal_form(corpus_chains):
     ("normal_form", lambda a, sd: (-3, 0, 1), "no basis tuple of order"),
     ("normal_form", lambda a, sd: (2, 5, 0), "is above the bound"),
     ("normal_form", lambda a, sd: (1, 0, 0), "misses order"),
-    ("Residual.eliminate", lambda self, key, betas: 1, "more than"),
+    ("Residual.eliminate", lambda self, betas: 1, "more than"),
     ("basis_reconstruct", lambda terms, fs: BiPoly.y(6), "is not monic"),
 ])
 def test_lift_invariant_errors(branch12, name, value, message, monkeypatch):
