@@ -26,44 +26,51 @@ reads back exactly.
 A ``UniPoly`` product is schoolbook over the numerators, the shorter
 operand in the outer loop: in the pipeline it is a Horner step of
 ``Parametrization.pullback``, whose factor ``yt`` has a few terms. A
-``BiPoly`` product takes the same loop below ``_PACKED_PAIRS`` term pairs.
-Above it, the lift's large products (``f_{i-1}**k_i`` and the Horner steps
-of ``basis_reconstruct``) have banded operands: each y-row of f_i is one
-short run of x-powers, and the runs slide down as y grows. Such a product
-is one int product at the skewed key x + s*y (Kronecker substitution with
-a skew chosen per product; von zur Gathen and Gerhard, *Modern Computer
-Algebra*, 8.4). Let [L_y, H_y] be the x-range of the product's row y,
-taken over the pairs of operand rows with ya + yb = y as the least
-la + lb and the greatest ha + hb. The skew s is the least s >= 1 with
-H_y + s*y < L_y' + s*y' for each two consecutive rows y < y'. Then the
-key maps the rows to disjoint intervals that increase with y, so it is
-injective on the product's support, and on each operand's: an operand row
-shifted by one fixed row of the other lies inside a product row. Keys add
-as monomials multiply, so packing each operand by key and multiplying the
-two ints gives the product packed by key (a square packs once). The digit
-at the key of (x, y) is the numerator there, a sum of a_i*b_j over pairs
-with at most one b_j for each a_i and one a_i for each b_j, so it is at
-most min(||A||_1*||B||_inf, ||A||_inf*||B||_1) in size, and W is
-``_width`` of that bound (no spare bits: it does not grow); keys between
-the row intervals read 0, and only the intervals are read back. Packing
-costs digits, not term pairs, so the product stays on the schoolbook loop
-unless it has at least ``_PACKED_FILL`` term pairs per pair of operand
-rows (reading the ranges off each row pair costs as much as a term pair)
-and per digit of the packed product. Operands with few terms per row, or
-with wide gaps in x, miss these; the lift's large products meet them.
+``BiPoly`` product is one int product at the skewed key x + s*y (Kronecker
+substitution with a skew chosen per product; von zur Gathen and Gerhard,
+*Modern Computer Algebra*, 8.4) when that packs densely enough, and the
+same loop otherwise. The lift's products (``f_{i-1}**k_i`` and the Horner
+steps of ``basis_reconstruct``) have banded operands: each y-row of f_i is
+one short run of x-powers, and the runs slide down as y grows. Let
+[L_y, H_y] be the x-range of the product's row y, taken over the pairs of
+operand rows with ya + yb = y as the least la + lb and the greatest
+ha + hb. The skew s is the least s >= 1 with H_y + s*y < L_y' + s*y' for
+each two consecutive rows y < y'. Then the key maps the rows to disjoint
+intervals that increase with y, so it is injective on the product's
+support, and on each operand's: an operand row shifted by one fixed row of
+the other lies inside a product row. Keys add as monomials multiply, so
+packing each operand by key and multiplying the two ints gives the product
+packed by key (a square packs once). The digit at the key of (x, y) is the
+numerator there, a sum of a_i*b_j over pairs with at most one b_j for each
+a_i and one a_i for each b_j, so it is at most
+min(||A||_1*||B||_inf, ||A||_inf*||B||_1) in size, and W is ``_width`` of
+that bound (no spare bits: it does not grow); keys between the row
+intervals read 0, and only the intervals are read back. Packing costs
+digits, not term pairs, so ``_skewed_product`` leaves a product to the
+loop unless it has at least ``_PACKED_FILL`` term pairs per pair of
+operand rows (reading the ranges off each row pair costs as much as a term
+pair) and per digit of the packed product. The key is injective on each
+operand, so the product has at least as many digits as either operand has
+terms, and the digit test runs at that count first, before any range is
+read. Operands with few terms per row, or with wide gaps in x, miss these
+tests; the lift's large banded ones meet them.
+
+Every product chain starts from its first factor and forms no product
+with one: ``__pow__`` (p**n costs bit_length(n) + popcount(n) - 2
+products for n >= 1), ``PowerChain`` (base**1 is the base itself),
+``Residual._product`` (a one-factor product is the cached power, shared
+and not copied) and ``horner`` (from the top coefficient).
 
 ``Residual`` is one lift level in packed t-series arithmetic, at one digit
 width W for the whole level. Each basis pullback u_l = N_l/d_l is packed
 once, from its own order; its powers (``PowerChain``) and the product
 prod_l u_l**b_l of each beta tuple a step names, kept under the tuple, are
-int products of those, so each is packed from its own order too. A product
-starts from its first factor, so a one-factor product is the cached power
-itself, shared and not copied. The residual's
-numerators, packed from its order n, are one int U over one denominator D;
-it starts as the basis product of the tuple (0, ..., 0, k), u_{m-1}**k of
-order k*ord(u_{m-1}). A step U := s*U - r*P lines U's lowest term up with
-P's, whatever shift the lift checks between them, and decodes nothing.
-Under a bound B on the residual's numerators, U = U_n + 2**W*R with
+int products of those, so each is packed from its own order too. The
+residual's numerators, packed from its order n, are one int U over one
+denominator D; it starts as the basis product of the tuple (0, ..., 0, k),
+u_{m-1}**k of order k*ord(u_{m-1}). A step U := s*U - r*P lines U's lowest
+term up with P's, whatever shift the lift checks between them, and decodes
+nothing. Under a bound B on the residual's numerators, U = U_n + 2**W*R with
 0 < |U_n| < 2**W, so U's lowest set bit lies in its first digit, and U_n,
 kept with U, is its low W bits read as a signed digit. A step zeroes that
 digit, so the next order is n + v2(U)//W and the next U_n the digit there:
@@ -144,10 +151,7 @@ class _IntMapPoly:
     and defines its own ``__mul__``, which handles scalars by ``_scale``.
     The two products are one schoolbook loop, written out in each with its
     own key sum: a shared loop that adds keys through a callback is slower.
-    A ``BiPoly`` product of at least ``_PACKED_PAIRS`` term pairs whose
-    packing is dense enough (``_PACKED_FILL``) is one int product at the
-    key x + s*y instead (``_skewed_product``); the module docstring says
-    why that key is injective and every digit fits."""
+    The module docstring gives ``BiPoly``'s packed route."""
 
     __slots__ = ("_c", "_d")
 
@@ -257,15 +261,14 @@ class _IntMapPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self.one()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self.one() if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +327,6 @@ class UniPoly(_IntMapPoly):
 # bivariate polynomials in (x, y)
 # ---------------------------------------------------------------------------
 
-# a BiPoly product of fewer term pairs runs the schoolbook loop; from here
-# on it tries one packed int product (crossover measured on the lift's f_i)
-_PACKED_PAIRS = 1024
 # the packed product needs this many term pairs per pair of operand rows
 # and per digit it packs, or it leaves the product to the loop
 _PACKED_FILL = 4
@@ -351,9 +351,13 @@ def _skewed_product(a: dict, b: dict) -> dict | None:
     key x + s*y (see the module docstring), or None when the packing is too
     sparse to pay; ``a is b`` squares."""
     pairs = len(a) * len(b)
+    # the digit test below at its least digit count: the product has at
+    # least as many digits as either operand has terms
+    if not pairs or _PACKED_FILL * max(len(a), len(b)) > pairs:
+        return None
     ra = _row_ranges(a)
     rb = ra if b is a else _row_ranges(b)
-    if not pairs or _PACKED_FILL * len(ra) * len(rb) > pairs:
+    if _PACKED_FILL * len(ra) * len(rb) > pairs:
         return None
     rows = {}                   # the product's, from each pair of operand rows
     for ya, (la, ha) in ra.items():
@@ -386,8 +390,8 @@ def _skewed_product(a: dict, b: dict) -> dict | None:
 class BiPoly(_IntMapPoly):
     """Sparse exact polynomial in x and y, stored as an integer map from
     (x-power, y-power) over one denominator and multiplied over the
-    numerators, by schoolbook or, for large banded operands, by one packed
-    int product (see the module docstring)."""
+    numerators, by schoolbook or, for densely packing banded operands, by
+    one packed int product (see the module docstring)."""
 
     __slots__ = ()
     _ONE_KEY = (0, 0)
@@ -428,10 +432,9 @@ class BiPoly(_IntMapPoly):
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             a, b = self._c, other._c
-            if len(a) * len(b) >= _PACKED_PAIRS:
-                out = _skewed_product(a, b)
-                if out is not None:
-                    return BiPoly._reduced(out, self._d * other._d)
+            out = _skewed_product(a, b)
+            if out is not None:
+                return BiPoly._reduced(out, self._d * other._d)
             if len(a) > len(b):
                 a, b = b, a
             b = list(b.items())
@@ -473,20 +476,19 @@ def horner(coeffs, x):
 # ---------------------------------------------------------------------------
 
 class PowerChain:
-    """Grow-on-demand cache of the powers base**0, base**1, ... of an int;
+    """Grow-on-demand cache [1, base, base**2, ...] of the powers of an int;
     ``Residual`` keeps one per packed basis pullback and reads it for each
     new beta tuple's product."""
 
-    __slots__ = ("_base", "_pows")
+    __slots__ = ("_pows",)
 
     def __init__(self, base: int):
-        self._base = base
-        self._pows = [1]
+        self._pows = [1, base]
 
     def get(self, n: int) -> int:
         pows = self._pows
         while len(pows) <= n:
-            pows.append(pows[-1] * self._base)
+            pows.append(pows[-1] * pows[1])
         return pows[n]
 
 

@@ -38,23 +38,17 @@ VE.ls <= bound, which are v_r <= n and n <= v_r + bound - w_r, and
 raises InvariantError when either fails (the bound is observed, not
 proved).
 
-The pullback is an ``algebra.Residual``, which holds the whole level as
-integers at one digit width W: the basis pullbacks (yt, then the pullbacks
-of f_1 .. f_{i-1}), their powers, the basis products met so far and the
-residual U/D, each numerator packed from its own order as its value at
-t = 2**W (the ``algebra`` docstring gives the width bound, the order read
-and the repack). ``lift`` makes every order check, in plain ints: once per
-level, that the basis pullbacks have the orders gamma_1 .. gamma_i, so a
-beta tuple's product has order sum beta_j*gamma_j, and on a class's first
-step, that its betas give v_r. Every pivot then has order n, and the
-residual never needs the shift t**(e_i*alpha) that x**alpha pulls back to.
-It keeps each product P/d_p under its beta tuple, one int product of packed
-powers formed on the tuple's first step; the betas name the class (v_r is
-their order), so a level keeps at most e_i products. A step reads n and
-U_n off U's low bits and is fraction-free: with g = gcd(P_n, U_n) signed
-as P_n, s = P_n/g and c = U_n/g, it sets U := s*U - c*P and D := s*D, and
-logs a = -U_n*d_p / (D*P_n) (U_n, D from before the step). The step does
-not reduce U/D (only a repack does); a is the same rational either way.
+The pullback is an ``algebra.Residual`` over the level's basis pullbacks
+(yt, then the pullbacks of f_1 .. f_{i-1}); each ``eliminate(betas)`` is
+one step and returns its a (the ``algebra`` docstring gives the packing,
+the order read, the fraction-free step and the repack). ``lift`` makes
+every order check, in plain ints: once per level, that the basis
+pullbacks have the orders gamma_1 .. gamma_i, so a beta tuple's product
+has order sum beta_j*gamma_j, and on a class's first step, that its betas
+give v_r. Every pivot then has order n, so the residual never needs the
+shift t**(e_i*alpha) that x**alpha pulls back to. The residual keeps each
+beta tuple's product, and the betas name the class (v_r is their order),
+so a level keeps at most e_i products.
 
 Since beta_{i-1} <= k_i - 1, no pivot is g itself, and no tuple needs to
 be excluded. Every basis product has y-degree at most

@@ -75,6 +75,38 @@ def test_horner_forms_one_product_per_coefficient_below_the_top(monkeypatch):
                 assert all(not a.is_zero or coeffs[-1].is_zero for a, _ in products)
 
 
+def test_powers_form_no_product_with_one(monkeypatch):
+    # p**k squares and multiplies from p itself: bit_length(k) + popcount(k)
+    # - 2 products for k >= 1, none for k = 0, and none of them with one;
+    # a PowerChain's first power is its base itself, not a copy
+    rng = random.Random(0x50)
+    products = []
+    for cls, rand in ((UniPoly, rand_unipoly), (BiPoly, rand_bipoly)):
+        mul, one = cls.__mul__, cls.one()
+        p = rand(rng)
+        while not p or p == one:
+            p = rand(rng)
+
+        def counting(a, b, mul=mul):
+            products.append((a, b))
+            return mul(a, b)
+
+        want = one
+        for k in range(10):
+            products.clear()
+            monkeypatch.setattr(cls, "__mul__", counting)
+            got = p ** k
+            monkeypatch.undo()
+            assert got == want and type(got) is cls
+            assert len(products) == (k.bit_length() + k.bit_count() - 2 if k else 0)
+            assert all(a != one and b != one for a, b in products)
+            want = want * p
+    z = 3 ** 200
+    chain = algebra.PowerChain(z)
+    assert chain.get(1) is z and chain.get(0) == 1
+    assert chain.get(5) == z ** 5 and chain.get(1) is z
+
+
 def test_coefficients_normalize_to_int():
     p = UniPoly({2: Fraction(4, 2)})
     assert p.coeff(2) == 2 and type(p.coeff(2)) is int
@@ -360,8 +392,8 @@ def _band(rng, rows, width, coeff=lambda rng: 1, fixed=False):
 
 
 def _large_pairs(rng):
-    """(a, b, packs): operands with at least ``_PACKED_PAIRS`` term pairs
-    (or a zero one), and whether their product takes the packed route."""
+    """(a, b, packs): operands of many term pairs (or a zero one), and
+    whether their product takes the packed route."""
     edge = (1 << 63) - 1
     sign = lambda rng: rng.choice((1, -1))
     gappy = lambda: BiPoly({(x, y): rng.randint(-9, 9) or 1 for y in (0, 1, 4, 5)
@@ -384,6 +416,7 @@ def _large_pairs(rng):
                                                  rng.choice((1, 2, 3, 7)))),
          _band(rng, 15, 6, lambda rng: Fraction(sign(rng), rng.choice((1, 6)))),
          True),
+        (_band(rng, 8, 5, fixed=True), _band(rng, 6, 4, fixed=True), True),  # 960 pairs
     ]
 
 
@@ -404,7 +437,6 @@ def test_bi_ops_match_fraction_reference_random():
             b = _wide_bipoly(rng)
         pairs.append((a, b))
     for a, b, packs in _large_pairs(rng):
-        assert not a or len(a) * len(b) >= algebra._PACKED_PAIRS
         assert (algebra._skewed_product(a._c, b._c) is not None) == packs
         pairs.append((a, b))
     scalars = (0, 1, -1, 6, 1 << 130, Fraction(1, 2), Fraction(-7, 6),

@@ -470,8 +470,8 @@ def test_workload_verify_json_bytes_pinned(capsys, tmp_path):
 # has just zeroed, so that every read falls back to the whole int's lowest
 # set bit) and one of more digits than any residual below holds (so that
 # none does)
-ROUTES = {"shipped": {}, "packed": {"_PACKED_PAIRS": 0, "_PACKED_FILL": 0},
-          "schoolbook": {"_PACKED_PAIRS": float("inf")},
+ROUTES = {"shipped": {}, "packed": {"_PACKED_FILL": 0},
+          "schoolbook": {"_PACKED_FILL": float("inf")},
           "one-digit window": {"_ORDER_DIGITS": 1},
           "wide window": {"_ORDER_DIGITS": 4096}}
 

@@ -77,10 +77,10 @@ def test_every_error_class_is_raised():
 REVERIFY_API = {"doc_rebuild", "chain_from_polynomials"}
 
 
-def test_every_public_definition_is_used():
-    # a public top-level def or class is dead API unless other package code
-    # uses it or the benchmark traces it; __init__ re-exports do not count
-    used = []       # (module, top-level statement, identifiers it uses)
+def _top_level_statements() -> list:
+    """(module, top-level statement, identifiers it uses) over the package
+    modules but ``__init__``."""
+    used = []
     for path in (ROOT / "src" / "curvelift").glob("*.py"):
         if path.stem == "__init__":
             continue
@@ -90,6 +90,13 @@ def test_every_public_definition_is_used():
                    for n in ast.walk(stmt)
                    if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
             used.append((path.stem, stmt, ids))
+    return used
+
+
+def test_every_public_definition_is_used():
+    # a public top-level def or class is dead API unless other package code
+    # uses it or the benchmark traces it; __init__ re-exports do not count
+    used = _top_level_statements()
     traced = {(mod, attr.split(".")[0])
               for mod, attr, _ in runpy.run_path(str(SPANS))["ENTRY_POINTS"]}
     dead = sorted(
@@ -99,6 +106,28 @@ def test_every_public_definition_is_used():
         and stmt.name not in REVERIFY_API and (mod, stmt.name) not in traced
         and not any(stmt.name in ids for _, other, ids in used if other is not stmt))
     assert dead == []
+
+
+def _bound_names(stmt) -> list[str]:
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
+def test_every_private_module_name_is_read():
+    # a private top-level def, class or assigned name that no other
+    # top-level statement of the package names is dead: a constant whose
+    # gate was deleted, or a helper whose caller went
+    used = _top_level_statements()
+    unread = sorted(
+        f"{mod}.{name}" for mod, stmt, _ in used for name in _bound_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in ids for _, other, ids in used if other is not stmt))
+    assert unread == []
 
 
 def test_no_assert_statements_in_package():
