@@ -656,18 +656,7 @@ def bipoly_exact_div(num: BiPoly, den: BiPoly) -> BiPoly:
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero:
-        return BiPoly.zero()
     dterms = dict(den.terms())
-    if len(dterms) == 1:
-        ((da, db), dv), = dterms.items()
-        out = {}
-        for (a, b), v in num.terms():
-            if a < da or b < db:
-                raise ArithmeticError("monomial does not divide a term")
-            out[(a - da, b - db)] = coeff_div(v, dv)
-        return BiPoly(out)
-
     dlead = max(dterms, key=_glex)
     dlv = dterms[dlead]
     da, db = dlead
@@ -694,10 +683,9 @@ def bipoly_exact_div(num: BiPoly, den: BiPoly) -> BiPoly:
 def sylvester_det(rows: list[list[BiPoly]]) -> BiPoly:
     """Exact determinant of a square matrix over the bivariate ring.
 
-    Fraction-free single-step Bareiss elimination with full pivoting;
-    the pivot with the fewest terms is preferred, which keeps the sparse
-    band structure of Sylvester matrices cheap. All interior divisions
-    are exact.
+    Fraction-free single-step Bareiss elimination with row pivoting: step
+    k pivots on the entry of column k, at or below row k, with the fewest
+    terms. All interior divisions are exact.
     """
     n = len(rows)
     for row in rows:
@@ -709,25 +697,12 @@ def sylvester_det(rows: list[list[BiPoly]]) -> BiPoly:
     sign = 1
     prev = BiPoly.one()
     for k in range(n - 1):
-        # pivot: nonzero entry of the trailing submatrix with fewest terms
-        best = None
-        for i in range(k, n):
-            mi = m[i]
-            for j in range(k, n):
-                e = mi[j]
-                if e:
-                    size = (len(e), _glex(max(e.support(), key=_glex)))
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-        if best is None:
+        pi = min((i for i in range(k, n) if m[i][k]),
+                 key=lambda i: len(m[i][k]), default=None)
+        if pi is None:
             return BiPoly.zero()
-        _, pi, pj = best
         if pi != k:
             m[k], m[pi] = m[pi], m[k]
-            sign = -sign
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
             sign = -sign
         piv = m[k][k]
         piv_is_prev = piv == prev

@@ -189,7 +189,9 @@ def lift(branch: Branch, fs: tuple[BiPoly, ...], i: int
     budget = bound - p.e * sd.gamma[0] + 1
     log: list[IterationRecord] = []
     e = p.e
-    # per class r = n mod e_i: (v_r, the highest order under the bound, betas)
+    # per class r = n mod e_i: (v_r, the highest order under the bound, betas),
+    # filled on the class's first step: a level may visit few of its e_i
+    # classes (the one level of k = 2**22 with y = t visits one)
     classes: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     while (n := u.order()) is not INFINITY:
         if len(log) >= budget:

@@ -22,8 +22,8 @@ the semigroup normal form of n (see ``implicitize``), and the tests compare
 the two. On the hyperplane VE . SG == n the bound is the same as
 VE . (LS - SG) <= bound - n, whose weights LS - SG are non-negative
 (SliceQuery checks SG <= LS). lattice_slice enumerates the solutions by
-recursive descent, pruning on divisibility and on the budget bound - n that
-is left after the hyperplane.
+recursive descent, pruning on the budget bound - n that is left after the
+hyperplane.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def lattice_slice(q: SliceQuery) -> list[tuple[int, ...]]:
     VE.ls <= bound, in lexicographic order.
 
     Recursive descent over coordinates sorted by descending sg-weight,
-    pruning on a suffix-gcd divisibility test and on the partial sum of
-    VE.(ls - sg) against the budget bound - n.
+    pruning on the partial sum of VE.(ls - sg) against the budget bound - n;
+    the last coordinate takes what is left of n, if its weight divides it.
     """
     budget = q.bound - q.n
     if q.n < 0 or budget < 0:
@@ -99,11 +99,6 @@ def lattice_slice(q: SliceQuery) -> list[tuple[int, ...]]:
     if m == 0:
         return [()] if q.n == 0 else []
     order = sorted(range(m), key=lambda j: -q.sg[j])
-    # gcd of the weights not yet fixed below each recursion depth
-    suffix_gcd = [0] * (m + 1)
-    for pos in range(m - 1, -1, -1):
-        suffix_gcd[pos] = gcd(suffix_gcd[pos + 1], q.sg[order[pos]])
-
     out = []
     ve = [0] * m
 
@@ -118,13 +113,10 @@ def lattice_slice(q: SliceQuery) -> list[tuple[int, ...]]:
                 out.append(tuple(ve))
                 ve[j] = 0
             return
-        g = suffix_gcd[pos + 1]
         limit = rem // w if d == 0 else min(rem // w, (budget - used) // d)
         for c in range(limit + 1):
-            r2 = rem - c * w
-            if r2 % g == 0:  # later weights are all multiples of g
-                ve[j] = c
-                descend(pos + 1, r2, used + c * d)
+            ve[j] = c
+            descend(pos + 1, rem - c * w, used + c * d)
         ve[j] = 0
 
     descend(0, q.n, 0)

@@ -14,6 +14,8 @@ from helpers import naive_bi_mul, naive_det, naive_uni_mul, rand_bipoly, rand_un
 def test_uni_order_basic():
     assert UniPoly({3: 1, 5: 2}).order() == 3
     assert UniPoly.zero().order() is INFINITY
+    with pytest.raises(ValueError, match="zero polynomial"):
+        UniPoly.zero().degree()
 
 
 def test_uni_order_of_pullback():
@@ -112,6 +114,34 @@ def test_coefficients_normalize_to_int():
     assert p.coeff(2) == 2 and type(p.coeff(2)) is int
     q = BiPoly({(1, 1): Fraction(1, 3)}) * 3
     assert type(q.coeff((1, 1))) is int
+
+    class Int(int):
+        pass
+
+    assert type(UniPoly({1: Int(3)}).coeff(1)) is int
+
+
+def test_polynomials_reject_other_operands_and_negative_exponents():
+    p = UniPoly({1: 1})
+    with pytest.raises(ZeroDivisionError):
+        algebra.coeff_div(1, 0)
+    for spelling in (lambda: p + 1, lambda: p - 1, lambda: p * "x"):
+        with pytest.raises(TypeError):
+            spelling()
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+    with pytest.raises(ValueError, match="exponent must be a non-negative int"):
+        UniPoly({-1: 1})
+    with pytest.raises(ValueError, match="exponent pair must be non-negative ints"):
+        BiPoly({(0, -1): 1})
+
+
+def test_repr_lists_the_terms_in_key_order():
+    assert repr(UniPoly.zero()) == "UniPoly(0)"
+    assert repr(UniPoly({3: Fraction(-1, 2), 0: 2})) == "UniPoly(2*t^0 + -1/2*t^3)"
+    assert repr(BiPoly.zero()) == "BiPoly(0)"
+    assert repr(BiPoly({(3, 0): Fraction(-2, 3), (0, 2): 1})) == \
+        "BiPoly(1*x^0*y^2 + -2/3*x^3*y^0)"
 
 
 def test_polynomials_reject_bool_coefficients():
@@ -546,6 +576,31 @@ def test_exact_div_roundtrip_random():
 def test_exact_div_rejects_inexact():
     with pytest.raises(ArithmeticError):
         bipoly_exact_div(BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1, (2, 0): 1}))
+
+
+def test_exact_div_of_zero_by_zero_and_by_a_monomial():
+    # the leading-term loop alone: a zero numerator leaves nothing to
+    # divide, and a monomial divisor is a divisor of one term
+    x, y = BiPoly.monomial(1, 0), BiPoly.y()
+    with pytest.raises(ZeroDivisionError):
+        bipoly_exact_div(x, BiPoly.zero())
+    assert bipoly_exact_div(BiPoly.zero(), x + y) == BiPoly.zero()
+    assert bipoly_exact_div(BiPoly.zero(), x) == BiPoly.zero()
+    q = BiPoly({(2, 1): Fraction(3, 2), (1, 3): -1, (0, 0): 5})
+    m = BiPoly({(1, 2): -4})
+    assert bipoly_exact_div(q * m, m) == q
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        bipoly_exact_div(BiPoly({(2, 1): 1, (0, 1): 1}), BiPoly({(1, 1): 2}))
+
+
+def test_sylvester_det_degenerate_shapes():
+    # a zero column at the first or a later elimination step leaves no pivot
+    zero, one, x, y = BiPoly.zero(), BiPoly.one(), BiPoly.monomial(1, 0), BiPoly.y()
+    with pytest.raises(ValueError, match="not square"):
+        sylvester_det([[one, y]])
+    assert sylvester_det([]) == one
+    assert sylvester_det([[zero, x], [zero, y]]) == zero
+    assert sylvester_det([[x, zero, y], [y, zero, one], [one, zero, x]]) == zero
 
 
 def test_sylvester_det_identity_cases():

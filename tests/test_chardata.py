@@ -172,10 +172,12 @@ def test_chardata_derives_the_index_chain():
     (2, (1.5,), "characteristic exponent must be a positive Fraction, got 1.5"),
     (2, (F(-1, 2),), "characteristic exponent must be a positive Fraction"),
     (2.0, (F(3, 2),), "multiplicity k must be a positive int, got 2.0"),
+    (4, (F(3, 2), F(5, 2)), "inconsistent characteristic data: k=4"),
 ])
 def test_chardata_rejects_malformed_input_typed(k, lambdas, message):
     # a float lambda, a negative one (it would give the "semigroup"
-    # (2; -1)) and a float k raise the typed error, not AttributeError
+    # (2; -1)) and a float k raise the typed error, not AttributeError; so
+    # does a chain whose second lambda adds no denominator factor
     with pytest.raises(InvalidBranchError, match=re.escape(message)):
         CharData(k=k, lambdas=lambdas)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bytes_contract import pinned_digests
 from curvelift import BiPoly, basis_reconstruct, certify
 from curvelift.cli import (branch_from_file, certificate_lines,
                            chain_to_doc, doc_rebuild, format_poly, load_curve, main,
@@ -96,6 +97,8 @@ def test_format_poly_reference():
     assert format_poly(poly_to_doc(f2)) == ("y^6 - 3*y^4*x^3 - 2*y^3*x^5 + 3*y^2*x^6 "
                                             "- 6*y*x^8 - x^9 + x^10")
     assert format_poly(poly_to_doc(BiPoly.zero())) == "0"
+    assert format_poly(poly_to_doc(f1 - BiPoly({(0, 0): Fraction(2, 3)}))) == \
+        "-2/3 + y^2 - x^3"
 
 
 def test_cmd_semigroup_rows(capsys):
@@ -155,6 +158,10 @@ def test_cmd_bench(capsys, tmp_path):
     code, out = run(capsys, "bench", str(tmp_path))
     assert code == 0
     assert "a" in out and "b" in out and "total" in out
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["bench", str(empty)]) == 2
+    assert "no .curve files found" in capsys.readouterr().err
 
 
 def test_invalid_branch_error_names_its_file(capsys, tmp_path):
@@ -342,13 +349,16 @@ def test_readme_command_table_matches_parser(capsys):
 
 
 def test_negative_oracle_bound_is_rejected(capsys):
-    # a negative bound would skip every oracle check and still exit 0
-    for cmd in ("verify", "implicitize"):
+    # a negative bound would skip every oracle check and still exit 0; a
+    # bound that is no integer is the same usage error
+    for cmd, bound, message in (("verify", "-3", "must be >= 0, got -3"),
+                                ("implicitize", "-3", "must be >= 0, got -3"),
+                                ("verify", "x", "not an integer: 'x'")):
         with pytest.raises(SystemExit) as exc:
-            main([cmd, str(CORPUS / "cusp.curve"), "--oracle-bound", "-3"])
+            main([cmd, str(CORPUS / "cusp.curve"), "--oracle-bound", bound])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert "--oracle-bound: must be >= 0, got -3" in err
+        assert f"--oracle-bound: {message}" in err
         assert "Traceback" not in err
     assert main(["verify", str(CORPUS / "cusp.curve"), "--oracle-bound", "0"]) == 0
 
@@ -657,24 +667,27 @@ def test_doc_rebuild_reads_coefficients_of_any_size(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+# a child interpreter that runs main(argv) under a 1 GB address-space cap and
+# prints its wall seconds last, so that a regression fails without
+# exhausting the machine's memory
+CAPPED_MAIN = ("import resource, sys, time\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from curvelift.cli import main\n"
+               "t0 = time.perf_counter()\n"
+               "status = main(sys.argv[1:])\n"
+               "print(time.perf_counter() - t0)\n"
+               "sys.exit(status)\n")
+
+
 def test_huge_exponent_is_a_typed_error(capsys, tmp_path):
     # valid branches whose top level has a slice bound e_i*deg(yt) above the
-    # ceiling, ~1.2e14 and 4.0e8: lift refuses each before packing. Run under
-    # a 1 GB address-space cap, so a regression fails here without exhausting
-    # the machine's memory.
+    # ceiling, ~1.2e14 and 4.0e8: lift refuses each before packing
     path = tmp_path / "huge-exponent.curve"
-    child = ("import resource, sys, time\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-             "from curvelift.cli import main\n"
-             "t0 = time.perf_counter()\n"
-             "status = main(sys.argv[1:])\n"
-             "print(time.perf_counter() - t0)\n"
-             "sys.exit(status)\n")
     for text, level in (("k: 12\nterm: 18 1\nterm: 20 1\nterm: 9999999999923 1\n", 3),
                         ("k: 4\nterm: 6 1\nterm: 7 1\nterm: 99999999 1\n", 2)):
         path.write_text(text)
         assert main(["validate", str(path)]) == 0
-        proc = subprocess.run([sys.executable, "-c", child, "implicitize", str(path)],
+        proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "implicitize", str(path)],
                               capture_output=True, text=True, env=SUBPROCESS_ENV,
                               timeout=60)
         assert proc.returncode == 2, proc.stderr
@@ -682,3 +695,27 @@ def test_huge_exponent_is_a_typed_error(capsys, tmp_path):
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(f"error: level {level}: slice bound")
         assert float(proc.stdout) < 1.0
+
+
+def test_one_class_of_a_huge_level_costs_one_class(tmp_path):
+    # k = 2**22 with y = t is one level with e_1 = 2**22 and a slice bound of
+    # 2**22, under the ceiling, and its lift takes one step. lift fills its
+    # class table as classes come up: one built for all e_1 classes at once
+    # runs out of memory under the cap.
+    path = tmp_path / "one-class.curve"
+    path.write_text("k: 4194304\nterm: 1 1\n")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "implicitize", str(path),
+                           "--no-verify", "--json"],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *doc, seconds = proc.stdout.splitlines()
+    assert len(json.loads("\n".join(doc))["levels"][0]["iterations"]) == 1
+    assert float(seconds) < 5.0
+
+
+def test_bytes_contract_script_reads_the_pinned_digests():
+    # tests/bytes_contract.py recomputes these digests without pytest; it
+    # reads them out of this file, so both check the same contract
+    corpus, workloads = pinned_digests()
+    assert corpus == VERIFY_JSON_SHA256 and len(corpus) == 12
+    assert workloads == WORKLOAD_VERIFY_JSON_SHA256 and len(workloads) == 3

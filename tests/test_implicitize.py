@@ -393,6 +393,16 @@ def test_chain_from_polynomials_roundtrip(branch12, chain12):
     assert rebuilt.deltas == chain12.deltas
     cert = certify(rebuilt)
     assert cert.ok
+    with pytest.raises(ValueError, match="expected 3 polynomials, got 2"):
+        chain_from_polynomials(branch12, chain12.fs[:-1])
+
+
+def test_lift_rejects_a_level_out_of_range_or_without_its_basis(branch12):
+    for i in (0, branch12.cd.s + 1):
+        with pytest.raises(IndexError, match=f"level {i} out of range 1..3"):
+            lift(branch12, (F1,), i)
+    with pytest.raises(ValueError, match="lift to level 2 needs f_1..f_1"):
+        lift(branch12, (), 2)
 
 
 def _three_part_verdict(chain):

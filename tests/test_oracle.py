@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import curvelift.oracle as oracle
 from curvelift import (BiPoly, UniPoly, implicitize_all, polygon_contains, polygon_desc,
                        resultant_implicitize, truncation, validate_branch)
 from curvelift.chardata import split_tails
+from curvelift.errors import InvariantError
 from curvelift.oracle import _power_sums
 from helpers import naive_uni_mul, rand_branch, sylvester_implicitize
 
@@ -110,6 +114,19 @@ def test_power_sums_equal_schoolbook_powers():
             for _ in range(rng.randint(1, 3)):
                 ys[q0 + rng.randint(1, 12)] = rng.choice((-1, 1)) * rng.randint(1, 10 ** digits)
             assert _power_sums(e, ys) == naive_power_sums(e, ys)
+
+
+def test_newton_identity_rejects_a_power_sum_off_by_one(cusp, monkeypatch):
+    # P_2 of the cusp is {3: 2}; one more makes 2*C_2 = P_1**2 - P_2 odd
+    def mutant(e, ys):
+        psums = _power_sums(e, ys)
+        assert psums[2] == {3: 2}
+        psums[2][3] += 1
+        return psums
+
+    monkeypatch.setattr(oracle, "_power_sums", mutant)
+    with pytest.raises(InvariantError, match=r"Newton's identity gave -3/2, not in Z\[x\]"):
+        resultant_implicitize(truncation(cusp, 1))
 
 
 def test_oracle_equals_chain_up_to_e60():

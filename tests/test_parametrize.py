@@ -193,6 +193,8 @@ def test_valuation_table_reference(branch12, chain12):
         assert table.row(1, j).value == int(branch12.cd.es[j] * Fraction(3, 2))
     # d/dy f_1 = 2y has level-2 valuation 9 = 19 - e_2*lambda_2
     assert table.row(2, 2).dvalue == 9
+    with pytest.raises(KeyError):
+        table.row(4, 1)
 
 
 def test_valuation_additivity_random():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from curvelift import BiPoly, polygon_contains, polygon_desc, truncation
+from curvelift.errors import InvariantError
 from curvelift.polygon import SliceQuery, lattice_slice
 from helpers import naive_slice, tail_mu, tail_polygon
 
@@ -35,6 +38,7 @@ def test_polygon_reference_level2(branch12):
     assert polygon_contains((0, 6), pd)
     assert not polygon_contains((0, 7), pd)
     assert not polygon_contains((0, 5), pd)
+    assert not polygon_contains((-1, 0), pd)
 
 
 def test_polygon_apex_only_on_vertical_axis(branch12):
@@ -81,6 +85,10 @@ def test_lattice_slice_trivial_cases():
     assert lattice_slice(q) == [(0, 0, 0)]
     q = SliceQuery(n=1, sg=(6, 9, 19), ls=(6, 10, 20), bound=60)
     assert lattice_slice(q) == []
+    assert lattice_slice(SliceQuery(n=0, sg=(), ls=(), bound=4)) == [()]
+    assert lattice_slice(SliceQuery(n=3, sg=(), ls=(), bound=4)) == []
+    with pytest.raises(InvariantError, match="0 < sg <= ls"):
+        SliceQuery(n=5, sg=(3,), ls=(2,), bound=9)
 
 
 def test_lattice_slice_lex_order_and_dedup():

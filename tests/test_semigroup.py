@@ -41,6 +41,8 @@ def test_generators_reference_sets():
     assert generators(cd2, 2).generators_list() == [6, 9, 25]
     cd3 = cd_of(6, {8, 9})
     assert generators(cd3, 2).generators_list() == [6, 8, 25]
+    with pytest.raises(IndexError, match="level 0 out of range 1..2"):
+        generators(cd3, 0)
 
 
 def test_normal_form_reference_values():
